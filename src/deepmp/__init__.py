@@ -26,7 +26,6 @@ from .network import (
     batched_infer,
     build_training_batch,
     forward_infer,
-    forward_train,
     init_from_dictionary,
     load_model,
     loss_and_gradient,
@@ -36,7 +35,7 @@ from .optim import AdaBoundHyper, AdaBoundState, adabound_step, init_adabound
 from .solvers import (
     ProjectionMode,
     PursuitResult,
-    hard_max,
+    hard_max_pursuit,
     nnls_active_set,
     nnmp_solve,
     nnomp_solve,
@@ -69,11 +68,10 @@ __all__ = [
     "coherence_ecdf",
     "epsilon_error",
     "forward_infer",
-    "forward_train",
     "generate_raman_surrogate",
     "generate_synthetic_dictionary",
     "hamming_complement",
-    "hard_max",
+    "hard_max_pursuit",
     "init_adabound",
     "init_from_dictionary",
     "load_dictionary_csv",

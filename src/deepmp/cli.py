@@ -164,7 +164,6 @@ def cmd_eval(config: RunConfig) -> None:
     grid = np.linspace(0.0, 1.0, config.ecdf_grid_points)
     reports = metrics.run_sweep(
         dictionary, solvers, config.k_range, config.z_test, config.seed,
-        ecdf_grid=grid,
     )
     outputs = []
     metrics_csv = os.path.join(config.out_dir, "metrics.csv")

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumn, EmptyLibrary, ParseError
+from .errors import (
+    DegenerateColumn,
+    DimensionMismatch,
+    EmptyInput,
+    EmptyLibrary,
+    OutOfRange,
+    ParseError,
+    ZeroSparsity,
+)
 from .types import Dictionary, Sample, read_csv_matrix, validate_dictionary
 
 log = logging.getLogger(__name__)
@@ -66,11 +74,11 @@ def sample_mixture(dictionary: Dictionary, config: MixtureConfig) -> list[Sample
     """Draw noiseless non-negative mixtures with recorded ground truth."""
     k = config.sparsity
     if k < 1:
-        raise ValueError("sparsity must be >= 1")
+        raise ZeroSparsity("sparsity must be >= 1")
     if config.num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+        raise EmptyInput("num_samples must be >= 1")
     if k > dictionary.num_atoms:
-        raise ValueError(
+        raise DimensionMismatch(
             f"sparsity {k} exceeds the {dictionary.num_atoms} available atoms"
         )
     rng = np.random.default_rng(config.seed)
@@ -125,12 +133,12 @@ def generate_raman_surrogate(signal_dim: int, num_atoms: int, peaks_per_atom: in
     coherent than clipped-normal random atoms of the same size.
     """
     if peaks_per_atom < 1:
-        raise ValueError("peaks_per_atom must be >= 1")
+        raise OutOfRange("peaks_per_atom must be >= 1")
     if width_range is None:
         width_range = (2.0, max(2.0, signal_dim / 4.0))
     lo, hi = width_range
     if not (0.0 < lo <= hi):
-        raise ValueError(f"bad width_range {width_range}")
+        raise OutOfRange(f"bad width_range {width_range}")
     rng = np.random.default_rng(seed)
     grid = np.arange(signal_dim, dtype=np.float64)
     atoms = np.empty((signal_dim, num_atoms), order="F")

@@ -40,6 +40,14 @@ class EmptyInput(InputError):
     """An operation received an empty vector or list."""
 
 
+class NonFiniteSignal(InputError):
+    """A signal contains NaN or infinite entries."""
+
+
+class OutOfRange(InputError):
+    """A numeric argument lies outside its documented range."""
+
+
 # -- solvers ----------------------------------------------------------------
 
 class MaxIterationsExceeded(NumericalError):
@@ -85,7 +93,7 @@ class EmptyLibrary(InputError):
 # -- evaluation ---------------------------------------------------------------
 
 class ZeroSparsity(InputError):
-    """Support-recovery metrics need sparsity >= 1."""
+    """A sparsity level, pursuit budget or network depth is below 1."""
 
 
 class ZeroSignal(InputError):

@@ -8,7 +8,8 @@
   coherences on a grid over [0, 1].
 
 ``run_sweep`` draws fresh test mixtures per sparsity level (stream disjoint
-from training by construction) and aggregates both metrics per solver.
+from training by construction), hands each solver the whole stack of test
+signals at once and aggregates both metrics per solver.
 """
 
 from __future__ import annotations
@@ -27,17 +28,20 @@ from .errors import (
     ZeroSignal,
     ZeroSparsity,
 )
-from .network import UnfoldedModel, forward_infer
+from .network import UnfoldedModel, batched_infer
+from .network import forward_infer  # unused here; perfbench/tracing.py wraps it here
 from .seeding import TEST_STREAM, child_seed
-from .solvers import ProjectionMode, PursuitResult, nnmp_solve, nnomp_solve
-from .types import Dictionary, Sample, distinct_support
+from .solvers import ProjectionMode, hard_max_pursuit, nnomp_solve
+from .solvers import nnmp_solve  # unused here; perfbench/tracing.py wraps it here
+from .types import Dictionary, distinct_support
 
 #: default ECDF grid resolution over [0, 1]
 ECDF_GRID_POINTS = 200
 #: default number of test mixtures per sparsity level
 DEFAULT_NUM_TEST = 5000
 
-SweepSolver = Callable[[np.ndarray, int], PursuitResult]
+#: (signals (B, M), sparsity k) -> (supports (B, k) padded with -1, codes (B, N))
+SweepSolver = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
 def hamming_complement(acquired, truth, sparsity: int) -> float:
@@ -50,22 +54,6 @@ def hamming_complement(acquired, truth, sparsity: int) -> float:
         raise ZeroSparsity("sparsity must be >= 1")
     found = np.intersect1d(distinct_support(acquired), distinct_support(truth))
     return found.size / sparsity
-
-
-def raw_hamming_sum(acquired, truth, sparsity: int, num_atoms: int) -> float:
-    """Audit-only unnormalized variant over indicator vectors.
-
-    Sums ``1 - |a_n - g_n| / sparsity`` over all atom positions, where a and g
-    are 0/1 membership indicators. Not confined to [0, 1]; exposed only so the
-    normalized metric can be audited against it.
-    """
-    if sparsity < 1:
-        raise ZeroSparsity("sparsity must be >= 1")
-    a = np.zeros(num_atoms)
-    g = np.zeros(num_atoms)
-    a[distinct_support(acquired)] = 1.0
-    g[distinct_support(truth)] = 1.0
-    return float(np.sum(1.0 - np.abs(a - g) / sparsity))
 
 
 def epsilon_error(dictionary: Dictionary, samples, codes) -> float:
@@ -132,42 +120,56 @@ class MetricsReport:
     num_test: int
     recovery: dict[int, float] = field(default_factory=dict)
     epsilon: dict[int, float] = field(default_factory=dict)
-    ecdf_samples: list[tuple[float, float]] = field(default_factory=list)
 
 
 def nnmp_runner(dictionary: Dictionary,
                 proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT) -> SweepSolver:
-    return lambda y, k: nnmp_solve(dictionary, y, k, proj)
+    """NNMP on every signal with one call of the batched pursuit kernel."""
+    atoms = dictionary.atoms
+
+    def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        supports, codes, _, _ = hard_max_pursuit([atoms] * k, atoms, signals, proj)
+        return supports, codes
+
+    return run
 
 
 def nnomp_runner(dictionary: Dictionary) -> SweepSolver:
-    return lambda y, k: nnomp_solve(dictionary, y, k)
+    """NNOMP, one signal at a time."""
+
+    def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        supports = np.full((len(signals), k), -1, dtype=np.int64)
+        codes = np.zeros((len(signals), dictionary.num_atoms))
+        for i, y in enumerate(signals):
+            res = nnomp_solve(dictionary, y, k)
+            supports[i, :res.steps_taken] = res.support
+            codes[i] = res.code
+        return supports, codes
+
+    return run
 
 
 def deepmp_runner(models: Mapping[int, UnfoldedModel]) -> SweepSolver:
     """Dispatch to one trained model per sparsity level."""
     models = dict(models)
 
-    def run(y: np.ndarray, k: int) -> PursuitResult:
+    def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if k not in models:
             raise MissingModel(f"no trained model for sparsity {k}")
-        return forward_infer(models[k], y)
+        return batched_infer(models[k], signals)
 
     return run
 
 
 def run_sweep(dictionary: Dictionary, solvers: Mapping[str, SweepSolver],
-              k_range, num_test: int, seed: int,
-              ecdf_grid=None) -> dict[str, MetricsReport]:
+              k_range, num_test: int, seed: int) -> dict[str, MetricsReport]:
     """Evaluate every solver on fresh test mixtures at each sparsity level.
 
-    Each solver runs with budget equal to the mixture sparsity; all solvers
-    see identical test sets. Reports carry the dictionary's coherence ECDF.
+    Each solver runs with budget equal to the mixture sparsity on the stack
+    of that level's test signals; all solvers see identical test sets.
     """
-    ecdf = coherence_ecdf(dictionary.atoms, ecdf_grid)
     reports = {
-        label: MetricsReport(solver=label, num_test=num_test, ecdf_samples=ecdf)
-        for label in solvers
+        label: MetricsReport(solver=label, num_test=num_test) for label in solvers
     }
     for k in k_range:
         samples = sample_mixture(
@@ -175,15 +177,16 @@ def run_sweep(dictionary: Dictionary, solvers: Mapping[str, SweepSolver],
             MixtureConfig(sparsity=k, num_samples=num_test,
                           seed=child_seed(seed, TEST_STREAM, k)),
         )
+        signals = np.stack([s.signal for s in samples])
         for label, solve in solvers.items():
-            results = [solve(s.signal, k) for s in samples]
+            supports, codes = solve(signals, k)
             reports[label].recovery[k] = float(np.mean([
-                hamming_complement(res.support, s.true_support, k)
-                for res, s in zip(results, samples)
+                hamming_complement(row[row >= 0], s.true_support, k)
+                for row, s in zip(supports, samples)
             ]))
-            reports[label].epsilon[k] = epsilon_error(
-                dictionary, samples, [res.code for res in results]
-            )
+            reports[label].epsilon[k] = epsilon_error(dictionary, samples, codes)
+            # released before the next solver builds its own
+            del supports, codes
     return reports
 
 

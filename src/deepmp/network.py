@@ -1,12 +1,14 @@
 """Unfolded pursuit network with trainable selection matrices.
 
 The model unrolls ``depth`` pursuit steps. Each step k owns a trainable
-selection matrix ``W_k`` of the dictionary's shape; inference scores the
-residual with ``W_k.T @ r`` and hard-max picks the atom, while the residual
-update stays the fixed-dictionary rule (subtract the picked atom scaled by its
-dictionary correlation, then project). With every ``W_k`` initialized to the
-dictionary the network reproduces plain matching pursuit bit for bit, so
-training can only move it away from that baseline.
+selection matrix ``W_k`` of the dictionary's shape; inference is the shared
+kernel :func:`~deepmp.solvers.hard_max_pursuit` driven by the ``W_k``: it
+scores the residual with ``W_k.T @ r`` and hard-max picks the atom, while the
+residual update stays the fixed-dictionary rule of
+:func:`~deepmp.solvers.residual_step`. With every ``W_k`` initialized to the
+dictionary the network runs exactly the computation of plain matching
+pursuit, so it reproduces it bit for bit and training can only move it away
+from that baseline.
 
 Training treats each step as an atom classification problem: the hard-max is
 relaxed to a softmax over the selection scores and each layer is penalized
@@ -32,15 +34,18 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     SparsityMismatch,
+    ZeroSparsity,
 )
 from .solvers import (
     RESIDUAL_FLOOR,
     ProjectionMode,
     PursuitResult,
-    project,
-    unrolled_pursuit,
+    check_signals,
+    hard_max_pursuit,
+    residual_step,
+    single_pursuit,
 )
-from .types import Dictionary, Sample
+from .types import Dictionary
 
 _MAGIC = b"DMP1"
 
@@ -87,16 +92,29 @@ def init_from_dictionary(dictionary: Dictionary, depth: int,
                          ) -> UnfoldedModel:
     """Model whose every selection matrix is an independent copy of the dictionary."""
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ZeroSparsity("depth must be >= 1")
     weights = [np.array(dictionary.atoms, order="F") for _ in range(depth)]
     return UnfoldedModel(selection_weights=weights, update_dict=dictionary, proj=proj)
 
 
 def forward_infer(model: UnfoldedModel, y) -> PursuitResult:
     """Hard-max inference; shape-identical to plain matching pursuit."""
-    return unrolled_pursuit(
-        model.selection_weights, model.update_dict.atoms, y, model.depth, model.proj
+    return single_pursuit(
+        model.selection_weights, model.update_dict.atoms, y, model.proj
     )
+
+
+def batched_infer(model: UnfoldedModel, signals) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-max inference over a stack of signals (rows).
+
+    Returns ``(supports, codes)`` where ``supports`` is (batch, depth) with -1
+    padding after early stops. Row i equals :func:`forward_infer` on
+    ``signals[i]`` bit for bit: both are calls of the same kernel.
+    """
+    supports, codes, _, _ = hard_max_pursuit(
+        model.selection_weights, model.update_dict.atoms, signals, model.proj
+    )
+    return supports, codes
 
 
 # -- training ------------------------------------------------------------------
@@ -104,45 +122,20 @@ def forward_infer(model: UnfoldedModel, y) -> PursuitResult:
 
 @dataclass
 class TrainingBatch:
-    """Samples of sparsity = depth with their per-step teacher targets.
+    """Signals of sparsity = depth with their per-step teacher targets.
 
-    ``targets[i]`` is the ordered list of ground-truth atom indices for sample
-    i, one per layer; it is a permutation of the sample's true support chosen
-    by the teacher (greedy best remaining atom). Targets depend only on the
-    dictionary, never on the trainable weights.
+    ``signals`` is (batch, signal_dim); ``targets[i]`` is the ordered list of
+    ground-truth atom indices for sample i, one per layer, a permutation of
+    the sample's true support chosen by the teacher (greedy best remaining
+    atom). Targets depend only on the dictionary, never on the trainable
+    weights.
     """
 
-    samples: list[Sample]
+    signals: np.ndarray
     targets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass
-class ForwardTrace:
-    """Per-layer training quantities for one sample.
-
-    ``probs`` holds softmax distributions for the layers that received a loss
-    term (all of them unless the residual died early); ``residuals`` holds the
-    teacher-forced path r_0 .. r_K including the final residual; ``targets``
-    always has ``depth`` entries.
-    """
-
-    probs: list[np.ndarray]
-    residuals: list[np.ndarray]
-    targets: np.ndarray
-
-
-def _check_sample(model: UnfoldedModel, sample: Sample) -> None:
-    if sample.sparsity != model.depth:
-        raise SparsityMismatch(
-            f"sample sparsity {sample.sparsity} != model depth {model.depth}"
-        )
-    if sample.signal.shape != (model.signal_dim,):
-        raise DimensionMismatch(
-            f"signal shape {sample.signal.shape}, expected ({model.signal_dim},)"
-        )
+        return self.signals.shape[0]
 
 
 def build_training_batch(model: UnfoldedModel, samples) -> TrainingBatch:
@@ -152,20 +145,24 @@ def build_training_batch(model: UnfoldedModel, samples) -> TrainingBatch:
     atoms, the one with the largest dictionary correlation against the current
     teacher residual (ties to the earliest support position), then applies the
     fixed-dictionary update. Every sample always receives exactly ``depth``
-    targets even if its residual dies early.
+    targets even if its residual dies early. Raises EmptyBatch, and
+    SparsityMismatch for a sample whose sparsity is not the model depth.
     """
     samples = list(samples)
     if not samples:
         raise EmptyBatch("no samples")
-    for s in samples:
-        _check_sample(model, s)
-    atoms = model.update_dict.atoms
     depth = model.depth
-    batch = len(samples)
-    signals = np.stack([s.signal for s in samples])  # (B, M)
+    bad = [s.sparsity for s in samples if s.sparsity != depth]
+    if bad:
+        raise SparsityMismatch(
+            f"sample sparsity {bad[0]} != model depth {depth}"
+        )
+    atoms = model.update_dict.atoms
+    signals = check_signals([s.signal for s in samples], model.signal_dim)
     candidates = np.stack([s.true_support for s in samples])  # (B, depth)
 
-    residuals = signals.copy()
+    batch = len(samples)
+    residuals = signals
     used = np.zeros((batch, depth), dtype=bool)
     targets = np.zeros((batch, depth), dtype=np.int64)
     rows = np.arange(batch)
@@ -178,41 +175,8 @@ def build_training_batch(model: UnfoldedModel, samples) -> TrainingBatch:
         chosen = candidates[rows, pick]
         used[rows, pick] = True
         targets[:, step] = chosen
-        picked_atoms = atoms[:, chosen]  # (M, B)
-        coeff = np.einsum("mb,bm->b", picked_atoms, residuals)
-        residuals = project(residuals - coeff[:, None] * picked_atoms.T, model.proj)
-    return TrainingBatch(samples=samples, targets=targets)
-
-
-def forward_train(model: UnfoldedModel, sample: Sample) -> ForwardTrace:
-    """Teacher-forced forward pass for one sample.
-
-    Layers whose incoming residual norm is below ``RESIDUAL_FLOOR`` are
-    skipped (no softmax emitted), matching the loss computation.
-    """
-    _check_sample(model, sample)
-    batch = build_training_batch(model, [sample])
-    targets = batch.targets[0]
-    atoms = model.update_dict.atoms
-    r = np.array(sample.signal, dtype=np.float64)
-    probs: list[np.ndarray] = []
-    residuals = [r.copy()]
-    for k in range(model.depth):
-        if np.linalg.norm(r) < RESIDUAL_FLOOR:
-            break
-        scores = model.selection_weights[k].T @ r
-        probs.append(_softmax(scores))
-        t = targets[k]
-        coeff = float(atoms[:, t] @ r)
-        r = project(r - coeff * atoms[:, t], model.proj)
-        residuals.append(r.copy())
-    return ForwardTrace(probs=probs, residuals=residuals, targets=targets)
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max()
-    e = np.exp(z)
-    return e / e.sum()
+        _, residuals = residual_step(atoms, residuals, chosen, model.proj)
+    return TrainingBatch(signals=signals, targets=targets)
 
 
 def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
@@ -222,23 +186,26 @@ def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
     Loss is the per-sample sum over live layers of -log softmax(target),
     averaged over the batch; the gradient for layer k is therefore the batch
     mean of outer(residual_k, softmax_k - onehot(target_k)), with samples
-    whose residual died before layer k contributing nothing.
+    whose residual died before layer k contributing nothing. The teacher
+    residuals are replayed from the batch's stored targets.
     """
-    if len(batch) == 0:
-        raise EmptyBatch("no samples")
-    for s in batch.samples:
-        _check_sample(model, s)
-    atoms = model.update_dict.atoms
-    depth = model.depth
     batch_size = len(batch)
-    signals = np.stack([s.signal for s in batch.samples])  # (B, M)
+    if batch_size == 0:
+        raise EmptyBatch("no samples")
     targets = batch.targets
-
-    residuals = signals.copy()
+    if (batch.signals.shape[1] != model.signal_dim
+            or targets.shape[1] != model.depth):
+        raise DimensionMismatch(
+            f"batch of signals {batch.signals.shape} and targets "
+            f"{targets.shape} does not fit a depth-{model.depth} model on "
+            f"{model.signal_dim} dimensions"
+        )
+    atoms = model.update_dict.atoms
+    residuals = batch.signals
     live = np.ones(batch_size, dtype=bool)
     loss = 0.0
     grads = [np.zeros_like(w) for w in model.selection_weights]
-    for k in range(depth):
+    for k in range(model.depth):
         live = live & (np.linalg.norm(residuals, axis=1) >= RESIDUAL_FLOOR)
         if not live.any():
             break
@@ -253,53 +220,8 @@ def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
         p[rows, t_live] -= 1.0
         grads[k] += (r_live.T @ p) / batch_size
         # teacher-forced residual update for every sample (dead rows are inert)
-        picked_atoms = atoms[:, targets[:, k]]  # (M, B)
-        coeff = np.einsum("mb,bm->b", picked_atoms, residuals)
-        residuals = project(residuals - coeff[:, None] * picked_atoms.T, model.proj)
+        _, residuals = residual_step(atoms, residuals, targets[:, k], model.proj)
     return loss, grads
-
-
-# -- batched inference -----------------------------------------------------------
-
-
-def batched_infer(model: UnfoldedModel, signals: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Hard-max inference over a stack of signals (rows).
-
-    Returns ``(supports, codes)`` where ``supports`` is (batch, depth) with -1
-    padding after early stops. Follows the same stopping rules as
-    :func:`forward_infer`; it is a throughput path for validation and sweeps
-    over many signals, not a bit-exact replacement for the per-sample solver.
-    """
-    signals = np.asarray(signals, dtype=np.float64)
-    if signals.ndim != 2 or signals.shape[1] != model.signal_dim:
-        raise DimensionMismatch(
-            f"signals shape {signals.shape}, expected (*, {model.signal_dim})"
-        )
-    atoms = model.update_dict.atoms
-    batch = signals.shape[0]
-    residuals = signals.copy()
-    live = np.ones(batch, dtype=bool)
-    supports = np.full((batch, model.depth), -1, dtype=np.int64)
-    codes = np.zeros((batch, model.num_atoms))
-    rows = np.arange(batch)
-    for k in range(model.depth):
-        live = live & (np.linalg.norm(residuals, axis=1) >= RESIDUAL_FLOOR)
-        if not live.any():
-            break
-        scores = residuals @ model.selection_weights[k]  # (B, N)
-        picked = np.argmax(scores, axis=1)
-        best = scores[rows, picked]
-        picked_atoms = atoms[:, picked]  # (M, B)
-        coeff = np.einsum("mb,bm->b", picked_atoms, residuals)
-        live = live & (best > 0.0) & (coeff > 0.0)
-        if not live.any():
-            break
-        supports[live, k] = picked[live]
-        codes[live, picked[live]] += coeff[live]
-        update = residuals - coeff[:, None] * picked_atoms.T
-        residuals[live] = project(update[live], model.proj)
-    return supports, codes
 
 
 # -- serialization ----------------------------------------------------------------

@@ -9,10 +9,13 @@ Two reference algorithms operate on a fixed dictionary:
   refits all selected coefficients with active-set non-negative least squares
   and recomputes the residual from the refit. Never re-selects an atom.
 
-Both share the unrolled pursuit loop that also powers trained models: the
-selection score comes from a per-step selection matrix, while the residual
-update always uses the dictionary atom, so swapping the selection matrices
-changes which atom is picked but never how the residual evolves.
+Plain MP and trained models share one kernel, :func:`hard_max_pursuit`, which
+runs the pursuit over a stack of signals at once: the selection score comes
+from a per-step selection matrix, while the residual update is always the
+fixed-dictionary rule of :func:`residual_step`, so swapping the selection
+matrices changes which atom is picked but never how the residual evolves.
+``nnmp_solve`` is a one-row call of that kernel with the dictionary as every
+selection matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, MaxIterationsExceeded
+from .errors import (
+    DimensionMismatch,
+    MaxIterationsExceeded,
+    NonFiniteSignal,
+    ZeroSparsity,
+)
 from .types import Dictionary
 
 #: stop pursuing once the residual is numerical dust
@@ -59,52 +67,96 @@ class PursuitResult:
     residual_norm_path: np.ndarray
 
 
-def hard_max(scores) -> tuple[float, int]:
-    """Largest entry of a score vector and its index; ties go to the lowest index."""
-    s = np.asarray(scores)
-    if s.size == 0:
-        raise EmptyInput("hard_max needs at least one score")
-    index = int(np.argmax(s))
-    return float(s[index]), index
+def check_signals(signals, signal_dim: int) -> np.ndarray:
+    """Signals as a float64 (batch, signal_dim) array of finite values.
 
-
-def unrolled_pursuit(selection_mats, atoms: np.ndarray, y, depth: int,
-                     proj: ProjectionMode) -> PursuitResult:
-    """Run ``depth`` pursuit steps driven by per-step selection matrices.
-
-    Step k scores the residual with ``selection_mats[k].T @ r`` and hard-max
-    picks the winner; the subtracted coefficient is the winner's dictionary
-    correlation ``atoms[:, i] @ r`` so the update is the fixed-dictionary rule
-    regardless of what drove the selection. Stops early when the residual is
-    below ``RESIDUAL_FLOOR`` or no score is strictly positive.
+    Accepts an array or a list of equal-length rows. Raises DimensionMismatch
+    for any other shape and NonFiniteSignal for NaN or infinite entries.
     """
-    rows, cols = atoms.shape
-    r = np.array(y, dtype=np.float64)
-    if r.shape != (rows,):
-        raise DimensionMismatch(f"signal shape {r.shape}, expected ({rows},)")
-    code = np.zeros(cols)
-    support: list[int] = []
-    norm_path = [float(np.linalg.norm(r))]
-    for k in range(depth):
-        if norm_path[-1] < RESIDUAL_FLOOR:
-            break
-        score, index = hard_max(selection_mats[k].T @ r)
-        if score <= 0.0:
-            break
-        coeff = float(atoms[:, index] @ r)
-        if coeff <= 0.0:
+    try:
+        s = np.asarray(signals, dtype=np.float64)
+    except ValueError:
+        raise DimensionMismatch("signals are not rows of one length") from None
+    if s.ndim != 2 or s.shape[1] != signal_dim:
+        raise DimensionMismatch(
+            f"signals shape {s.shape}, expected (*, {signal_dim})"
+        )
+    if not np.isfinite(s).all():
+        raise NonFiniteSignal("signals contain NaN or infinite entries")
+    return s
+
+
+def residual_step(atoms: np.ndarray, residuals: np.ndarray, index: np.ndarray,
+                  proj: ProjectionMode) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-dictionary update of each row of a residual stack.
+
+    Row b takes the dictionary correlation ``coeff[b] = <d_i, r_b>`` of its
+    atom ``i = index[b]`` and becomes ``P(r_b - coeff[b] * d_i)``. Returns
+    ``(coeff, new_residuals)``; the input stack is not modified.
+    """
+    picked = atoms[:, index]  # (M, B)
+    coeff = np.einsum("mb,bm->b", picked, residuals)
+    return coeff, project(residuals - coeff[:, None] * picked.T, proj)
+
+
+def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
+                     proj: ProjectionMode
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run ``len(selection_mats)`` pursuit steps on every row of a signal stack.
+
+    Step k scores each residual with ``selection_mats[k].T @ r`` and hard-max
+    picks the winner (ties go to the lowest index); the row then takes the
+    fixed-dictionary update of :func:`residual_step`, so the subtracted
+    coefficient is the winner's dictionary correlation whatever drove the
+    selection. A row stops for good once its residual norm is below
+    ``RESIDUAL_FLOOR``, its best score is not strictly positive, or the
+    winner's correlation is not strictly positive.
+
+    Returns ``(supports, codes, residuals, norm_paths)``: supports is
+    (batch, depth) in selection order with -1 after a row's stop, codes is
+    (batch, num_atoms), residuals the final (batch, signal_dim) residuals, and
+    norm_paths (batch, depth + 1) holds each row's residual norm before the
+    first step and after every step, constant after its stop.
+    """
+    residuals = check_signals(signals, atoms.shape[0]).copy()
+    batch, depth = residuals.shape[0], len(selection_mats)
+    supports = np.full((batch, depth), -1, dtype=np.int64)
+    codes = np.zeros((batch, atoms.shape[1]))
+    norm_paths = np.empty((batch, depth + 1))
+    norm_paths[:, 0] = np.linalg.norm(residuals, axis=1)
+    live = np.ones(batch, dtype=bool)
+    rows = np.arange(batch)
+    for k, weights in enumerate(selection_mats):
+        live &= norm_paths[:, k] >= RESIDUAL_FLOOR
+        if live.any():
+            scores = residuals @ weights  # (B, N)
+            picked = np.argmax(scores, axis=1)
+            best = scores[rows, picked]
+            # the next step's scores must not be built while these are alive
+            del scores
+            coeff, updated = residual_step(atoms, residuals, picked, proj)
             # score and correlation can straddle zero only at float-noise level
-            break
-        code[index] += coeff
-        support.append(index)
-        r = project(r - coeff * atoms[:, index], proj)
-        norm_path.append(float(np.linalg.norm(r)))
+            live &= (best > 0.0) & (coeff > 0.0)
+            supports[live, k] = picked[live]
+            codes[live, picked[live]] += coeff[live]
+            residuals[live] = updated[live]
+        norm_paths[:, k + 1] = np.linalg.norm(residuals, axis=1)
+    return supports, codes, residuals, norm_paths
+
+
+def single_pursuit(selection_mats, atoms: np.ndarray, y,
+                   proj: ProjectionMode) -> PursuitResult:
+    """:func:`hard_max_pursuit` on the one signal ``y``, as a PursuitResult."""
+    supports, codes, residuals, norm_paths = hard_max_pursuit(
+        selection_mats, atoms, [y], proj
+    )
+    support = supports[0][supports[0] >= 0]
     return PursuitResult(
-        code=code,
-        support=np.array(support, dtype=np.int64),
-        residual=r,
-        steps_taken=len(support),
-        residual_norm_path=np.array(norm_path),
+        code=codes[0],
+        support=support,
+        residual=residuals[0],
+        steps_taken=support.size,
+        residual_norm_path=norm_paths[0, :support.size + 1],
     )
 
 
@@ -118,9 +170,9 @@ def nnmp_solve(dictionary: Dictionary, y, budget: int,
     and project the residual.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise ZeroSparsity("budget must be >= 1")
     atoms = dictionary.atoms
-    return unrolled_pursuit([atoms] * budget, atoms, y, budget, proj)
+    return single_pursuit([atoms] * budget, atoms, y, proj)
 
 
 def nnls_active_set(columns, target, max_iter: int | None = None) -> np.ndarray:
@@ -184,12 +236,10 @@ def nnomp_solve(dictionary: Dictionary, y, budget: int) -> PursuitResult:
     used directly).
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise ZeroSparsity("budget must be >= 1")
     atoms = dictionary.atoms
-    rows, cols = atoms.shape
-    y = np.array(y, dtype=np.float64)
-    if y.shape != (rows,):
-        raise DimensionMismatch(f"signal shape {y.shape}, expected ({rows},)")
+    cols = atoms.shape[1]
+    y = check_signals([y], atoms.shape[0])[0]
     r = y.copy()
     selected: list[int] = []
     coeffs = np.zeros(0)
@@ -198,14 +248,10 @@ def nnomp_solve(dictionary: Dictionary, y, budget: int) -> PursuitResult:
     for _ in range(budget):
         if norm_path[-1] < RESIDUAL_FLOOR:
             break
-        free_idx = np.flatnonzero(free)
-        if free_idx.size == 0:
+        scores = np.where(free, atoms.T @ r, -np.inf)
+        index = int(np.argmax(scores))
+        if scores[index] <= 0.0:
             break
-        scores = atoms.T @ r
-        score, local = hard_max(scores[free_idx])
-        if score <= 0.0:
-            break
-        index = int(free_idx[local])
         selected.append(index)
         free[index] = False
         coeffs = nnls_active_set(atoms[:, selected], y)

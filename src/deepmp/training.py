@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import MixtureConfig, sample_mixture
-from .errors import NonFiniteLoss
+from .errors import EmptyInput, NonFiniteLoss
 from .metrics import hamming_complement
 from .network import (
     UnfoldedModel,
@@ -86,12 +86,18 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     the earlier candidate, so a trained model never scores below its NNMP
     start on the held-out split. With no validation samples the last epoch
     is returned. The log holds one row per trained epoch. ``epochs == 0``
-    returns the dictionary-initialized model untouched. Raises NonFiniteLoss
-    if a batch loss leaves the reals.
+    returns the dictionary-initialized model untouched. Raises EmptyInput
+    when the split leaves no training samples and NonFiniteLoss if a batch
+    loss leaves the reals.
     """
-    model = init_from_dictionary(dictionary, depth, proj)
     num_val = int(round(num_samples * val_fraction))
     num_train = num_samples - num_val
+    if num_train < 1:
+        raise EmptyInput(
+            f"no training samples: {num_samples} samples with val_fraction "
+            f"{val_fraction}"
+        )
+    model = init_from_dictionary(dictionary, depth, proj)
 
     val_samples: list[Sample] = []
     if num_val:

@@ -30,8 +30,6 @@ from .errors import (
 
 #: validation gate on column norms
 NORM_TOL = 1e-6
-#: tolerance for equality assertions on reconstructed signals
-EQ_TOL = 1e-9
 
 Signal = np.ndarray
 SparseCode = np.ndarray

@@ -6,7 +6,7 @@ import pytest
 
 from deepmp.cli import blob_hash, main
 from deepmp.config import RunConfig, load_config, parse_k_range
-from deepmp.errors import ConfigError
+from deepmp.errors import ConfigError, EmptyInput
 from deepmp.metrics import hamming_complement
 from deepmp.network import (
     forward_infer,
@@ -103,6 +103,11 @@ def test_training_is_seed_deterministic(tmp_path, small_dictionary):
         save_model(model, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_training_rejects_empty_training_split(small_dictionary):
+    with pytest.raises(EmptyInput, match="no training samples"):
+        train_model(small_dictionary, 2, 2, epochs=1, val_fraction=0.9)
 
 
 def test_training_log_rows(small_dictionary):
@@ -263,6 +268,41 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text("[nope]\nx = 1\n")
     assert run_cli(["--config", cfg, "gen-dict"]) == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+def cli_error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")]
+
+
+def test_cli_sparsity_above_atom_count_exits_2(tmp_path, capsys):
+    # the default dictionary has 200 atoms
+    out = tmp_path / "run"
+    base = ["--seed", 5, "--out", out, "--scale", 0.002]
+    assert run_cli(base + ["gen-dict"]) == 0
+    assert run_cli(base + ["--k-range", "250", "train"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "DimensionMismatch" in errors[0]
+
+
+def test_cli_bad_surrogate_peaks_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "surrogate.ini"
+    cfg.write_text("[dictionary]\nsource = surrogate\npeaks_per_atom = 0\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path / "r", "gen-dict"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "OutOfRange" in errors[0]
+
+
+def test_cli_empty_training_split_exits_2(tmp_path, capsys):
+    # --scale 1e-6 leaves one mixture per level, which val_fraction 0.9 holds out
+    cfg = tmp_path / "split.ini"
+    cfg.write_text("[training]\nval_fraction = 0.9\n")
+    base = ["--config", cfg, "--seed", 5, "--out", tmp_path / "run",
+            "--k-range", "1", "--scale", 1e-6]
+    assert run_cli(base + ["gen-dict"]) == 0
+    assert run_cli(base + ["train"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "EmptyInput" in errors[0]
 
 
 def test_gen_data_shards_match_training_stream(tmp_path, small_dictionary):

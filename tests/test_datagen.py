@@ -12,7 +12,15 @@ from deepmp.datagen import (
     sample_mixture,
     write_dataset,
 )
-from deepmp.errors import DegenerateColumn, EmptyLibrary, ParseError
+from deepmp.errors import (
+    DegenerateColumn,
+    DimensionMismatch,
+    EmptyInput,
+    EmptyLibrary,
+    OutOfRange,
+    ParseError,
+    ZeroSparsity,
+)
 from deepmp.metrics import pairwise_coherences
 from deepmp.types import save_dictionary_csv, validate_dictionary
 
@@ -98,6 +106,17 @@ def test_mixture_generation_is_seed_deterministic(small_dictionary):
         assert np.array_equal(s.true_coeffs, t.true_coeffs)
 
 
+@pytest.mark.parametrize("sparsity, count, error", [
+    (0, 5, ZeroSparsity),
+    (2, 0, EmptyInput),
+    (51, 5, DimensionMismatch),
+])
+def test_mixture_rejects_bad_sizes(small_dictionary, sparsity, count, error):
+    with pytest.raises(error):
+        sample_mixture(small_dictionary, MixtureConfig(sparsity=sparsity,
+                                                       num_samples=count))
+
+
 # -- spectra library loading -------------------------------------------------------
 
 
@@ -156,6 +175,14 @@ def test_surrogate_postconditions():
     d = generate_raman_surrogate(64, 80, peaks_per_atom=3, seed=4)
     assert np.all(d.atoms >= 0.0)
     assert np.allclose(np.linalg.norm(d.atoms, axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("peaks, widths", [(0, None), (2, (0.0, 1.0)),
+                                           (2, (3.0, 2.0))])
+def test_surrogate_rejects_bad_arguments(peaks, widths):
+    with pytest.raises(OutOfRange):
+        generate_raman_surrogate(20, 30, peaks_per_atom=peaks, seed=1,
+                                 width_range=widths)
 
 
 def test_surrogate_narrow_width_limit_is_one_hot_like():

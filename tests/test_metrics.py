@@ -21,7 +21,6 @@ from deepmp.metrics import (
     hamming_complement,
     nnmp_runner,
     nnomp_runner,
-    raw_hamming_sum,
     run_sweep,
     write_ecdf_csv,
     write_metrics_csv,
@@ -55,14 +54,6 @@ def test_hamming_duplicates_collapse():
 def test_hamming_zero_sparsity():
     with pytest.raises(ZeroSparsity):
         hamming_complement([1], [1], 0)
-
-
-def test_raw_hamming_sum_matches_indicator_oracle():
-    acquired, truth, k, n = [1, 2, 7], [1, 2, 3], 3, 10
-    a = [1 if i in acquired else 0 for i in range(n)]
-    g = [1 if i in truth else 0 for i in range(n)]
-    oracle = sum(1 - abs(ai - gi) / k for ai, gi in zip(a, g))
-    assert raw_hamming_sum(acquired, truth, k, n) == pytest.approx(oracle)
 
 
 @settings(max_examples=30, deadline=None)
@@ -283,7 +274,7 @@ def test_report_files_written(tmp_path, small_dictionary):
     ecdf = tmp_path / "ecdf.csv"
     write_metrics_csv(reports, csv)
     write_metrics_json(reports, js)
-    write_ecdf_csv(reports["nnmp"].ecdf_samples, ecdf)
+    write_ecdf_csv(coherence_ecdf(small_dictionary.atoms), ecdf)
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "solver,k,recovery,epsilon"
     assert len(lines) == 1 + 2 * 2  # header + |solvers| * |k_range|

@@ -4,20 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepmp.datagen import MixtureConfig, generate_synthetic_dictionary, sample_mixture
-from deepmp.errors import EmptyBatch, ParseError, SparsityMismatch
+from deepmp.errors import (
+    EmptyBatch,
+    NonFiniteSignal,
+    ParseError,
+    SparsityMismatch,
+    ZeroSparsity,
+)
 from deepmp.network import (
+    TrainingBatch,
     UnfoldedModel,
     batched_infer,
     build_training_batch,
     forward_infer,
-    forward_train,
     init_from_dictionary,
     load_model,
     loss_and_gradient,
     save_model,
 )
 from deepmp.optim import adabound_step, init_adabound
-from deepmp.solvers import ProjectionMode, nnmp_solve
+from deepmp.solvers import ProjectionMode, nnmp_solve, residual_step
 from deepmp.types import Sample, validate_dictionary
 
 from conftest import random_unit_dictionary
@@ -48,6 +54,11 @@ def test_parameter_count_is_depth_times_dims(small_dictionary):
     for depth in (1, 2, 5):
         model = init_from_dictionary(small_dictionary, depth)
         assert model.parameter_count() == depth * 10 * 50
+
+
+def test_init_rejects_zero_depth(small_dictionary):
+    with pytest.raises(ZeroSparsity):
+        init_from_dictionary(small_dictionary, 0)
 
 
 def test_parameter_count_linear_in_depth(small_dictionary):
@@ -123,6 +134,17 @@ def test_batched_infer_matches_per_sample(table_dictionary):
         assert np.allclose(code_row, ref.code, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inference_rejects_non_finite_signals(small_dictionary, bad):
+    model = init_from_dictionary(small_dictionary, 3)
+    signals = np.ones((4, 10))
+    signals[2, 5] = bad
+    with pytest.raises(NonFiniteSignal):
+        batched_infer(model, signals)
+    with pytest.raises(NonFiniteSignal):
+        forward_infer(model, signals[2])
+
+
 # -- training forward pass -------------------------------------------------------
 
 
@@ -135,22 +157,27 @@ def test_single_sparse_sample_target_is_its_atom(small_dictionary):
         true_coeffs=np.array([0.6]),
         sparsity=1,
     )
-    trace = forward_train(model, sample)
-    assert trace.targets.tolist() == [j]
+    batch = build_training_batch(model, [sample])
+    assert batch.targets.tolist() == [[j]]
 
 
 def test_softmax_outputs_normalized(table_dictionary):
+    # for one sample, layer k's gradient is outer(r_k, p_k - onehot(t_k)):
+    # rows sum to zero exactly when p_k sums to one, and with r_k >= 0 the
+    # off-target columns are >= 0 exactly when p_k is
     rng = np.random.default_rng(2)
     model = random_model(rng, table_dictionary, 3)
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=3, num_samples=10, seed=8)
     )
     for s in samples:
-        trace = forward_train(model, s)
-        for p in trace.probs:
-            assert p.shape == (200,)
-            assert abs(p.sum() - 1.0) < 1e-12
-            assert np.all(p >= 0.0)
+        batch = build_training_batch(model, [s])
+        _, grads = loss_and_gradient(model, batch)
+        for k, g in enumerate(grads):
+            assert g.shape == (30, 200)
+            assert np.all(np.abs(g.sum(axis=1)) < 1e-12)
+            off_target = np.delete(g, batch.targets[0, k], axis=1)
+            assert np.all(off_target >= 0.0)
 
 
 def test_teacher_residual_vanishes_for_orthogonal_atoms():
@@ -167,19 +194,23 @@ def test_teacher_residual_vanishes_for_orthogonal_atoms():
         true_coeffs=coeffs,
         sparsity=3,
     )
-    trace = forward_train(model, sample)
-    assert np.linalg.norm(trace.residuals[-1]) < 1e-9
+    batch = build_training_batch(model, [sample])
     # oracle order: largest correlation first
-    assert trace.targets.tolist() == [0, 1, 2]
+    assert batch.targets.tolist() == [[0, 1, 2]]
+    residuals = batch.signals
+    for k in range(3):
+        _, residuals = residual_step(d.atoms, residuals, batch.targets[:, k],
+                                     model.proj)
+    assert np.linalg.norm(residuals[0]) < 1e-9
 
 
-def test_forward_train_rejects_sparsity_mismatch(small_dictionary):
+def test_build_training_batch_rejects_sparsity_mismatch(small_dictionary):
     model = init_from_dictionary(small_dictionary, 2)
     sample = sample_mixture(
         small_dictionary, MixtureConfig(sparsity=3, num_samples=1, seed=1)
     )[0]
     with pytest.raises(SparsityMismatch):
-        forward_train(model, sample)
+        build_training_batch(model, [sample])
 
 
 def test_targets_are_a_permutation_of_support(table_dictionary):
@@ -224,10 +255,12 @@ def test_one_hot_probability_gives_zero_loss_and_gradient(small_dictionary):
 
 def test_loss_rejects_empty_batch(small_dictionary):
     model = init_from_dictionary(small_dictionary, 2)
-    from deepmp.network import TrainingBatch
-
+    empty = TrainingBatch(signals=np.zeros((0, 10)),
+                          targets=np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(EmptyBatch):
-        loss_and_gradient(model, TrainingBatch(samples=[], targets=np.zeros((0, 2))))
+        loss_and_gradient(model, empty)
+    with pytest.raises(EmptyBatch):
+        build_training_batch(model, [])
 
 
 def test_gradient_matches_finite_differences():
@@ -271,9 +304,12 @@ def test_single_class_problem_converges_to_its_atom():
     for _ in range(200):
         _, grads = loss_and_gradient(model, batch)
         adabound_step(state, model.selection_weights, grads)
-    trace = forward_train(model, sample)
-    assert int(np.argmax(trace.probs[0])) == j
-    assert trace.probs[0][j] > 0.9
+    # one depth-1 sample: the loss is -log p_j, the layer-0 softmax
+    # probability of the true atom at the signal
+    loss, _ = loss_and_gradient(model, batch)
+    p_j = np.exp(-loss)
+    assert int(np.argmax(model.selection_weights[0].T @ sample.signal)) == j
+    assert p_j > 0.9
 
 
 def test_loss_decreases_after_one_adabound_step(table_dictionary):

@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepmp.datagen import MixtureConfig, generate_synthetic_dictionary, sample_mixture
-from deepmp.errors import DimensionMismatch, EmptyInput, MaxIterationsExceeded
+from deepmp.errors import (
+    DimensionMismatch,
+    InputError,
+    MaxIterationsExceeded,
+    NonFiniteSignal,
+    ZeroSparsity,
+)
 from deepmp.solvers import (
     ProjectionMode,
-    hard_max,
+    hard_max_pursuit,
     nnls_active_set,
     nnmp_solve,
     nnomp_solve,
@@ -17,29 +23,55 @@ from deepmp.types import validate_dictionary
 from conftest import random_unit_dictionary
 
 
-# -- hard_max -----------------------------------------------------------------
+# -- hard-max selection ---------------------------------------------------------
 
 
 def test_hard_max_basic():
-    assert hard_max(np.array([0.2, 0.9, 0.1])) == (0.9, 1)
+    # correlations with y = e1 are [0.8, 0.6, 0.0], with y = e0 [0.6, 0.8, 1.0]
+    d = validate_dictionary([[0.6, 0.8, 1.0], [0.8, 0.6, 0.0]])
+    res = nnmp_solve(d, [0.0, 1.0], 1)
+    assert (res.support.tolist(), res.code[0]) == ([0], 0.8)
+    res = nnmp_solve(d, [1.0, 0.0], 1)
+    assert (res.support.tolist(), res.code[2]) == ([2], 1.0)
 
 
 def test_hard_max_tie_breaks_low_index():
-    assert hard_max(np.array([0.5, 0.5])) == (0.5, 0)
-
-
-def test_hard_max_empty_input():
-    with pytest.raises(EmptyInput):
-        hard_max(np.array([]))
+    # y = e0 + e1 correlates exactly 1 with atoms 0 and 1, 1/sqrt(2) with atom 3
+    d = validate_dictionary(np.hstack([
+        np.eye(3), np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2.0)
+    ]))
+    y = np.array([1.0, 1.0, 0.0])
+    assert nnmp_solve(d, y, 1).support.tolist() == [0]
+    assert nnmp_solve(d, y, 2).support.tolist() == [0, 1]
 
 
 def test_hard_max_self_correlation_wins(small_dictionary):
     # a unit atom's self inner product is the strict maximum when coherence < 1
-    atoms = small_dictionary.atoms
     for j in (0, 17, 49):
-        value, index = hard_max(atoms.T @ atoms[:, j])
-        assert index == j
-        assert value == pytest.approx(1.0, abs=1e-9)
+        res = nnmp_solve(small_dictionary, small_dictionary.atom(j), 1)
+        assert res.support.tolist() == [j]
+        assert res.code[j] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_kernel_rows_match_one_row_calls(table_dictionary):
+    # the batched kernel treats each row on its own: a stack gives the rows
+    # that one-row calls give, bit for bit
+    atoms = table_dictionary.atoms
+    samples = sample_mixture(
+        table_dictionary, MixtureConfig(sparsity=3, num_samples=30, seed=4)
+    )
+    signals = np.stack([s.signal for s in samples] + [np.zeros(30)])
+    supports, codes, residuals, paths = hard_max_pursuit(
+        [atoms] * 3, atoms, signals, ProjectionMode.POSITIVE_ORTHANT
+    )
+    for i, y in enumerate(signals):
+        res = nnmp_solve(table_dictionary, y, 3)
+        assert supports[i][supports[i] >= 0].tolist() == res.support.tolist()
+        assert codes[i].tobytes() == res.code.tobytes()
+        assert residuals[i].tobytes() == res.residual.tobytes()
+        assert np.array_equal(paths[i, :res.steps_taken + 1],
+                              res.residual_norm_path)
+    assert supports[-1].tolist() == [-1, -1, -1]
 
 
 # -- nnmp ---------------------------------------------------------------------
@@ -87,6 +119,24 @@ def test_nnmp_two_atom_mixture_derived_oracle(small_dictionary):
 def test_nnmp_rejects_wrong_signal_length(small_dictionary):
     with pytest.raises(DimensionMismatch):
         nnmp_solve(small_dictionary, np.zeros(9), 2)
+
+
+@pytest.mark.parametrize("solve", [nnmp_solve, nnomp_solve])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_reject_non_finite_signals(small_dictionary, solve, bad):
+    y = np.abs(np.sin(np.arange(10)))
+    y[4] = bad
+    with pytest.raises(NonFiniteSignal):
+        solve(small_dictionary, y, 3)
+    with pytest.raises(NonFiniteSignal):
+        solve(small_dictionary, np.full(10, bad), 3)
+
+
+@pytest.mark.parametrize("solve", [nnmp_solve, nnomp_solve])
+def test_solvers_reject_zero_budget(small_dictionary, solve):
+    with pytest.raises(ZeroSparsity):
+        solve(small_dictionary, np.ones(10), 0)
+    assert issubclass(ZeroSparsity, InputError)
 
 
 def test_nnmp_is_deterministic(small_dictionary):
