@@ -36,6 +36,8 @@ log = logging.getLogger(__name__)
 
 COEFFICIENT_LAW = "uniform(0,1]"
 REDRAW_CAP = 100
+#: rows per block in which :func:`synthesize` gathers atoms
+SYNTH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -82,21 +84,34 @@ def sample_mixture(dictionary: Dictionary, config: MixtureConfig) -> list[Sample
             f"sparsity {k} exceeds the {dictionary.num_atoms} available atoms"
         )
     rng = np.random.default_rng(config.seed)
-    atoms = dictionary.atoms
-    samples = []
-    for _ in range(config.num_samples):
-        support = rng.choice(dictionary.num_atoms, size=k, replace=False)
-        coeffs = 1.0 - rng.random(k)  # uniform on (0, 1]
-        signal = atoms[:, support] @ coeffs
-        samples.append(
-            Sample(
-                signal=signal,
-                true_support=support.astype(np.int64),
-                true_coeffs=coeffs,
-                sparsity=k,
-            )
-        )
-    return samples
+    supports = np.empty((config.num_samples, k), dtype=np.int64)
+    coeffs = np.empty((config.num_samples, k))
+    for i in range(config.num_samples):
+        supports[i] = rng.choice(dictionary.num_atoms, size=k, replace=False)
+        coeffs[i] = 1.0 - rng.random(k)  # uniform on (0, 1]
+    signals = synthesize(dictionary.atoms, supports, coeffs)
+    return [
+        Sample(signal=y, true_support=s, true_coeffs=c, sparsity=k)
+        for y, s, c in zip(signals, supports, coeffs)
+    ]
+
+
+def synthesize(atoms: np.ndarray, supports: np.ndarray,
+               coeffs: np.ndarray) -> np.ndarray:
+    """Mixture signals ``atoms[:, supports[b]] @ coeffs[b]`` for every row b.
+
+    ``supports`` (B, k) holds atom indices and ``coeffs`` (B, k) their
+    weights; returns the (B, signal_dim) stack. Rows are independent, so a
+    row comes out bit-identical whatever batch it is synthesised in.
+    """
+    signals = np.empty((len(supports), atoms.shape[0]))
+    # the gathered atoms are k times the size of the signals they make, so
+    # they are gathered a block of rows at a time
+    for lo in range(0, len(supports), SYNTH_BLOCK):
+        rows = slice(lo, lo + SYNTH_BLOCK)
+        picked = np.moveaxis(atoms[:, supports[rows]], 0, 1)  # (B, M, k)
+        signals[rows] = np.matmul(picked, coeffs[rows, :, None])[..., 0]
+    return signals
 
 
 def load_raman_library(path) -> Dictionary:

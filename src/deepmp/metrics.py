@@ -56,6 +56,20 @@ def hamming_complement(acquired, truth, sparsity: int) -> float:
     return found.size / sparsity
 
 
+def row_recovery(supports: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """:func:`hamming_complement` of every row of a support stack at once.
+
+    ``supports`` (B, budget) may repeat picks and carry -1 padding after an
+    early stop; ``truth`` (B, k) holds each row's k distinct true atoms.
+    Returns the (B,) fraction of each row's true atoms that were picked.
+    """
+    k = truth.shape[1]
+    if k < 1:
+        raise ZeroSparsity("sparsity must be >= 1")
+    hits = (truth[:, :, None] == supports[:, None, :]).any(axis=2)
+    return hits.sum(axis=1) / k
+
+
 def epsilon_error(dictionary: Dictionary, samples, codes) -> float:
     """Mean relative residual norm of reconstructions over aligned lists."""
     samples = list(samples)
@@ -178,12 +192,12 @@ def run_sweep(dictionary: Dictionary, solvers: Mapping[str, SweepSolver],
                           seed=child_seed(seed, TEST_STREAM, k)),
         )
         signals = np.stack([s.signal for s in samples])
+        truth = np.stack([s.true_support for s in samples])
         for label, solve in solvers.items():
             supports, codes = solve(signals, k)
-            reports[label].recovery[k] = float(np.mean([
-                hamming_complement(row[row >= 0], s.true_support, k)
-                for row, s in zip(supports, samples)
-            ]))
+            reports[label].recovery[k] = float(
+                np.mean(row_recovery(supports, truth))
+            )
             reports[label].epsilon[k] = epsilon_error(dictionary, samples, codes)
             # released before the next solver builds its own
             del supports, codes

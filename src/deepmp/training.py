@@ -1,11 +1,16 @@
 """Epoch-driven training of one unfolded model per sparsity level.
 
-Training mixtures are streamed shard by shard with seeds derived from the
-master seed, so the data never has to be materialized at once and identical
-seeds reproduce identical batches (and therefore bit-identical models). The
-last ``val_fraction`` of the sample index space is held out: it never drives
-a gradient step; it is reported as per-epoch support recovery and picks the
-model that training returns.
+Training mixtures come from shards seeded from the master seed, so
+identical seeds reproduce identical batches (and therefore bit-identical
+models). Each shard is drawn once per training run, and the teacher targets
+of its training mixtures are computed while it is alive. Only each
+mixture's support and coefficients, plus the targets, outlive the shard:
+O(N k) numbers for N mixtures at sparsity k, whatever the signal dimension.
+Signals are never held; every batch synthesises its own with the helper
+that ``sample_mixture`` uses, so they equal the sampled signals bit for bit.
+The last ``val_fraction`` of the sample index space is held out: it never
+drives a gradient step; it is reported as per-epoch support recovery and
+picks the model that training returns.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import MixtureConfig, sample_mixture
+from .datagen import MixtureConfig, sample_mixture, synthesize
 from .errors import EmptyInput, NonFiniteLoss
-from .metrics import hamming_complement
+from .metrics import hamming_complement  # unused; perfbench/tracing.py wraps it here
+from .metrics import row_recovery
 from .network import (
+    TrainingBatch,
     UnfoldedModel,
     batched_infer,
     build_training_batch,
@@ -59,16 +66,13 @@ def stream_shards(dictionary: Dictionary, depth: int, seed: int,
         yield i, generate_shard(dictionary, depth, seed, i, shard_size, total)
 
 
-def _validation_recovery(model: UnfoldedModel, samples: list[Sample]) -> float:
-    if not samples:
+def _validation_recovery(model: UnfoldedModel, supports: np.ndarray,
+                         coeffs: np.ndarray) -> float:
+    if not len(supports):
         return float("nan")
-    signals = np.stack([s.signal for s in samples])
-    supports, _ = batched_infer(model, signals)
-    scores = [
-        hamming_complement(row[row >= 0], s.true_support, s.sparsity)
-        for row, s in zip(supports, samples)
-    ]
-    return float(np.mean(scores))
+    signals = synthesize(model.update_dict.atoms, supports, coeffs)
+    picked, _ = batched_infer(model, signals)
+    return float(np.mean(row_recovery(picked, supports)))
 
 
 def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
@@ -98,38 +102,48 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
             f"{val_fraction}"
         )
     model = init_from_dictionary(dictionary, depth, proj)
+    atoms = dictionary.atoms
 
-    val_samples: list[Sample] = []
-    if num_val:
-        first_val_shard = num_train // shard_size
-        for i, shard in stream_shards(dictionary, depth, seed, shard_size,
-                                      num_samples):
-            if i < first_val_shard:
-                continue
-            base = i * shard_size
-            val_samples.extend(
-                s for j, s in enumerate(shard) if base + j >= num_train
-            )
+    # one walk of the stream; training rows also get their teacher targets,
+    # computed while the shard's samples are alive
+    supports = np.empty((num_samples, depth), dtype=np.int64)
+    coeffs = np.empty((num_samples, depth))
+    targets = np.empty((num_train, depth), dtype=np.int64)
+    for i, shard in stream_shards(dictionary, depth, seed, shard_size,
+                                  num_samples):
+        base = i * shard_size
+        supports[base:base + len(shard)] = [s.true_support for s in shard]
+        coeffs[base:base + len(shard)] = [s.true_coeffs for s in shard]
+        shard_train = min(len(shard), num_train - base)
+        for lo in range(0, shard_train, batch_size):
+            hi = min(lo + batch_size, shard_train)
+            targets[base + lo:base + hi] = build_training_batch(
+                model, shard[lo:hi]
+            ).targets
+        # released before the next shard is drawn
+        del shard
+    val_supports, val_coeffs = supports[num_train:], coeffs[num_train:]
 
     # best candidate so far: -1 is the initialization, which is rebuilt from
     # the dictionary rather than held; trained weights are copied only while
     # they lead and later epochs could overwrite them
     best_epoch = -1
-    best_recovery = _validation_recovery(model, val_samples)
+    best_recovery = _validation_recovery(model, val_supports, val_coeffs)
     best_weights: list[np.ndarray] | None = None
 
     state = init_adabound(model.selection_weights, hyper)
     log_rows: list[TrainLogRow] = []
     for epoch in range(epochs):
         loss_total = 0.0
-        for i, shard in stream_shards(dictionary, depth, seed, shard_size,
-                                      num_train):
-            order = rng_for(seed, SHUFFLE_STREAM, depth, epoch, i).permutation(
-                len(shard)
-            )
-            for lo in range(0, len(shard), batch_size):
-                chunk = [shard[j] for j in order[lo:lo + batch_size]]
-                batch = build_training_batch(model, chunk)
+        for i, base in enumerate(range(0, num_train, shard_size)):
+            shuffle = rng_for(seed, SHUFFLE_STREAM, depth, epoch, i)
+            order = base + shuffle.permutation(min(shard_size, num_train - base))
+            for lo in range(0, len(order), batch_size):
+                idx = order[lo:lo + batch_size]
+                batch = TrainingBatch(
+                    signals=synthesize(atoms, supports[idx], coeffs[idx]),
+                    targets=targets[idx],
+                )
                 loss, grads = loss_and_gradient(model, batch)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
@@ -139,20 +153,20 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
                 # release before the next batch builds its own: two live
                 # gradient sets would set the training memory peak
                 del grads
-                loss_total += loss * len(chunk)
-        val_recovery = _validation_recovery(model, val_samples)
+                loss_total += loss * len(idx)
+        val_recovery = _validation_recovery(model, val_supports, val_coeffs)
         log_rows.append(TrainLogRow(
             epoch=epoch,
             mean_loss=loss_total / num_train,
             val_recovery=val_recovery,
         ))
-        if val_samples and val_recovery > best_recovery:
+        if num_val and val_recovery > best_recovery:
             best_epoch, best_recovery, best_weights = epoch, val_recovery, None
             if epoch + 1 < epochs:
                 best_weights = [w.copy(order="F")
                                 for w in model.selection_weights]
 
-    if not val_samples or best_epoch == epochs - 1:
+    if not num_val or best_epoch == epochs - 1:
         return model, log_rows
     if best_weights is None:
         return init_from_dictionary(dictionary, depth, proj), log_rows

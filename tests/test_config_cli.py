@@ -4,16 +4,24 @@ import os
 import numpy as np
 import pytest
 
+from deepmp import training
 from deepmp.cli import blob_hash, main
 from deepmp.config import RunConfig, load_config, parse_k_range
+from deepmp.datagen import sample_mixture
 from deepmp.errors import ConfigError, EmptyInput
 from deepmp.metrics import hamming_complement
 from deepmp.network import (
+    UnfoldedModel,
+    batched_infer,
+    build_training_batch,
     forward_infer,
     init_from_dictionary,
     load_model,
+    loss_and_gradient,
     save_model,
 )
+from deepmp.optim import adabound_step, init_adabound
+from deepmp.seeding import SHUFFLE_STREAM, rng_for
 from deepmp.training import stream_shards, train_model
 from deepmp.types import load_dictionary_csv
 
@@ -171,6 +179,99 @@ def test_training_returns_validation_best_epoch(tmp_path, small_dictionary):
     init = init_from_dictionary(small_dictionary, depth)
     assert (held_out_recovery(model, small_dictionary, depth, seed, n)
             >= held_out_recovery(init, small_dictionary, depth, seed, n))
+
+
+def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
+                     seed, shard_size, val_fraction):
+    """train_model written as a loop that redraws its data every epoch.
+
+    Each epoch walks the training shards of the stream again, shuffles each
+    shard, and builds teacher targets per shuffled chunk; validation scores
+    the held-out samples one row at a time with hamming_complement. Returns
+    the validation-best of the initialization and each epoch (ties to the
+    earlier, the last epoch without a held-out split) and the log rows as
+    (epoch, loss, recovery) with the floats in hex.
+    """
+    num_val = int(round(num_samples * val_fraction))
+    num_train = num_samples - num_val
+    val = [s for _, shard in stream_shards(dictionary, depth, seed,
+                                           shard_size, num_samples)
+           for s in shard][num_train:]
+
+    def recovery(model):
+        if not val:
+            return float("nan")
+        supports, _ = batched_infer(model, np.stack([s.signal for s in val]))
+        return float(np.mean([
+            hamming_complement(row[row >= 0], s.true_support, depth)
+            for row, s in zip(supports, val)
+        ]))
+
+    model = init_from_dictionary(dictionary, depth)
+    state = init_adabound(model.selection_weights)
+    candidates = [([w.copy() for w in model.selection_weights],
+                   recovery(model))]
+    rows = []
+    for epoch in range(epochs):
+        loss_total = 0.0
+        for i, shard in stream_shards(dictionary, depth, seed, shard_size,
+                                      num_train):
+            order = rng_for(seed, SHUFFLE_STREAM, depth, epoch, i).permutation(
+                len(shard))
+            for lo in range(0, len(shard), batch_size):
+                chunk = [shard[j] for j in order[lo:lo + batch_size]]
+                loss, grads = loss_and_gradient(
+                    model, build_training_batch(model, chunk))
+                adabound_step(state, model.selection_weights, grads)
+                loss_total += loss * len(chunk)
+        val_recovery = recovery(model)
+        rows.append((epoch, (loss_total / num_train).hex(),
+                     val_recovery.hex()))
+        candidates.append(([w.copy() for w in model.selection_weights],
+                           val_recovery))
+    if val:
+        best = 0
+        for j, (_, score) in enumerate(candidates):
+            if score > candidates[best][1]:
+                best = j
+    else:
+        best = len(candidates) - 1
+    weights = candidates[best][0]
+    return UnfoldedModel(selection_weights=weights, update_dict=dictionary,
+                         proj=model.proj), rows
+
+
+@pytest.mark.parametrize("depth,batch_size,val_fraction,epochs", [
+    (2, 32, 0.37, 3),   # validation starts inside shard 2 of 5
+    (3, 24, 0.37, 3),   # 24 does not divide the 64-sample shard
+    (3, 24, 0.0, 2),    # no held-out split: the last epoch is returned
+    (2, 32, 0.37, 0),   # no training: the initialization is returned
+])
+def test_training_matches_per_epoch_oracle(tmp_path, small_dictionary, depth,
+                                           batch_size, val_fraction, epochs):
+    kwargs = dict(epochs=epochs, batch_size=batch_size, seed=13,
+                  shard_size=64, val_fraction=val_fraction)
+    model, rows = train_model(small_dictionary, depth, 300, **kwargs)
+    oracle, oracle_rows = per_epoch_oracle(small_dictionary, depth, 300,
+                                           **kwargs)
+    assert [(r.epoch, r.mean_loss.hex(), r.val_recovery.hex())
+            for r in rows] == oracle_rows
+    assert (model_bytes(model, tmp_path / "a.dmp")
+            == model_bytes(oracle, tmp_path / "b.dmp"))
+
+
+def test_training_draws_each_shard_once(monkeypatch, small_dictionary):
+    drawn = []
+
+    def counting(dictionary, config):
+        drawn.append((tuple(config.seed.entropy), config.num_samples))
+        return sample_mixture(dictionary, config)
+
+    monkeypatch.setattr(training, "sample_mixture", counting)
+    train_model(small_dictionary, 2, 300, epochs=3, batch_size=32, seed=9,
+                shard_size=64)
+    assert sum(count for _, count in drawn) == 300
+    assert len(drawn) == len(set(drawn)) == 5
 
 
 # -- CLI ------------------------------------------------------------------------

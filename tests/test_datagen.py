@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepmp.datagen import (
     MixtureConfig,
@@ -10,6 +12,7 @@ from deepmp.datagen import (
     load_raman_library,
     read_dataset_meta,
     sample_mixture,
+    synthesize,
     write_dataset,
 )
 from deepmp.errors import (
@@ -84,6 +87,24 @@ def test_mixture_reconstruction_identity(table_dictionary):
     for s in samples:
         recon = table_dictionary.atoms[:, s.true_support] @ s.true_coeffs
         assert np.linalg.norm(s.signal - recon) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 600), st.integers(0, 2**32 - 1))
+def test_mixture_signals_are_synthesized_from_their_rows(table_dictionary, k,
+                                                         n, seed):
+    samples = sample_mixture(
+        table_dictionary, MixtureConfig(sparsity=k, num_samples=n, seed=seed)
+    )
+    signals = np.stack([s.signal for s in samples])
+    supports = np.stack([s.true_support for s in samples])
+    coeffs = np.stack([s.true_coeffs for s in samples])
+    atoms = table_dictionary.atoms
+    assert np.array_equal(signals, synthesize(atoms, supports, coeffs))
+    # any subset of rows resynthesises to the same bits
+    rows = np.random.default_rng(seed).permutation(n)[:max(1, n // 3)]
+    assert np.array_equal(signals[rows],
+                          synthesize(atoms, supports[rows], coeffs[rows]))
 
 
 def test_mixture_supports_distinct_and_coeffs_positive(table_dictionary):

@@ -21,6 +21,7 @@ from deepmp.metrics import (
     hamming_complement,
     nnmp_runner,
     nnomp_runner,
+    row_recovery,
     run_sweep,
     write_ecdf_csv,
     write_metrics_csv,
@@ -54,6 +55,26 @@ def test_hamming_duplicates_collapse():
 def test_hamming_zero_sparsity():
     with pytest.raises(ZeroSparsity):
         hamming_complement([1], [1], 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_row_recovery_matches_scalar_hamming(seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    batch = int(rng.integers(1, 40))
+    k = int(rng.integers(1, 6))
+    budget = int(rng.integers(1, 8))
+    truth = np.stack([rng.choice(n, size=k, replace=False)
+                      for _ in range(batch)])
+    supports = rng.integers(0, n, size=(batch, budget))  # picks may repeat
+    stops = rng.integers(0, budget + 1, size=batch)
+    supports[np.arange(budget) >= stops[:, None]] = -1
+    scalar = [hamming_complement(row[row >= 0], t, k)
+              for row, t in zip(supports, truth)]
+    rows = row_recovery(supports, truth)
+    assert rows.tolist() == scalar
+    assert np.mean(rows) == np.mean(scalar)
 
 
 @settings(max_examples=30, deadline=None)
