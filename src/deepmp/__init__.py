@@ -38,6 +38,7 @@ from .solvers import (
     hard_max_pursuit,
     nnls_active_set,
     nnmp_solve,
+    nnomp_pursuit,
     nnomp_solve,
 )
 from .training import train_model
@@ -80,6 +81,7 @@ __all__ = [
     "loss_and_gradient",
     "nnls_active_set",
     "nnmp_solve",
+    "nnomp_pursuit",
     "nnomp_solve",
     "run_sweep",
     "sample_mixture",

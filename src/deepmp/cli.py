@@ -36,12 +36,14 @@ def blob_hash(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs) -> None:
+def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs,
+                    **extra) -> None:
     manifest = {
         "command": command,
         "config": asdict(config),
         "inputs": {os.path.relpath(p, out_dir): blob_hash(p) for p in inputs},
         "outputs": {os.path.relpath(p, out_dir): blob_hash(p) for p in outputs},
+        **extra,
     }
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -182,7 +184,13 @@ def cmd_eval(config: RunConfig) -> None:
         metrics.write_ecdf_csv(metrics.coherence_ecdf(weights, grid), path)
         outputs.append(path)
     inputs = [csv_path] + [_model_path(config, k) for k in config.k_range]
-    _write_manifest(config.out_dir, "eval", config, inputs, outputs)
+    # timings vary between runs, so they go here and not in the metrics files
+    solver_seconds = {
+        label: {str(k): t for k, t in sorted(rep.seconds.items())}
+        for label, rep in reports.items()
+    }
+    _write_manifest(config.out_dir, "eval", config, inputs, outputs,
+                    solver_seconds=solver_seconds)
     for label in sorted(reports):
         rep = reports[label]
         summary = ", ".join(

@@ -15,6 +15,7 @@ signals at once and aggregates both metrics per solver.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -31,8 +32,9 @@ from .errors import (
 from .network import UnfoldedModel, batched_infer
 from .network import forward_infer  # unused here; perfbench/tracing.py wraps it here
 from .seeding import TEST_STREAM, child_seed
-from .solvers import ProjectionMode, hard_max_pursuit, nnomp_solve
+from .solvers import ProjectionMode, hard_max_pursuit, nnomp_pursuit
 from .solvers import nnmp_solve  # unused here; perfbench/tracing.py wraps it here
+from .solvers import nnomp_solve  # unused here; perfbench/tracing.py wraps it here
 from .types import Dictionary, distinct_support
 
 #: default ECDF grid resolution over [0, 1]
@@ -70,21 +72,24 @@ def row_recovery(supports: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return hits.sum(axis=1) / k
 
 
-def epsilon_error(dictionary: Dictionary, samples, codes) -> float:
-    """Mean relative residual norm of reconstructions over aligned lists."""
-    samples = list(samples)
-    codes = list(codes)
-    if len(samples) != len(codes):
+def epsilon_error(dictionary: Dictionary, signals, codes) -> float:
+    """Mean relative residual norm ||y - atoms @ x|| / ||y|| over aligned rows.
+
+    ``signals`` is (B, signal_dim) and ``codes`` (B, num_atoms).
+    """
+    signals = np.asarray(signals, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.float64)
+    atoms = dictionary.atoms
+    if (signals.shape[1:] != atoms.shape[:1]
+            or codes.shape != (len(signals), atoms.shape[1])):
         raise DimensionMismatch(
-            f"{len(samples)} samples vs {len(codes)} codes"
+            f"signals {signals.shape} and codes {codes.shape} do not pair "
+            f"with a {atoms.shape} dictionary"
         )
-    total = 0.0
-    for sample, code in zip(samples, codes):
-        norm = np.linalg.norm(sample.signal)
-        if norm == 0.0:
-            raise ZeroSignal("relative error undefined for a zero signal")
-        total += np.linalg.norm(sample.signal - dictionary.atoms @ code) / norm
-    return float(total / len(samples))
+    norms = np.linalg.norm(signals, axis=1)
+    if np.any(norms == 0.0):
+        raise ZeroSignal("relative error undefined for a zero signal")
+    return float(np.mean(np.linalg.norm(signals - codes @ atoms.T, axis=1) / norms))
 
 
 def _normalized_columns(matrix) -> np.ndarray:
@@ -128,12 +133,17 @@ def coherence_ecdf(matrix, grid=None) -> list[tuple[float, float]]:
 
 @dataclass
 class MetricsReport:
-    """Per-sparsity recovery and reconstruction error for one solver."""
+    """Per-sparsity recovery, reconstruction error and solver wall time.
+
+    ``seconds`` is the wall time of the solver's call on each sparsity level's
+    stack; it varies between runs, so the metrics files leave it out.
+    """
 
     solver: str
     num_test: int
     recovery: dict[int, float] = field(default_factory=dict)
     epsilon: dict[int, float] = field(default_factory=dict)
+    seconds: dict[int, float] = field(default_factory=dict)
 
 
 def nnmp_runner(dictionary: Dictionary,
@@ -149,15 +159,11 @@ def nnmp_runner(dictionary: Dictionary,
 
 
 def nnomp_runner(dictionary: Dictionary) -> SweepSolver:
-    """NNOMP, one signal at a time."""
+    """NNOMP on every signal with one call of the batched NNOMP kernel."""
+    atoms = dictionary.atoms
 
     def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        supports = np.full((len(signals), k), -1, dtype=np.int64)
-        codes = np.zeros((len(signals), dictionary.num_atoms))
-        for i, y in enumerate(signals):
-            res = nnomp_solve(dictionary, y, k)
-            supports[i, :res.steps_taken] = res.support
-            codes[i] = res.code
+        supports, codes, _, _ = nnomp_pursuit(atoms, signals, k)
         return supports, codes
 
     return run
@@ -180,7 +186,8 @@ def run_sweep(dictionary: Dictionary, solvers: Mapping[str, SweepSolver],
     """Evaluate every solver on fresh test mixtures at each sparsity level.
 
     Each solver runs with budget equal to the mixture sparsity on the stack
-    of that level's test signals; all solvers see identical test sets.
+    of that level's test signals; all solvers see identical test sets. The
+    wall time of each solver call goes to its report's ``seconds``.
     """
     reports = {
         label: MetricsReport(solver=label, num_test=num_test) for label in solvers
@@ -194,11 +201,13 @@ def run_sweep(dictionary: Dictionary, solvers: Mapping[str, SweepSolver],
         signals = np.stack([s.signal for s in samples])
         truth = np.stack([s.true_support for s in samples])
         for label, solve in solvers.items():
+            start = time.perf_counter()
             supports, codes = solve(signals, k)
+            reports[label].seconds[k] = time.perf_counter() - start
             reports[label].recovery[k] = float(
                 np.mean(row_recovery(supports, truth))
             )
-            reports[label].epsilon[k] = epsilon_error(dictionary, samples, codes)
+            reports[label].epsilon[k] = epsilon_error(dictionary, signals, codes)
             # released before the next solver builds its own
             del supports, codes
     return reports

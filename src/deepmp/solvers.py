@@ -9,13 +9,15 @@ Two reference algorithms operate on a fixed dictionary:
   refits all selected coefficients with active-set non-negative least squares
   and recomputes the residual from the refit. Never re-selects an atom.
 
-Plain MP and trained models share one kernel, :func:`hard_max_pursuit`, which
-runs the pursuit over a stack of signals at once: the selection score comes
-from a per-step selection matrix, while the residual update is always the
+Each runs as one batched kernel over a stack of signals. Plain MP and trained
+models share :func:`hard_max_pursuit`: the selection score comes from a
+per-step selection matrix, while the residual update is always the
 fixed-dictionary rule of :func:`residual_step`, so swapping the selection
 matrices changes which atom is picked but never how the residual evolves.
 ``nnmp_solve`` is a one-row call of that kernel with the dictionary as every
-selection matrix.
+selection matrix. NNOMP is :func:`nnomp_pursuit`, which refits every row on
+its own small Gram system with one Lawson-Hanson solver; ``nnomp_solve`` and
+``nnls_active_set`` are one-row calls of the kernel and of that solver.
 """
 
 from __future__ import annotations
@@ -144,12 +146,8 @@ def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
     return supports, codes, residuals, norm_paths
 
 
-def single_pursuit(selection_mats, atoms: np.ndarray, y,
-                   proj: ProjectionMode) -> PursuitResult:
-    """:func:`hard_max_pursuit` on the one signal ``y``, as a PursuitResult."""
-    supports, codes, residuals, norm_paths = hard_max_pursuit(
-        selection_mats, atoms, [y], proj
-    )
+def _one_row(supports, codes, residuals, norm_paths) -> PursuitResult:
+    """Row 0 of a pursuit kernel's output, as a PursuitResult."""
     support = supports[0][supports[0] >= 0]
     return PursuitResult(
         code=codes[0],
@@ -158,6 +156,12 @@ def single_pursuit(selection_mats, atoms: np.ndarray, y,
         steps_taken=support.size,
         residual_norm_path=norm_paths[0, :support.size + 1],
     )
+
+
+def single_pursuit(selection_mats, atoms: np.ndarray, y,
+                   proj: ProjectionMode) -> PursuitResult:
+    """:func:`hard_max_pursuit` on the one signal ``y``, as a PursuitResult."""
+    return _one_row(*hard_max_pursuit(selection_mats, atoms, [y], proj))
 
 
 def nnmp_solve(dictionary: Dictionary, y, budget: int,
@@ -175,13 +179,72 @@ def nnmp_solve(dictionary: Dictionary, y, budget: int,
     return single_pursuit([atoms] * budget, atoms, y, proj)
 
 
+def _nnls_gram(grams: np.ndarray, rhs: np.ndarray, max_iter: int) -> np.ndarray:
+    """Active-set (Lawson-Hanson) NNLS of every row of a stack of Gram systems.
+
+    Row b minimizes ``||A_b @ x - y_b||_2`` over ``x >= 0`` given only
+    ``grams[b] = A_b.T @ A_b`` (n, n) and ``rhs[b] = A_b.T @ y_b`` (n,). Each
+    row starts from x = 0 and runs on its own; every inner step solves the
+    passive subsystems of all rows still iterating with one
+    ``np.linalg.solve``, a row's non-passive rows and columns replaced by the
+    identity (with a zero right-hand side) so every system keeps shape (n, n).
+    Returns the (rows, n) solutions.
+
+    Raises MaxIterationsExceeded once any row passes ``max_iter`` iterations,
+    counting both insertions and backtracks.
+    """
+    rows, n = rhs.shape
+    x = np.zeros((rows, n))
+    passive = np.zeros((rows, n), dtype=bool)
+    iterations = np.zeros(rows, dtype=np.int64)
+    grad_tol = 1e-12 * np.maximum(1.0, np.abs(rhs).max(axis=1, initial=0.0))
+    eye = np.eye(n)
+    outer = np.arange(rows)
+    while outer.size:
+        # negative gradient A.T (y - A x); a row with every column passive or
+        # no free coordinate above the tolerance is optimal
+        w = rhs[outer] - (grams[outer] * x[outer, None, :]).sum(axis=2)
+        w[passive[outer]] = -np.inf
+        go = w.max(axis=1) > grad_tol[outer]
+        outer = outer[go]
+        passive[outer, w[go].argmax(axis=1)] = True
+        inner = outer
+        # every insertion and every backtrack is followed by one solve
+        while inner.size:
+            iterations[inner] += 1
+            if iterations.max() > max_iter:
+                raise MaxIterationsExceeded(
+                    f"NNLS did not converge in {max_iter} iterations"
+                )
+            p = passive[inner]
+            systems = np.where(p[:, :, None] & p[:, None, :], grams[inner], eye)
+            z = np.linalg.solve(systems, np.where(p, rhs[inner], 0.0)[:, :, None])
+            z = np.where(p, z[:, :, 0], 0.0)
+            blocking = p & (z <= 0.0)
+            back = blocking.any(axis=1)
+            x[inner[~back]] = z[~back]
+            if not back.any():
+                break
+            inner, p, z, blocking = inner[back], p[back], z[back], blocking[back]
+            # step back to the feasibility boundary, release blocking columns
+            xi = x[inner]
+            ratio = np.divide(xi, xi - z, out=np.full_like(xi, np.inf),
+                              where=blocking)
+            xi += ratio.min(axis=1)[:, None] * (z - xi)
+            p &= xi > 1e-14
+            x[inner] = np.where(p, xi, 0.0)
+            passive[inner] = p
+    return x
+
+
 def nnls_active_set(columns, target, max_iter: int | None = None) -> np.ndarray:
     """Active-set (Lawson-Hanson) non-negative least squares.
 
     Minimizes ``||columns @ x - target||_2`` over ``x >= 0``. Assumes full
     column rank; callers restrict to at most ``signal_dim`` columns. At the
     solution the KKT conditions hold: the gradient is ~0 on positive
-    coordinates and non-negative on zero coordinates.
+    coordinates and non-negative on zero coordinates. A one-row call of the
+    Gram-form solver that :func:`nnomp_pursuit` runs on every row.
 
     Raises MaxIterationsExceeded past the iteration cap (default three times
     the number of columns, counting both insertions and backtracks).
@@ -192,78 +255,76 @@ def nnls_active_set(columns, target, max_iter: int | None = None) -> np.ndarray:
         raise DimensionMismatch(
             f"incompatible shapes {a.shape} and {b.shape} for NNLS"
         )
-    n = a.shape[1]
-    cap = 3 * n if max_iter is None else max_iter
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    grad_tol = 1e-12 * max(1.0, float(np.abs(a.T @ b).max()))
-    iterations = 0
-    while True:
-        w = a.T @ (b - a @ x)  # negative gradient
-        w_free = np.where(passive, -np.inf, w)
-        if passive.all() or w_free.max() <= grad_tol:
-            return x
-        iterations += 1
-        if iterations > cap:
-            raise MaxIterationsExceeded(f"NNLS did not converge in {cap} iterations")
-        passive[int(np.argmax(w_free))] = True
-        while True:
-            z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            if z[passive].min() > 0.0:
-                x = z
-                break
-            # step back to the feasibility boundary, release blocking columns
-            blocking = passive & (z <= 0.0)
-            alpha = float(np.min(x[blocking] / (x[blocking] - z[blocking])))
-            x = x + alpha * (z - x)
-            passive &= x > 1e-14
-            x[~passive] = 0.0
-            iterations += 1
-            if iterations > cap:
-                raise MaxIterationsExceeded(
-                    f"NNLS did not converge in {cap} iterations"
-                )
+    cap = 3 * a.shape[1] if max_iter is None else max_iter
+    return _nnls_gram((a.T @ a)[None], (a.T @ b)[None], cap)[0]
+
+
+def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run up to ``budget`` NNOMP steps on every row of a signal stack.
+
+    Each step scores every residual with ``atoms.T @ r``, masks the atoms the
+    row has already selected and hard-max picks the winner (ties go to the
+    lowest index). A row stops for good once its residual norm is below
+    ``RESIDUAL_FLOOR`` or its best score is not strictly positive. Every row
+    that picked then refits all its selected coefficients against its signal
+    by Lawson-Hanson NNLS on its own s x s Gram system (s <= budget), whose
+    entries come from ``atoms.T @ atoms``, computed once per call; the
+    right-hand side ``<d_j, y>`` is computed for the new column only. The
+    residual ``y - sum_j x_j d_{S_j}`` is rebuilt one support column at a
+    time, so no (batch, signal_dim, s) stack of columns is ever gathered.
+
+    Returns ``(supports, codes, residuals, norm_paths)`` in the layout of
+    :func:`hard_max_pursuit`. Raises MaxIterationsExceeded when a refit
+    passes three times its column count in iterations.
+    """
+    signals = check_signals(signals, atoms.shape[0])
+    batch = signals.shape[0]
+    atoms_t = np.ascontiguousarray(atoms.T)  # row j is atom j
+    gram = atoms.T @ atoms
+    supports = np.full((batch, budget), -1, dtype=np.int64)
+    codes = np.zeros((batch, atoms.shape[1]))
+    rhs = np.zeros((batch, budget))
+    residuals = signals.copy()
+    norm_paths = np.empty((batch, budget + 1))
+    norm_paths[:, 0] = np.linalg.norm(residuals, axis=1)
+    live = np.ones(batch, dtype=bool)
+    for k in range(budget):
+        live &= norm_paths[:, k] >= RESIDUAL_FLOOR
+        rows = np.flatnonzero(live)
+        if rows.size:
+            scores = residuals[rows] @ atoms  # (L, N)
+            scores[np.arange(rows.size)[:, None], supports[rows, :k]] = -np.inf
+            picked = np.argmax(scores, axis=1)
+            positive = scores[np.arange(rows.size), picked] > 0.0
+            del scores
+            live[rows[~positive]] = False
+            rows, picked = rows[positive], picked[positive]
+            supports[rows, k] = picked
+            support = supports[rows, :k + 1]
+            refit = signals[rows]
+            rhs[rows, k] = np.einsum("bm,bm->b", refit, atoms_t[picked])
+            x = _nnls_gram(gram[support[:, :, None], support[:, None, :]],
+                           rhs[rows, :k + 1], 3 * (k + 1))
+            codes[rows[:, None], support] = x
+            for j in range(k + 1):
+                refit -= x[:, j, None] * atoms_t[support[:, j]]
+            residuals[rows] = refit
+            # released before the next step builds its scores
+            del refit
+        norm_paths[:, k + 1] = np.linalg.norm(residuals, axis=1)
+    return supports, codes, residuals, norm_paths
 
 
 def nnomp_solve(dictionary: Dictionary, y, budget: int) -> PursuitResult:
     """Orthogonal non-negative pursuit with a full NNLS refit per step.
 
     Selection is identical to ``nnmp_solve`` but restricted to atoms not yet
-    selected; after each pick all selected coefficients are refit by
-    :func:`nnls_active_set` against the original signal and the residual is
-    recomputed from the refit (no projection needed, the refit residual is
-    used directly).
+    selected; after each pick all selected coefficients are refit by NNLS
+    against the original signal and the residual is recomputed from the refit
+    (no projection needed, the refit residual is used directly). A one-row
+    call of :func:`nnomp_pursuit`.
     """
     if budget < 1:
         raise ZeroSparsity("budget must be >= 1")
-    atoms = dictionary.atoms
-    cols = atoms.shape[1]
-    y = check_signals([y], atoms.shape[0])[0]
-    r = y.copy()
-    selected: list[int] = []
-    coeffs = np.zeros(0)
-    free = np.ones(cols, dtype=bool)
-    norm_path = [float(np.linalg.norm(r))]
-    for _ in range(budget):
-        if norm_path[-1] < RESIDUAL_FLOOR:
-            break
-        scores = np.where(free, atoms.T @ r, -np.inf)
-        index = int(np.argmax(scores))
-        if scores[index] <= 0.0:
-            break
-        selected.append(index)
-        free[index] = False
-        coeffs = nnls_active_set(atoms[:, selected], y)
-        r = y - atoms[:, selected] @ coeffs
-        norm_path.append(float(np.linalg.norm(r)))
-    code = np.zeros(cols)
-    if selected:
-        code[np.array(selected)] = coeffs
-    return PursuitResult(
-        code=code,
-        support=np.array(selected, dtype=np.int64),
-        residual=r,
-        steps_taken=len(selected),
-        residual_norm_path=np.array(norm_path),
-    )
+    return _one_row(*nnomp_pursuit(dictionary.atoms, [y], budget))

@@ -316,6 +316,20 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
         assert blob_hash(out / rel) == digest
 
 
+def test_cli_eval_manifest_records_solver_seconds(tmp_path):
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    for cmd in ("gen-dict", "train", "eval"):
+        assert run_cli(base + [cmd]) == 0
+    manifest = json.loads((out / "manifest_eval.json").read_text())
+    seconds = manifest["solver_seconds"]
+    assert sorted(seconds) == ["deepmp", "nnmp", "nnomp"]
+    for by_k in seconds.values():
+        assert sorted(by_k) == ["1", "2"]
+        assert all(t > 0.0 for t in by_k.values())
+    assert "seconds" not in (out / "metrics.json").read_text()
+
+
 def test_cli_untrained_models_duplicate_nnmp(tmp_path):
     out = tmp_path / "run"
     base = pipeline_args(out)

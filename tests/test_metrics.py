@@ -100,24 +100,26 @@ def make_samples(dictionary, k, n, seed):
 
 
 def ground_truth_codes(dictionary, samples):
-    codes = []
-    for s in samples:
-        code = np.zeros(dictionary.num_atoms)
+    codes = np.zeros((len(samples), dictionary.num_atoms))
+    for code, s in zip(codes, samples):
         code[s.true_support] = s.true_coeffs
-        codes.append(code)
     return codes
+
+
+def signals_of(samples):
+    return np.stack([s.signal for s in samples])
 
 
 def test_epsilon_zero_for_ground_truth(small_dictionary):
     samples = make_samples(small_dictionary, 3, 10, 1)
     codes = ground_truth_codes(small_dictionary, samples)
-    assert epsilon_error(small_dictionary, samples, codes) < 1e-9
+    assert epsilon_error(small_dictionary, signals_of(samples), codes) < 1e-9
 
 
 def test_epsilon_one_for_zero_codes(small_dictionary):
     samples = make_samples(small_dictionary, 2, 10, 2)
-    codes = [np.zeros(50) for _ in samples]
-    assert epsilon_error(small_dictionary, samples, codes) == 1.0
+    codes = np.zeros((len(samples), 50))
+    assert epsilon_error(small_dictionary, signals_of(samples), codes) == 1.0
 
 
 def test_epsilon_hand_computed_single_sample(small_dictionary):
@@ -126,20 +128,21 @@ def test_epsilon_hand_computed_single_sample(small_dictionary):
     code[s.true_support[0]] = s.true_coeffs[0]  # drop the second atom
     residual = s.signal - small_dictionary.atoms @ code
     expected = np.linalg.norm(residual) / np.linalg.norm(s.signal)
-    assert epsilon_error(small_dictionary, [s], [code]) == pytest.approx(expected)
+    assert epsilon_error(small_dictionary, signals_of([s]),
+                         code[None]) == pytest.approx(expected)
 
 
 def test_epsilon_zero_signal_rejected(small_dictionary):
     s = Sample(signal=np.zeros(10), true_support=np.array([0]),
                true_coeffs=np.array([1.0]), sparsity=1)
     with pytest.raises(ZeroSignal):
-        epsilon_error(small_dictionary, [s], [np.zeros(50)])
+        epsilon_error(small_dictionary, signals_of([s]), np.zeros((1, 50)))
 
 
 def test_epsilon_misaligned_lists_rejected(small_dictionary):
     samples = make_samples(small_dictionary, 2, 3, 4)
     with pytest.raises(DimensionMismatch):
-        epsilon_error(small_dictionary, samples, [np.zeros(50)])
+        epsilon_error(small_dictionary, signals_of(samples), np.zeros((1, 50)))
 
 
 # -- coherence ------------------------------------------------------------------

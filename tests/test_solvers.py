@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepmp.datagen import MixtureConfig, generate_synthetic_dictionary, sample_mixture
+from deepmp.datagen import (
+    MixtureConfig,
+    generate_raman_surrogate,
+    generate_synthetic_dictionary,
+    sample_mixture,
+)
 from deepmp.errors import (
     DimensionMismatch,
     InputError,
@@ -16,6 +21,7 @@ from deepmp.solvers import (
     hard_max_pursuit,
     nnls_active_set,
     nnmp_solve,
+    nnomp_pursuit,
     nnomp_solve,
 )
 from deepmp.types import validate_dictionary
@@ -239,6 +245,21 @@ def test_nnls_kkt_conditions():
         assert np.all(np.abs(grad[x > 0.0]) <= 1e-8)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nnls_kkt_on_non_negative_columns(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 20))
+    n = int(rng.integers(1, min(m, 6) + 1))
+    a = random_unit_dictionary(rng, m, n)
+    b = rng.standard_normal(m) + float(rng.uniform(-1.0, 2.0))
+    x = nnls_active_set(a, b)
+    grad = a.T @ (a @ x - b)
+    assert np.all(x >= 0.0)
+    assert np.all(grad[x == 0.0] >= -1e-8)
+    assert np.all(np.abs(grad[x > 0.0]) <= 1e-8)
+
+
 def test_nnls_iteration_cap_raises():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 3))
@@ -298,3 +319,117 @@ def test_nnomp_is_deterministic(small_dictionary):
     assert np.array_equal(a.code, b.code)
     assert np.array_equal(a.support, b.support)
     assert np.array_equal(a.residual, b.residual)
+
+
+# -- batched nnomp kernel ---------------------------------------------------------
+
+
+def lstsq_nnls(a, b):
+    """Lawson-Hanson NNLS with one ``lstsq`` per passive set, written out."""
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    grad_tol = 1e-12 * max(1.0, float(np.abs(a.T @ b).max()))
+    while True:
+        w = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        if passive.all() or w.max() <= grad_tol:
+            return x
+        passive[int(np.argmax(w))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if z[passive].min() > 0.0:
+                x = z
+                break
+            blocking = passive & (z <= 0.0)
+            alpha = np.min(x[blocking] / (x[blocking] - z[blocking]))
+            x = x + alpha * (z - x)
+            passive &= x > 1e-14
+            x[~passive] = 0.0
+
+
+def nnomp_oracle(atoms, y, budget):
+    """Per-signal NNOMP: free-atom argmax, then a full ``lstsq_nnls`` refit."""
+    r = y.copy()
+    selected = []
+    code = np.zeros(atoms.shape[1])
+    for _ in range(budget):
+        if np.linalg.norm(r) < 1e-12:
+            break
+        scores = atoms.T @ r
+        scores[selected] = -np.inf
+        index = int(np.argmax(scores))
+        if scores[index] <= 0.0:
+            break
+        selected.append(index)
+        coeffs = lstsq_nnls(atoms[:, selected], y)
+        r = y - atoms[:, selected] @ coeffs
+        code[:] = 0.0
+        code[selected] = coeffs
+    return selected, code
+
+
+def surrogate_dictionary():
+    return generate_raman_surrogate(503, 600, peaks_per_atom=5, seed=11)
+
+
+@pytest.mark.parametrize("dictionary, k, num", [
+    *[("table", k, 300) for k in range(1, 6)],
+    ("surrogate", 5, 100),
+])
+def test_nnomp_kernel_matches_per_row_oracle(table_dictionary, dictionary, k, num):
+    d = table_dictionary if dictionary == "table" else surrogate_dictionary()
+    samples = sample_mixture(d, MixtureConfig(sparsity=k, num_samples=num, seed=k))
+    signals = np.stack([s.signal for s in samples])
+    supports, codes, _, _ = nnomp_pursuit(d.atoms, signals, k)
+    for row, code, y in zip(supports, codes, signals):
+        selected, oracle = nnomp_oracle(d.atoms, y, k)
+        assert row[row >= 0].tolist() == selected
+        assert np.max(np.abs(code - oracle)) <= 1e-12
+
+
+def test_nnomp_kernel_rows_match_one_row_calls(table_dictionary):
+    atoms = table_dictionary.atoms
+    samples = sample_mixture(
+        table_dictionary, MixtureConfig(sparsity=4, num_samples=30, seed=8)
+    )
+    # an atom stops after one step on the residual floor, zeros at once
+    signals = np.stack([s.signal for s in samples] + [atoms[:, 7], np.zeros(30)])
+    supports, codes, residuals, paths = nnomp_pursuit(atoms, signals, 4)
+    for i, y in enumerate(signals):
+        res = nnomp_solve(table_dictionary, y, 4)
+        assert supports[i][supports[i] >= 0].tolist() == res.support.tolist()
+        assert codes[i].tobytes() == res.code.tobytes()
+        assert residuals[i].tobytes() == res.residual.tobytes()
+        assert paths[i, :res.steps_taken + 1].tobytes() == \
+            res.residual_norm_path.tobytes()
+    assert supports[-2].tolist() == [7, -1, -1, -1]
+    assert supports[-1].tolist() == [-1, -1, -1, -1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nnomp_kernel_properties(seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(5, 20))
+    cols = int(rng.integers(rows + 1, 60))
+    atoms = random_unit_dictionary(rng, rows, cols)
+    batch = int(rng.integers(1, 16))
+    budget = int(rng.integers(1, 6))
+    mixtures = atoms[:, rng.integers(0, cols, size=(3, batch))]  # (M, 3, B)
+    signals = np.where(rng.random(batch)[:, None] < 0.5,
+                       np.einsum("mjb,jb->bm", mixtures, rng.random((3, batch))),
+                       np.abs(rng.standard_normal((batch, rows))))
+    supports, codes, residuals, paths = nnomp_pursuit(atoms, signals, budget)
+    assert np.all(np.diff(paths, axis=1) <= 1e-12)
+    assert np.all(codes >= 0.0)
+    for support, code, y in zip(supports, codes, signals):
+        picked = support[support >= 0]
+        assert np.unique(picked).size == picked.size
+        off = np.ones(cols, dtype=bool)
+        off[picked] = False
+        assert np.all(code[off] == 0.0)
+        a, x = atoms[:, picked], code[picked]
+        grad = a.T @ (a @ x - y)
+        assert np.all(grad[x == 0.0] >= -1e-8)
+        assert np.all(np.abs(grad[x > 0.0]) <= 1e-8)
