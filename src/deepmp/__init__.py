@@ -7,6 +7,7 @@ AdaBound optimizer, data generation, and the evaluation metrics.
 
 from .datagen import (
     MixtureConfig,
+    Mixtures,
     generate_raman_surrogate,
     generate_synthetic_dictionary,
     load_raman_library,
@@ -47,7 +48,6 @@ from .types import (
     Sample,
     load_dictionary_csv,
     save_dictionary_csv,
-    synthesize,
     validate_dictionary,
 )
 
@@ -57,6 +57,7 @@ __all__ = [
     "Dictionary",
     "MetricsReport",
     "MixtureConfig",
+    "Mixtures",
     "ProjectionMode",
     "PursuitResult",
     "Sample",
@@ -87,7 +88,6 @@ __all__ = [
     "sample_mixture",
     "save_dictionary_csv",
     "save_model",
-    "synthesize",
     "train_model",
     "validate_dictionary",
 ]

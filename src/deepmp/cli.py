@@ -107,17 +107,11 @@ def cmd_gen_data(config: RunConfig) -> None:
     outputs = []
     for k in config.k_range:
         directory = os.path.join(config.out_dir, "data", f"k{k}")
-
-        def stream(k=k):
-            for _, shard in training.stream_shards(
-                    dictionary, k, config.seed, config.shard_size,
-                    config.num_train_samples):
-                yield from shard
-
-        datagen.write_dataset(
-            stream(), directory, dictionary=dictionary, sparsity=k,
-            seed=config.seed, shard_size=config.shard_size,
-        )
+        shards = (shard for _, shard in training.stream_shards(
+            dictionary, k, config.seed, config.shard_size,
+            config.num_train_samples))
+        datagen.write_dataset(shards, directory, dictionary=dictionary,
+                              sparsity=k, seed=config.seed)
         outputs.extend(
             os.path.join(directory, name) for name in sorted(os.listdir(directory))
         )
@@ -140,6 +134,8 @@ def cmd_train(config: RunConfig) -> None:
         )
         model_path = _model_path(config, k)
         network.save_model(model, model_path)
+        # released before the next depth trains beside it
+        del model
         log_path = os.path.join(config.out_dir, f"train_log_k{k}.csv")
         training.write_train_log(rows, log_path)
         outputs.extend([model_path, log_path])

@@ -3,11 +3,14 @@
 Synthetic dictionaries are i.i.d. standard normal draws projected onto the
 positive orthant and column normalized. Mixtures draw k distinct atoms
 uniformly without replacement with coefficients uniform on (0, 1], open at
-zero so every ground-truth atom genuinely participates. A Lorentzian-peak
-surrogate generator stands in for a real spectra library and produces the
-same kind of coherent, smooth, non-negative atoms.
+zero so every ground-truth atom genuinely participates. All rows are drawn at
+once: Floyd's subset algorithm (Bentley & Floyd, CACM 1987) picks every row's
+k-subset in k vectorised steps, and each row is then shuffled so the order of
+its atoms is exchangeable. A Lorentzian-peak surrogate generator stands in
+for a real spectra library and produces the same kind of coherent, smooth,
+non-negative atoms.
 
-Dataset files are CSV shards (one sample per row: k "index:coefficient"
+Dataset files are CSV shards (one mixture per row: k "index:coefficient"
 cells, then the signal values) next to a JSON sidecar recording dimensions,
 sparsity, seed, sample count, and the coefficient law.
 """
@@ -72,28 +75,51 @@ def generate_synthetic_dictionary(signal_dim: int, num_atoms: int,
     return validate_dictionary(atoms)
 
 
-def sample_mixture(dictionary: Dictionary, config: MixtureConfig) -> list[Sample]:
+@dataclass(frozen=True)
+class Mixtures:
+    """A stack of noiseless mixtures with their ground truth, one row each.
+
+    ``signals`` is (n, signal_dim); ``supports`` (n, k) holds each row's k
+    distinct atom indices and ``coeffs`` (n, k) their weights, so row b's
+    signal is ``synthesize(atoms, supports, coeffs)[b]``. Iterating yields
+    one :class:`Sample` per row.
+    """
+
+    signals: np.ndarray
+    supports: np.ndarray
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.supports)
+
+    def __iter__(self):
+        for y, s, c in zip(self.signals, self.supports, self.coeffs):
+            yield Sample(signal=y, true_support=s, true_coeffs=c)
+
+
+def sample_mixture(dictionary: Dictionary, config: MixtureConfig) -> Mixtures:
     """Draw noiseless non-negative mixtures with recorded ground truth."""
-    k = config.sparsity
+    k, n = config.sparsity, config.num_samples
     if k < 1:
         raise ZeroSparsity("sparsity must be >= 1")
-    if config.num_samples < 1:
+    if n < 1:
         raise EmptyInput("num_samples must be >= 1")
     if k > dictionary.num_atoms:
         raise DimensionMismatch(
             f"sparsity {k} exceeds the {dictionary.num_atoms} available atoms"
         )
     rng = np.random.default_rng(config.seed)
-    supports = np.empty((config.num_samples, k), dtype=np.int64)
-    coeffs = np.empty((config.num_samples, k))
-    for i in range(config.num_samples):
-        supports[i] = rng.choice(dictionary.num_atoms, size=k, replace=False)
-        coeffs[i] = 1.0 - rng.random(k)  # uniform on (0, 1]
-    signals = synthesize(dictionary.atoms, supports, coeffs)
-    return [
-        Sample(signal=y, true_support=s, true_coeffs=c, sparsity=k)
-        for y, s, c in zip(signals, supports, coeffs)
-    ]
+    # Floyd: column c draws from 0..j, and a row that already holds the draw
+    # takes j, which no earlier column can hold
+    supports = np.empty((n, k), dtype=np.int64)
+    for c, j in enumerate(range(dictionary.num_atoms - k, dictionary.num_atoms)):
+        v = rng.integers(0, j + 1, size=n)
+        taken = (supports[:, :c] == v[:, None]).any(axis=1)
+        supports[:, c] = np.where(taken, j, v)
+    supports = rng.permuted(supports, axis=1)
+    coeffs = 1.0 - rng.random((n, k))  # uniform on (0, 1]
+    return Mixtures(synthesize(dictionary.atoms, supports, coeffs),
+                    supports, coeffs)
 
 
 def synthesize(atoms: np.ndarray, supports: np.ndarray,
@@ -171,32 +197,27 @@ def generate_raman_surrogate(signal_dim: int, num_atoms: int, peaks_per_atom: in
 # -- dataset shards ---------------------------------------------------------------
 
 
-def write_dataset(samples, directory, *, dictionary: Dictionary, sparsity: int,
-                  seed: int, shard_size: int = 8192) -> dict:
-    """Write samples as CSV shards plus a JSON sidecar; returns the sidecar."""
+def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
+                  seed: int) -> dict:
+    """Write each :class:`Mixtures` shard as one CSV file, plus a JSON sidecar.
+
+    Returns the sidecar.
+    """
     os.makedirs(directory, exist_ok=True)
     count = 0
-    shard_idx = 0
-    fh = None
-    try:
-        for sample in samples:
-            if fh is None or count % shard_size == 0:
-                if fh is not None:
-                    fh.close()
-                shard_path = os.path.join(directory, f"shard_{shard_idx:05d}.csv")
-                fh = open(shard_path, "w", encoding="utf-8")
-                shard_idx += 1
-            cells = [
-                f"{int(i)}:{float(c)!r}"
-                for i, c in zip(sample.true_support, sample.true_coeffs)
-            ]
-            cells.extend(repr(v) for v in sample.signal.tolist())
-            fh.write(",".join(cells))
-            fh.write("\n")
-            count += 1
-    finally:
-        if fh is not None:
-            fh.close()
+    for index, shard in enumerate(shards):
+        path = os.path.join(directory, f"shard_{index:05d}.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            # one row's signal at a time: a whole shard as Python floats
+            # would be 4 times its array's size
+            for signal, support, coeffs in zip(shard.signals,
+                                               shard.supports.tolist(),
+                                               shard.coeffs.tolist()):
+                cells = [f"{i}:{c!r}" for i, c in zip(support, coeffs)]
+                cells.extend(repr(v) for v in signal.tolist())
+                fh.write(",".join(cells))
+                fh.write("\n")
+        count += len(shard)
     sidecar = {
         "signal_dim": dictionary.signal_dim,
         "num_atoms": dictionary.num_atoms,
@@ -239,7 +260,5 @@ def iter_dataset(directory):
                     signal = np.array([float(v) for v in cells[k:]])
                 except (ValueError, IndexError):
                     raise ParseError(f"{path}: row {lineno} is malformed") from None
-                yield Sample(
-                    signal=signal, true_support=support,
-                    true_coeffs=coeffs, sparsity=k,
-                )
+                yield Sample(signal=signal, true_support=support,
+                             true_coeffs=coeffs)

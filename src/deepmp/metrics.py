@@ -193,13 +193,12 @@ def run_sweep(dictionary: Dictionary, solvers: Mapping[str, SweepSolver],
         label: MetricsReport(solver=label, num_test=num_test) for label in solvers
     }
     for k in k_range:
-        samples = sample_mixture(
+        test = sample_mixture(
             dictionary,
             MixtureConfig(sparsity=k, num_samples=num_test,
                           seed=child_seed(seed, TEST_STREAM, k)),
         )
-        signals = np.stack([s.signal for s in samples])
-        truth = np.stack([s.true_support for s in samples])
+        signals, truth = test.signals, test.supports
         for label, solve in solvers.items():
             start = time.perf_counter()
             supports, codes = solve(signals, k)

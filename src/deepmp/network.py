@@ -138,30 +138,35 @@ class TrainingBatch:
         return self.signals.shape[0]
 
 
-def build_training_batch(model: UnfoldedModel, samples) -> TrainingBatch:
-    """Compute teacher target order for every sample (vectorized).
+def build_training_batch(model: UnfoldedModel, signals,
+                         supports) -> TrainingBatch:
+    """Compute teacher target order for every mixture (vectorized).
 
-    At each step the teacher picks, among the sample's not-yet-used true
-    atoms, the one with the largest dictionary correlation against the current
-    teacher residual (ties to the earliest support position), then applies the
-    fixed-dictionary update. Every sample always receives exactly ``depth``
-    targets even if its residual dies early. Raises EmptyBatch, and
-    SparsityMismatch for a sample whose sparsity is not the model depth.
+    ``signals`` (B, signal_dim) are mixtures of the atoms in the rows of
+    ``supports`` (B, depth). At each step the teacher picks, among the row's
+    not-yet-used true atoms, the one with the largest dictionary correlation
+    against the current teacher residual (ties to the earliest support
+    position), then applies the fixed-dictionary update. Every row always
+    receives exactly ``depth`` targets even if its residual dies early.
+    Raises EmptyBatch, SparsityMismatch when the supports do not have
+    ``depth`` columns, and DimensionMismatch when signals and supports
+    differ in row count.
     """
-    samples = list(samples)
-    if not samples:
+    candidates = np.asarray(supports, dtype=np.int64)  # (B, depth)
+    if not len(candidates):
         raise EmptyBatch("no samples")
     depth = model.depth
-    bad = [s.sparsity for s in samples if s.sparsity != depth]
-    if bad:
+    if candidates.ndim != 2 or candidates.shape[1] != depth:
         raise SparsityMismatch(
-            f"sample sparsity {bad[0]} != model depth {depth}"
+            f"supports of shape {candidates.shape} != model depth {depth}"
         )
     atoms = model.update_dict.atoms
-    signals = check_signals([s.signal for s in samples], model.signal_dim)
-    candidates = np.stack([s.true_support for s in samples])  # (B, depth)
-
-    batch = len(samples)
+    signals = check_signals(signals, model.signal_dim)
+    batch = len(candidates)
+    if len(signals) != batch:
+        raise DimensionMismatch(
+            f"{len(signals)} signals for {batch} supports"
+        )
     residuals = signals
     used = np.zeros((batch, depth), dtype=bool)
     targets = np.zeros((batch, depth), dtype=np.int64)

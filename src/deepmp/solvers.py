@@ -268,8 +268,8 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
     lowest index). A row stops for good once its residual norm is below
     ``RESIDUAL_FLOOR`` or its best score is not strictly positive. Every row
     that picked then refits all its selected coefficients against its signal
-    by Lawson-Hanson NNLS on its own s x s Gram system (s <= budget), whose
-    entries come from ``atoms.T @ atoms``, computed once per call; the
+    by Lawson-Hanson NNLS on its own s x s Gram system (s <= budget), kept
+    per row and grown by one row and column ``<d_j, d_new>`` per step; the
     right-hand side ``<d_j, y>`` is computed for the new column only. The
     residual ``y - sum_j x_j d_{S_j}`` is rebuilt one support column at a
     time, so no (batch, signal_dim, s) stack of columns is ever gathered.
@@ -281,9 +281,9 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
     signals = check_signals(signals, atoms.shape[0])
     batch = signals.shape[0]
     atoms_t = np.ascontiguousarray(atoms.T)  # row j is atom j
-    gram = atoms.T @ atoms
     supports = np.full((batch, budget), -1, dtype=np.int64)
     codes = np.zeros((batch, atoms.shape[1]))
+    grams = np.zeros((batch, budget, budget))
     rhs = np.zeros((batch, budget))
     residuals = signals.copy()
     norm_paths = np.empty((batch, budget + 1))
@@ -303,9 +303,13 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
             supports[rows, k] = picked
             support = supports[rows, :k + 1]
             refit = signals[rows]
-            rhs[rows, k] = np.einsum("bm,bm->b", refit, atoms_t[picked])
-            x = _nnls_gram(gram[support[:, :, None], support[:, None, :]],
-                           rhs[rows, :k + 1], 3 * (k + 1))
+            new = atoms_t[picked]
+            rhs[rows, k] = np.einsum("bm,bm->b", refit, new)
+            for j in range(k + 1):
+                grams[rows, j, k] = grams[rows, k, j] = np.einsum(
+                    "bm,bm->b", atoms_t[support[:, j]], new)
+            x = _nnls_gram(grams[rows, :k + 1, :k + 1], rhs[rows, :k + 1],
+                           3 * (k + 1))
             codes[rows[:, None], support] = x
             for j in range(k + 1):
                 refit -= x[:, j, None] * atoms_t[support[:, j]]

@@ -34,7 +34,7 @@ from .network import (
 from .optim import AdaBoundHyper, adabound_step, init_adabound
 from .seeding import SHUFFLE_STREAM, TRAIN_STREAM, child_seed, rng_for
 from .solvers import ProjectionMode
-from .types import Dictionary, Sample
+from .types import Dictionary
 
 
 @dataclass(frozen=True)
@@ -44,26 +44,20 @@ class TrainLogRow:
     val_recovery: float
 
 
-def generate_shard(dictionary: Dictionary, depth: int, seed: int,
-                   shard_index: int, shard_size: int, total: int) -> list[Sample]:
-    """Samples of one shard of the deterministic per-sparsity data stream."""
-    start = shard_index * shard_size
-    count = min(shard_size, total - start)
-    if count <= 0:
-        return []
-    return sample_mixture(
-        dictionary,
-        MixtureConfig(sparsity=depth, num_samples=count,
-                      seed=child_seed(seed, TRAIN_STREAM, depth, shard_index)),
-    )
-
-
 def stream_shards(dictionary: Dictionary, depth: int, seed: int,
                   shard_size: int, total: int):
-    """Yield (shard_index, samples) covering sample indices 0..total-1."""
-    num_shards = (total + shard_size - 1) // shard_size
-    for i in range(num_shards):
-        yield i, generate_shard(dictionary, depth, seed, i, shard_size, total)
+    """Yield (shard_index, mixtures) covering sample indices 0..total-1.
+
+    Shard i holds indices ``i * shard_size`` onwards and is drawn from its
+    own seed, so every shard is reproducible on its own.
+    """
+    for i, start in enumerate(range(0, total, shard_size)):
+        yield i, sample_mixture(
+            dictionary,
+            MixtureConfig(sparsity=depth,
+                          num_samples=min(shard_size, total - start),
+                          seed=child_seed(seed, TRAIN_STREAM, depth, i)),
+        )
 
 
 def _validation_recovery(model: UnfoldedModel, supports: np.ndarray,
@@ -105,20 +99,20 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     atoms = dictionary.atoms
 
     # one walk of the stream; training rows also get their teacher targets,
-    # computed while the shard's samples are alive
+    # computed while the shard's signals are alive
     supports = np.empty((num_samples, depth), dtype=np.int64)
     coeffs = np.empty((num_samples, depth))
     targets = np.empty((num_train, depth), dtype=np.int64)
     for i, shard in stream_shards(dictionary, depth, seed, shard_size,
                                   num_samples):
         base = i * shard_size
-        supports[base:base + len(shard)] = [s.true_support for s in shard]
-        coeffs[base:base + len(shard)] = [s.true_coeffs for s in shard]
+        supports[base:base + len(shard)] = shard.supports
+        coeffs[base:base + len(shard)] = shard.coeffs
         shard_train = min(len(shard), num_train - base)
         for lo in range(0, shard_train, batch_size):
             hi = min(lo + batch_size, shard_train)
             targets[base + lo:base + hi] = build_training_batch(
-                model, shard[lo:hi]
+                model, shard.signals[lo:hi], shard.supports[lo:hi]
             ).targets
         # released before the next shard is drawn
         del shard

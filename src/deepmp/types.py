@@ -4,12 +4,12 @@ All numerics are float64. Atom matrices are kept column-contiguous (Fortran
 order) because the hot kernel everywhere is the correlation ``atoms.T @ r``,
 one dot product per atom, which walks columns.
 
-Conventions for the lightweight aliases:
+Conventions:
 
-* ``Signal``     1-D float vector of length ``signal_dim``.
-* ``SparseCode`` 1-D float vector of length ``num_atoms``; pursuit results
-  are non-negative with at most ``budget`` nonzeros.
-* ``SupportSet`` 1-D int vector of atom indices in selection order; plain
+* a signal is a 1-D float vector of length ``signal_dim``;
+* a sparse code is a 1-D float vector of length ``num_atoms``; pursuit
+  results are non-negative with at most ``budget`` nonzeros;
+* a support is a 1-D int vector of atom indices in selection order; plain
   matching pursuit may select the same atom more than once, so repeats are
   allowed and order is meaningful.
 """
@@ -30,10 +30,6 @@ from .errors import (
 
 #: validation gate on column norms
 NORM_TOL = 1e-6
-
-Signal = np.ndarray
-SparseCode = np.ndarray
-SupportSet = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,13 +61,12 @@ class Sample:
 
     ``signal`` equals the weighted sum of the ``true_support`` atoms with
     weights ``true_coeffs`` (all strictly positive); ``true_support`` holds
-    ``sparsity`` distinct atom indices.
+    distinct atom indices, one per coefficient.
     """
 
     signal: np.ndarray
     true_support: np.ndarray
     true_coeffs: np.ndarray
-    sparsity: int
 
 
 def validate_dictionary(atoms) -> Dictionary:
@@ -99,20 +94,6 @@ def validate_dictionary(atoms) -> Dictionary:
     return Dictionary(a)
 
 
-def synthesize(dictionary: Dictionary, code) -> Signal:
-    """Reconstruct the signal ``atoms @ code`` for a full-length code vector.
-
-    Linear in the code; the code may carry any sign here, non-negativity is a
-    property of pursuit outputs, not of the synthesis map.
-    """
-    c = np.asarray(code, dtype=np.float64)
-    if c.shape != (dictionary.num_atoms,):
-        raise DimensionMismatch(
-            f"code length {c.shape} does not match {dictionary.num_atoms} atoms"
-        )
-    return dictionary.atoms @ c
-
-
 def distinct_support(support) -> np.ndarray:
     """Sorted distinct atom indices of a (possibly repeating) support."""
     return np.unique(np.asarray(support, dtype=np.int64))
@@ -127,7 +108,7 @@ def distinct_support(support) -> np.ndarray:
 
 def read_csv_matrix(path) -> np.ndarray:
     """Parse a dense numeric CSV matrix, skipping one optional header line."""
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -135,7 +116,7 @@ def read_csv_matrix(path) -> np.ndarray:
                 continue
             cells = line.split(",")
             try:
-                values = [float(c) for c in cells]
+                values = np.array([float(c) for c in cells])
             except ValueError:
                 if lineno == 1:
                     continue  # header

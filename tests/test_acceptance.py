@@ -110,7 +110,7 @@ def test_criterion_2_gradient_oracle(acceptance_log):
             d, MixtureConfig(sparsity=depth, num_samples=5,
                              seed=rng.integers(2**63)),
         )
-        batch = build_training_batch(model, samples)
+        batch = build_training_batch(model, samples.signals, samples.supports)
         _, grads = loss_and_gradient(model, batch)
         h = 1e-5
         for k in range(depth):

@@ -126,15 +126,22 @@ def test_training_log_rows(small_dictionary):
     assert all(0.0 <= r.val_recovery <= 1.0 for r in rows)
 
 
+def held_out(dictionary, depth, seed, shard_size, num_samples, num_train):
+    """Signals and supports of the stream's rows from ``num_train`` on."""
+    shards = [m for _, m in stream_shards(dictionary, depth, seed, shard_size,
+                                          num_samples)]
+    return (np.concatenate([m.signals for m in shards])[num_train:],
+            np.concatenate([m.supports for m in shards])[num_train:])
+
+
 def held_out_recovery(model, dictionary, depth, seed, num_samples):
     """Per-sample NNMP-style recovery on train_model's default held-out split."""
     num_val = int(round(num_samples * 0.1))
-    stream = [s for _, shard in stream_shards(dictionary, depth, seed, 8192,
-                                              num_samples) for s in shard]
+    signals, truth = held_out(dictionary, depth, seed, 8192, num_samples,
+                              num_samples - num_val)
     return float(np.mean([
-        hamming_complement(forward_infer(model, s.signal).support,
-                           s.true_support, depth)
-        for s in stream[num_samples - num_val:]
+        hamming_complement(forward_infer(model, y).support, t, depth)
+        for y, t in zip(signals, truth)
     ]))
 
 
@@ -144,8 +151,9 @@ def model_bytes(model, path):
 
 
 def test_training_never_returns_worse_than_init(tmp_path, small_dictionary):
-    # at this seed validation recovery falls after every epoch
-    depth, seed, n = 3, 3, 400
+    # at this seed validation recovery falls after every epoch: init 0.5083,
+    # epochs 0.4417, 0.4583, 0.4667
+    depth, seed, n = 3, 0, 400
     model, rows = train_model(small_dictionary, depth, n, epochs=3,
                               batch_size=32, seed=seed)
     init = init_from_dictionary(small_dictionary, depth)
@@ -166,9 +174,9 @@ def test_training_never_returns_worse_than_init(tmp_path, small_dictionary):
 
 
 def test_training_returns_validation_best_epoch(tmp_path, small_dictionary):
-    # validation recovery at this seed: init 0.8, epochs 0.825, 0.825, 0.8;
-    # epoch 0 wins and the tie at epoch 1 keeps the earlier candidate
-    depth, seed, n = 2, 2, 400
+    # validation recovery at this seed: init 0.7625, epochs 0.775, 0.775,
+    # 0.7625; epoch 0 wins and the tie at epoch 1 keeps the earlier candidate
+    depth, seed, n = 2, 18, 400
     model, rows = train_model(small_dictionary, depth, n, epochs=3,
                               batch_size=32, seed=seed)
     assert rows[0].val_recovery == rows[1].val_recovery > rows[2].val_recovery
@@ -185,26 +193,26 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
                      seed, shard_size, val_fraction):
     """train_model written as a loop that redraws its data every epoch.
 
-    Each epoch walks the training shards of the stream again, shuffles each
-    shard, and builds teacher targets per shuffled chunk; validation scores
-    the held-out samples one row at a time with hamming_complement. Returns
+    Each epoch draws the shards of the stream again, shuffles the training
+    rows of each shard, and builds teacher targets per shuffled chunk;
+    validation scores the held-out samples one row at a time with
+    hamming_complement. Returns
     the validation-best of the initialization and each epoch (ties to the
     earlier, the last epoch without a held-out split) and the log rows as
     (epoch, loss, recovery) with the floats in hex.
     """
     num_val = int(round(num_samples * val_fraction))
     num_train = num_samples - num_val
-    val = [s for _, shard in stream_shards(dictionary, depth, seed,
-                                           shard_size, num_samples)
-           for s in shard][num_train:]
+    val_signals, val_truth = held_out(dictionary, depth, seed, shard_size,
+                                      num_samples, num_train)
 
     def recovery(model):
-        if not val:
+        if not len(val_truth):
             return float("nan")
-        supports, _ = batched_infer(model, np.stack([s.signal for s in val]))
+        supports, _ = batched_infer(model, val_signals)
         return float(np.mean([
-            hamming_complement(row[row >= 0], s.true_support, depth)
-            for row, s in zip(supports, val)
+            hamming_complement(row[row >= 0], t, depth)
+            for row, t in zip(supports, val_truth)
         ]))
 
     model = init_from_dictionary(dictionary, depth)
@@ -215,13 +223,16 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
     for epoch in range(epochs):
         loss_total = 0.0
         for i, shard in stream_shards(dictionary, depth, seed, shard_size,
-                                      num_train):
+                                      num_samples):
+            shard_train = num_train - i * shard_size
+            if shard_train <= 0:
+                break
             order = rng_for(seed, SHUFFLE_STREAM, depth, epoch, i).permutation(
-                len(shard))
-            for lo in range(0, len(shard), batch_size):
-                chunk = [shard[j] for j in order[lo:lo + batch_size]]
-                loss, grads = loss_and_gradient(
-                    model, build_training_batch(model, chunk))
+                min(len(shard), shard_train))
+            for lo in range(0, len(order), batch_size):
+                chunk = order[lo:lo + batch_size]
+                loss, grads = loss_and_gradient(model, build_training_batch(
+                    model, shard.signals[chunk], shard.supports[chunk]))
                 adabound_step(state, model.selection_weights, grads)
                 loss_total += loss * len(chunk)
         val_recovery = recovery(model)
@@ -229,7 +240,7 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
                      val_recovery.hex()))
         candidates.append(([w.copy() for w in model.selection_weights],
                            val_recovery))
-    if val:
+    if len(val_truth):
         best = 0
         for j, (_, score) in enumerate(candidates):
             if score > candidates[best][1]:
@@ -428,12 +439,9 @@ def test_gen_data_shards_match_training_stream(tmp_path, small_dictionary):
     out = tmp_path / "data"
     from deepmp.datagen import write_dataset
 
-    def stream():
-        for _, shard in stream_shards(small_dictionary, 2, 17, 64, 150):
-            yield from shard
-
-    write_dataset(stream(), out, dictionary=small_dictionary, sparsity=2,
-                  seed=17, shard_size=64)
+    shards = (shard for _, shard in stream_shards(small_dictionary, 2, 17, 64,
+                                                  150))
+    write_dataset(shards, out, dictionary=small_dictionary, sparsity=2, seed=17)
     regenerated = [s for _, shard in stream_shards(small_dictionary, 2, 17, 64, 150)
                    for s in shard]
     loaded = list(iter_dataset(out))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deepmp.datagen import (
@@ -96,9 +96,7 @@ def test_mixture_signals_are_synthesized_from_their_rows(table_dictionary, k,
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=k, num_samples=n, seed=seed)
     )
-    signals = np.stack([s.signal for s in samples])
-    supports = np.stack([s.true_support for s in samples])
-    coeffs = np.stack([s.true_coeffs for s in samples])
+    signals, supports, coeffs = samples.signals, samples.supports, samples.coeffs
     atoms = table_dictionary.atoms
     assert np.array_equal(signals, synthesize(atoms, supports, coeffs))
     # any subset of rows resynthesises to the same bits
@@ -125,6 +123,46 @@ def test_mixture_generation_is_seed_deterministic(small_dictionary):
         assert np.array_equal(s.signal, t.signal)
         assert np.array_equal(s.true_support, t.true_support)
         assert np.array_equal(s.true_coeffs, t.true_coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 11), st.integers(1, 300),
+       st.integers(0, 2**32 - 1))
+@example(num_atoms=6, short=0, n=40, seed=1)  # k == N
+def test_mixture_rows_hold_k_distinct_atoms(num_atoms, short, n, seed):
+    k = num_atoms - short % num_atoms  # 1..N, and N when short is 0
+    d = validate_dictionary(np.ones((1, num_atoms)))
+    supports = sample_mixture(
+        d, MixtureConfig(sparsity=k, num_samples=n, seed=seed)
+    ).supports
+    assert supports.shape == (n, k)
+    rows = np.sort(supports, axis=1)
+    assert np.all(rows[:, 1:] > rows[:, :-1])
+    assert rows.min() >= 0 and rows.max() < num_atoms
+
+
+#: chi-square quantile with 9 degrees of freedom: P(X > 27.877) = 0.001
+CHI2_9DF_P001 = 27.877
+
+
+def test_mixture_atoms_and_positions_are_uniform():
+    # every atom is in a row's k-subset with probability k/N, and every
+    # position holds each atom with probability 1/N
+    num_atoms, k, n = 10, 3, 30000
+    d = validate_dictionary(np.ones((1, num_atoms)))
+    supports = sample_mixture(
+        d, MixtureConfig(sparsity=k, num_samples=n, seed=2024)
+    ).supports
+    expected = n * k / num_atoms
+    pearson = np.sum((np.bincount(supports.ravel(), minlength=num_atoms)
+                      - expected) ** 2 / expected)
+    # a row's k atoms are drawn without replacement, which shrinks the
+    # Pearson sum by (N - k) / (N - 1) against multinomial counts
+    assert pearson * (num_atoms - 1) / (num_atoms - k) < CHI2_9DF_P001
+    for position in range(k):
+        counts = np.bincount(supports[:, position], minlength=num_atoms)
+        expected = n / num_atoms
+        assert np.sum((counts - expected) ** 2 / expected) < CHI2_9DF_P001
 
 
 @pytest.mark.parametrize("sparsity, count, error", [
@@ -227,12 +265,14 @@ def test_surrogate_more_coherent_than_synthetic():
 
 
 def test_dataset_round_trip(tmp_path, small_dictionary):
-    samples = sample_mixture(
-        small_dictionary, MixtureConfig(sparsity=3, num_samples=25, seed=13)
-    )
+    shards = [
+        sample_mixture(small_dictionary,
+                       MixtureConfig(sparsity=3, num_samples=n, seed=13 + n))
+        for n in (10, 10, 5)
+    ]
     directory = tmp_path / "data"
-    sidecar = write_dataset(samples, directory, dictionary=small_dictionary,
-                            sparsity=3, seed=13, shard_size=10)
+    sidecar = write_dataset(shards, directory, dictionary=small_dictionary,
+                            sparsity=3, seed=13)
     assert sidecar["num_samples"] == 25
     assert sidecar["coefficient_law"] == "uniform(0,1]"
     assert len(list(directory.glob("shard_*.csv"))) == 3
@@ -241,6 +281,7 @@ def test_dataset_round_trip(tmp_path, small_dictionary):
     assert meta == sidecar
     loaded = list(iter_dataset(directory))
     assert len(loaded) == 25
+    samples = [s for shard in shards for s in shard]
     for s, t in zip(samples, loaded):
         assert np.array_equal(s.true_support, t.true_support)
         assert np.array_equal(s.true_coeffs, t.true_coeffs)

@@ -28,7 +28,7 @@ from deepmp.metrics import (
     write_metrics_json,
 )
 from deepmp.network import init_from_dictionary
-from deepmp.types import Sample, validate_dictionary
+from deepmp.types import validate_dictionary
 
 from conftest import random_unit_dictionary
 
@@ -101,48 +101,41 @@ def make_samples(dictionary, k, n, seed):
 
 def ground_truth_codes(dictionary, samples):
     codes = np.zeros((len(samples), dictionary.num_atoms))
-    for code, s in zip(codes, samples):
-        code[s.true_support] = s.true_coeffs
+    codes[np.arange(len(samples))[:, None], samples.supports] = samples.coeffs
     return codes
-
-
-def signals_of(samples):
-    return np.stack([s.signal for s in samples])
 
 
 def test_epsilon_zero_for_ground_truth(small_dictionary):
     samples = make_samples(small_dictionary, 3, 10, 1)
     codes = ground_truth_codes(small_dictionary, samples)
-    assert epsilon_error(small_dictionary, signals_of(samples), codes) < 1e-9
+    assert epsilon_error(small_dictionary, samples.signals, codes) < 1e-9
 
 
 def test_epsilon_one_for_zero_codes(small_dictionary):
     samples = make_samples(small_dictionary, 2, 10, 2)
     codes = np.zeros((len(samples), 50))
-    assert epsilon_error(small_dictionary, signals_of(samples), codes) == 1.0
+    assert epsilon_error(small_dictionary, samples.signals, codes) == 1.0
 
 
 def test_epsilon_hand_computed_single_sample(small_dictionary):
-    s = make_samples(small_dictionary, 2, 1, 3)[0]
+    s = make_samples(small_dictionary, 2, 1, 3)
     code = np.zeros(50)
-    code[s.true_support[0]] = s.true_coeffs[0]  # drop the second atom
-    residual = s.signal - small_dictionary.atoms @ code
-    expected = np.linalg.norm(residual) / np.linalg.norm(s.signal)
-    assert epsilon_error(small_dictionary, signals_of([s]),
+    code[s.supports[0, 0]] = s.coeffs[0, 0]  # drop the second atom
+    residual = s.signals[0] - small_dictionary.atoms @ code
+    expected = np.linalg.norm(residual) / np.linalg.norm(s.signals[0])
+    assert epsilon_error(small_dictionary, s.signals,
                          code[None]) == pytest.approx(expected)
 
 
 def test_epsilon_zero_signal_rejected(small_dictionary):
-    s = Sample(signal=np.zeros(10), true_support=np.array([0]),
-               true_coeffs=np.array([1.0]), sparsity=1)
     with pytest.raises(ZeroSignal):
-        epsilon_error(small_dictionary, signals_of([s]), np.zeros((1, 50)))
+        epsilon_error(small_dictionary, np.zeros((1, 10)), np.zeros((1, 50)))
 
 
 def test_epsilon_misaligned_lists_rejected(small_dictionary):
     samples = make_samples(small_dictionary, 2, 3, 4)
     with pytest.raises(DimensionMismatch):
-        epsilon_error(small_dictionary, signals_of(samples), np.zeros((1, 50)))
+        epsilon_error(small_dictionary, samples.signals, np.zeros((1, 50)))
 
 
 # -- coherence ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from deepmp.network import (
 )
 from deepmp.optim import adabound_step, init_adabound
 from deepmp.solvers import ProjectionMode, nnmp_solve, residual_step
-from deepmp.types import Sample, validate_dictionary
+from deepmp.types import validate_dictionary
 
 from conftest import random_unit_dictionary
 
@@ -126,7 +126,7 @@ def test_batched_infer_matches_per_sample(table_dictionary):
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=3, num_samples=40, seed=5)
     )
-    signals = np.stack([s.signal for s in samples])
+    signals = samples.signals
     supports, codes = batched_infer(model, signals)
     for row, code_row, s in zip(supports, codes, samples):
         ref = forward_infer(model, s.signal)
@@ -151,13 +151,7 @@ def test_inference_rejects_non_finite_signals(small_dictionary, bad):
 def test_single_sparse_sample_target_is_its_atom(small_dictionary):
     model = init_from_dictionary(small_dictionary, 1)
     j = 7
-    sample = Sample(
-        signal=0.6 * small_dictionary.atom(j),
-        true_support=np.array([j]),
-        true_coeffs=np.array([0.6]),
-        sparsity=1,
-    )
-    batch = build_training_batch(model, [sample])
+    batch = build_training_batch(model, [0.6 * small_dictionary.atom(j)], [[j]])
     assert batch.targets.tolist() == [[j]]
 
 
@@ -170,8 +164,9 @@ def test_softmax_outputs_normalized(table_dictionary):
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=3, num_samples=10, seed=8)
     )
-    for s in samples:
-        batch = build_training_batch(model, [s])
+    for b in range(len(samples)):
+        batch = build_training_batch(model, samples.signals[b:b + 1],
+                                     samples.supports[b:b + 1])
         _, grads = loss_and_gradient(model, batch)
         for k, g in enumerate(grads):
             assert g.shape == (30, 200)
@@ -188,13 +183,8 @@ def test_teacher_residual_vanishes_for_orthogonal_atoms():
     model = init_from_dictionary(d, 3)
     support = np.array([0, 1, 2])
     coeffs = np.array([0.9, 0.4, 0.2])
-    sample = Sample(
-        signal=d.atoms[:, support] @ coeffs,
-        true_support=support,
-        true_coeffs=coeffs,
-        sparsity=3,
-    )
-    batch = build_training_batch(model, [sample])
+    batch = build_training_batch(model, [d.atoms[:, support] @ coeffs],
+                                 [support])
     # oracle order: largest correlation first
     assert batch.targets.tolist() == [[0, 1, 2]]
     residuals = batch.signals
@@ -206,11 +196,11 @@ def test_teacher_residual_vanishes_for_orthogonal_atoms():
 
 def test_build_training_batch_rejects_sparsity_mismatch(small_dictionary):
     model = init_from_dictionary(small_dictionary, 2)
-    sample = sample_mixture(
+    mixtures = sample_mixture(
         small_dictionary, MixtureConfig(sparsity=3, num_samples=1, seed=1)
-    )[0]
+    )
     with pytest.raises(SparsityMismatch):
-        build_training_batch(model, [sample])
+        build_training_batch(model, mixtures.signals, mixtures.supports)
 
 
 def test_targets_are_a_permutation_of_support(table_dictionary):
@@ -218,9 +208,9 @@ def test_targets_are_a_permutation_of_support(table_dictionary):
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=4, num_samples=30, seed=21)
     )
-    batch = build_training_batch(model, samples)
-    for s, targets in zip(samples, batch.targets):
-        assert sorted(targets.tolist()) == sorted(s.true_support.tolist())
+    batch = build_training_batch(model, samples.signals, samples.supports)
+    for support, targets in zip(samples.supports, batch.targets):
+        assert sorted(targets.tolist()) == sorted(support.tolist())
 
 
 # -- loss and gradient ----------------------------------------------------------
@@ -232,7 +222,7 @@ def test_uniform_scores_give_log_n_per_layer(small_dictionary):
     samples = sample_mixture(
         small_dictionary, MixtureConfig(sparsity=1, num_samples=6, seed=3)
     )
-    batch = build_training_batch(model, samples)
+    batch = build_training_batch(model, samples.signals, samples.supports)
     loss, grads = loss_and_gradient(model, batch)
     assert loss == pytest.approx(np.log(50), abs=1e-12)
 
@@ -241,13 +231,11 @@ def test_one_hot_probability_gives_zero_loss_and_gradient(small_dictionary):
     model = init_from_dictionary(small_dictionary, 1)
     j = 11
     y = 0.7 * small_dictionary.atom(j)
-    sample = Sample(signal=y, true_support=np.array([j]),
-                    true_coeffs=np.array([0.7]), sparsity=1)
     # a huge score gap drives the softmax to an exact one-hot in float64
     w = np.zeros_like(model.selection_weights[0])
     w[:, j] = 1e4 * y / np.linalg.norm(y) ** 2
     model.selection_weights[0] = w
-    batch = build_training_batch(model, [sample])
+    batch = build_training_batch(model, [y], [[j]])
     loss, grads = loss_and_gradient(model, batch)
     assert loss == 0.0
     assert np.all(grads[0] == 0.0)
@@ -260,7 +248,8 @@ def test_loss_rejects_empty_batch(small_dictionary):
     with pytest.raises(EmptyBatch):
         loss_and_gradient(model, empty)
     with pytest.raises(EmptyBatch):
-        build_training_batch(model, [])
+        build_training_batch(model, np.zeros((0, 10)),
+                             np.zeros((0, 2), dtype=np.int64))
 
 
 def test_gradient_matches_finite_differences():
@@ -269,7 +258,7 @@ def test_gradient_matches_finite_differences():
     depth = 3
     model = random_model(rng, d, depth)
     samples = sample_mixture(d, MixtureConfig(sparsity=depth, num_samples=5, seed=9))
-    batch = build_training_batch(model, samples)
+    batch = build_training_batch(model, samples.signals, samples.supports)
     loss, grads = loss_and_gradient(model, batch)
     h = 1e-5
     for k in range(depth):
@@ -297,9 +286,7 @@ def test_single_class_problem_converges_to_its_atom():
     d = generate_synthetic_dictionary(6, 15, seed=50)
     model = init_from_dictionary(d, 1)
     j = 4
-    sample = Sample(signal=0.8 * d.atom(j), true_support=np.array([j]),
-                    true_coeffs=np.array([0.8]), sparsity=1)
-    batch = build_training_batch(model, [sample])
+    batch = build_training_batch(model, [0.8 * d.atom(j)], [[j]])
     state = init_adabound(model.selection_weights)
     for _ in range(200):
         _, grads = loss_and_gradient(model, batch)
@@ -308,7 +295,7 @@ def test_single_class_problem_converges_to_its_atom():
     # probability of the true atom at the signal
     loss, _ = loss_and_gradient(model, batch)
     p_j = np.exp(-loss)
-    assert int(np.argmax(model.selection_weights[0].T @ sample.signal)) == j
+    assert int(np.argmax(model.selection_weights[0].T @ batch.signals[0])) == j
     assert p_j > 0.9
 
 
@@ -320,7 +307,7 @@ def test_loss_decreases_after_one_adabound_step(table_dictionary):
             table_dictionary,
             MixtureConfig(sparsity=2, num_samples=64, seed=1000 + seed),
         )
-        batch = build_training_batch(model, samples)
+        batch = build_training_batch(model, samples.signals, samples.supports)
         before, grads = loss_and_gradient(model, batch)
         state = init_adabound(model.selection_weights)
         adabound_step(state, model.selection_weights, grads)

@@ -66,7 +66,7 @@ def test_kernel_rows_match_one_row_calls(table_dictionary):
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=3, num_samples=30, seed=4)
     )
-    signals = np.stack([s.signal for s in samples] + [np.zeros(30)])
+    signals = np.vstack([samples.signals, np.zeros(30)])
     supports, codes, residuals, paths = hard_max_pursuit(
         [atoms] * 3, atoms, signals, ProjectionMode.POSITIVE_ORTHANT
     )
@@ -380,7 +380,7 @@ def surrogate_dictionary():
 def test_nnomp_kernel_matches_per_row_oracle(table_dictionary, dictionary, k, num):
     d = table_dictionary if dictionary == "table" else surrogate_dictionary()
     samples = sample_mixture(d, MixtureConfig(sparsity=k, num_samples=num, seed=k))
-    signals = np.stack([s.signal for s in samples])
+    signals = samples.signals
     supports, codes, _, _ = nnomp_pursuit(d.atoms, signals, k)
     for row, code, y in zip(supports, codes, signals):
         selected, oracle = nnomp_oracle(d.atoms, y, k)
@@ -394,7 +394,7 @@ def test_nnomp_kernel_rows_match_one_row_calls(table_dictionary):
         table_dictionary, MixtureConfig(sparsity=4, num_samples=30, seed=8)
     )
     # an atom stops after one step on the residual floor, zeros at once
-    signals = np.stack([s.signal for s in samples] + [atoms[:, 7], np.zeros(30)])
+    signals = np.vstack([samples.signals, atoms[:, 7], np.zeros(30)])
     supports, codes, residuals, paths = nnomp_pursuit(atoms, signals, 4)
     for i, y in enumerate(signals):
         res = nnomp_solve(table_dictionary, y, 4)

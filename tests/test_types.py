@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deepmp.datagen import synthesize
 from deepmp.errors import (
-    DimensionMismatch,
     NegativeEntry,
     NotNormalized,
     NotOvercomplete,
@@ -15,7 +15,6 @@ from deepmp.types import (
     load_dictionary_csv,
     read_csv_matrix,
     save_dictionary_csv,
-    synthesize,
     validate_dictionary,
 )
 
@@ -56,16 +55,19 @@ def test_validated_atoms_are_frozen():
         d.atoms[0, 0] = 5.0
 
 
+# -- mixture synthesis: atoms[:, supports[b]] @ coeffs[b] per row b -------------
+
+
 def test_synthesize_unit_code_returns_atom():
     d = validate_dictionary(unit_2x3())
-    code = np.zeros(3)
-    code[1] = 1.0
-    assert np.array_equal(synthesize(d, code), d.atom(1))
+    signals = synthesize(d.atoms, np.array([[1]]), np.array([[1.0]]))
+    assert np.array_equal(signals[0], d.atom(1))
 
 
 def test_synthesize_zero_code():
     d = validate_dictionary(unit_2x3())
-    assert np.array_equal(synthesize(d, np.zeros(3)), np.zeros(2))
+    signals = synthesize(d.atoms, np.array([[0, 2]]), np.zeros((1, 2)))
+    assert np.array_equal(signals, np.zeros((1, 2)))
 
 
 def test_synthesize_matches_direct_summation_oracle():
@@ -73,30 +75,24 @@ def test_synthesize_matches_direct_summation_oracle():
     atoms = np.abs(rng.standard_normal((5, 20)))
     atoms /= np.linalg.norm(atoms, axis=0)
     d = validate_dictionary(atoms)
-    code = np.zeros(20)
-    code[2] = 0.5
-    code[7] = 0.25
     expected = 0.5 * atoms[:, 2] + 0.25 * atoms[:, 7]
-    assert np.allclose(synthesize(d, code), expected, atol=1e-15)
-
-
-def test_synthesize_rejects_wrong_length():
-    d = validate_dictionary(unit_2x3())
-    with pytest.raises(DimensionMismatch):
-        synthesize(d, np.zeros(4))
+    signals = synthesize(d.atoms, np.array([[2, 7]]), np.array([[0.5, 0.25]]))
+    assert np.allclose(signals[0], expected, atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-3, 3), st.floats(-3, 3))
 def test_synthesize_is_linear(seed, a, b):
+    # linear in the coefficients of a fixed support stack
     rng = np.random.default_rng(seed)
     atoms = np.abs(rng.standard_normal((6, 11)))
     atoms /= np.linalg.norm(atoms, axis=0)
     d = validate_dictionary(atoms)
-    x = rng.standard_normal(11)
-    z = rng.standard_normal(11)
-    lhs = synthesize(d, a * x + b * z)
-    rhs = a * synthesize(d, x) + b * synthesize(d, z)
+    supports = rng.integers(0, 11, size=(7, 4))
+    x = rng.standard_normal((7, 4))
+    z = rng.standard_normal((7, 4))
+    lhs = synthesize(d.atoms, supports, a * x + b * z)
+    rhs = a * synthesize(d.atoms, supports, x) + b * synthesize(d.atoms, supports, z)
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
