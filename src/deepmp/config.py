@@ -10,6 +10,7 @@ desk-scale runs without touching anything else.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -90,6 +91,17 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigError("val_fraction must be in [0, 1)")
+        for name in ("lr", "final_lr", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ConfigError(
+                f"epsilon must be finite and >= 0, got {self.epsilon}"
+            )
         return self
 
 
@@ -104,7 +116,8 @@ def parse_k_range(text: str) -> tuple[int, ...]:
             values = tuple(int(part) for part in text.split(","))
         else:
             values = (int(text),)
-    except ValueError:
+    # OverflowError: a range too long for a tuple's length
+    except (ValueError, OverflowError):
         raise ConfigError(f"cannot parse k_range {text!r}") from None
     if not values:
         raise ConfigError(f"empty k_range {text!r}")
@@ -147,7 +160,8 @@ _SCHEMA = {
 
 def load_config(path) -> RunConfig:
     """Parse an INI config; unknown sections or keys are rejected."""
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value (a path, say) is taken literally
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:

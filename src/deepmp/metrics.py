@@ -25,6 +25,7 @@ from .datagen import MixtureConfig, sample_mixture
 from .errors import (
     DimensionMismatch,
     MissingModel,
+    SparsityMismatch,
     ZeroColumn,
     ZeroSignal,
     ZeroSparsity,
@@ -152,7 +153,8 @@ def nnmp_runner(dictionary: Dictionary,
     atoms = dictionary.atoms
 
     def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        supports, codes, _, _ = hard_max_pursuit([atoms] * k, atoms, signals, proj)
+        stack = np.broadcast_to(atoms, (k, *atoms.shape))
+        supports, codes, _, _ = hard_max_pursuit(stack, atoms, signals, proj)
         return supports, codes
 
     return run
@@ -170,8 +172,16 @@ def nnomp_runner(dictionary: Dictionary) -> SweepSolver:
 
 
 def deepmp_runner(models: Mapping[int, UnfoldedModel]) -> SweepSolver:
-    """Dispatch to one trained model per sparsity level."""
+    """Dispatch to one trained model per sparsity level.
+
+    Raises SparsityMismatch when a model's depth differs from its level.
+    """
     models = dict(models)
+    for k, model in models.items():
+        if model.depth != k:
+            raise SparsityMismatch(
+                f"model for sparsity {k} has depth {model.depth}"
+            )
 
     def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if k not in models:

@@ -1,8 +1,8 @@
 """Unfolded pursuit network with trainable selection matrices.
 
-The model unrolls ``depth`` pursuit steps. Each step k owns a trainable
-selection matrix ``W_k`` of the dictionary's shape; inference is the shared
-kernel :func:`~deepmp.solvers.hard_max_pursuit` driven by the ``W_k``: it
+The model unrolls ``depth`` pursuit steps. Step k owns block ``W_k`` of one
+trainable (K, M, N) stack, each block of the dictionary's shape; inference is
+the kernel :func:`~deepmp.solvers.hard_max_pursuit` driven by the ``W_k``: it
 scores the residual with ``W_k.T @ r`` and hard-max picks the atom, while the
 residual update stays the fixed-dictionary rule of
 :func:`~deepmp.solvers.residual_step`. With every ``W_k`` initialized to the
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyBatch,
+    InputError,
     ParseError,
     ShapeMismatch,
     SparsityMismatch,
@@ -54,22 +55,22 @@ _MAGIC = b"DMP1"
 class UnfoldedModel:
     """K trainable selection matrices plus the fixed dictionary they unroll.
 
-    ``selection_weights[k]`` drives the atom choice at step k and is the only
-    trainable state; ``update_dict`` is used verbatim in every residual
-    update. Total trainable parameters: depth * signal_dim * num_atoms.
+    ``selection_weights`` is one (depth, signal_dim, num_atoms) stack, the
+    only trainable state; block k drives the atom choice at step k, and
+    ``update_dict`` is used verbatim in every residual update.
     """
 
-    selection_weights: list[np.ndarray]
+    selection_weights: np.ndarray
     update_dict: Dictionary
     proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT
 
     def __post_init__(self) -> None:
         shape = self.update_dict.atoms.shape
-        for k, w in enumerate(self.selection_weights):
-            if w.shape != shape:
-                raise ShapeMismatch(
-                    f"selection matrix {k} has shape {w.shape}, expected {shape}"
-                )
+        if self.selection_weights.shape[1:] != shape:
+            raise ShapeMismatch(
+                f"selection stack {self.selection_weights.shape} does not "
+                f"stack {shape} blocks"
+            )
 
     @property
     def depth(self) -> int:
@@ -83,17 +84,20 @@ class UnfoldedModel:
     def num_atoms(self) -> int:
         return self.update_dict.num_atoms
 
-    def parameter_count(self) -> int:
-        return sum(w.size for w in self.selection_weights)
+
+def _column_major(stack) -> np.ndarray:
+    """Copy of a (K, M, N) stack with column-major blocks, as the atoms are."""
+    return np.array(np.transpose(stack, (0, 2, 1)), order="C").transpose(0, 2, 1)
 
 
 def init_from_dictionary(dictionary: Dictionary, depth: int,
                          proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT
                          ) -> UnfoldedModel:
-    """Model whose every selection matrix is an independent copy of the dictionary."""
+    """Model whose every selection block is a copy of the dictionary."""
     if depth < 1:
         raise ZeroSparsity("depth must be >= 1")
-    weights = [np.array(dictionary.atoms, order="F") for _ in range(depth)]
+    atoms = dictionary.atoms
+    weights = _column_major(np.broadcast_to(atoms, (depth, *atoms.shape)))
     return UnfoldedModel(selection_weights=weights, update_dict=dictionary, proj=proj)
 
 
@@ -185,14 +189,15 @@ def build_training_batch(model: UnfoldedModel, signals,
 
 
 def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
-                      ) -> tuple[float, list[np.ndarray]]:
-    """Cross-entropy loss over all layers and its closed-form gradients.
+                      ) -> tuple[float, np.ndarray]:
+    """Cross-entropy loss over all layers and its closed-form gradient.
 
     Loss is the per-sample sum over live layers of -log softmax(target),
-    averaged over the batch; the gradient for layer k is therefore the batch
-    mean of outer(residual_k, softmax_k - onehot(target_k)), with samples
-    whose residual died before layer k contributing nothing. The teacher
-    residuals are replayed from the batch's stored targets.
+    averaged over the batch; the gradient, a stack like the weights, holds
+    in block k the batch mean of outer(residual_k, softmax_k -
+    onehot(target_k)), with samples whose residual died before layer k
+    contributing nothing. The teacher residuals are replayed from the batch's
+    stored targets.
     """
     batch_size = len(batch)
     if batch_size == 0:
@@ -209,7 +214,7 @@ def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
     residuals = batch.signals
     live = np.ones(batch_size, dtype=bool)
     loss = 0.0
-    grads = [np.zeros_like(w) for w in model.selection_weights]
+    grads = np.zeros_like(model.selection_weights)
     for k in range(model.depth):
         live = live & (np.linalg.norm(residuals, axis=1) >= RESIDUAL_FLOOR)
         if not live.any():
@@ -233,7 +238,8 @@ def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
 #
 # Flat little-endian binary container: magic "DMP1", then four uint32 fields
 # (depth, signal_dim, num_atoms, projection flag 0=identity 1=positive), then
-# depth row-major float64 selection matrices, then the dictionary matrix.
+# a row-major float64 (depth + 1, signal_dim, num_atoms) stack: the selection
+# matrices, then the dictionary matrix.
 
 
 def save_model(model: UnfoldedModel, path) -> None:
@@ -247,12 +253,18 @@ def save_model(model: UnfoldedModel, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for w in model.selection_weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.update_dict.atoms, dtype="<f8").tobytes())
+        fh.write(model.selection_weights.astype("<f8", copy=False).tobytes())
+        fh.write(model.update_dict.atoms.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path) -> UnfoldedModel:
+    """Read a model written by :func:`save_model`.
+
+    Raises ParseError naming the file when the header is malformed (bad
+    magic, depth 0, a projection flag other than 0 or 1), the size does not
+    match the header, a selection weight is not finite, or the dictionary
+    block fails :func:`~deepmp.types.validate_dictionary`.
+    """
     from .types import validate_dictionary
 
     with open(path, "rb") as fh:
@@ -265,22 +277,25 @@ def load_model(path) -> UnfoldedModel:
     )
     if magic != _MAGIC:
         raise ParseError(f"{path}: bad magic {magic!r}")
-    matrix_bytes = signal_dim * num_atoms * 8
-    expected = head + (depth + 1) * matrix_bytes
-    if len(blob) != expected:
+    if depth < 1:
+        raise ParseError(f"{path}: depth-{depth} model")
+    if proj_flag not in (0, 1):
+        raise ParseError(f"{path}: projection flag {proj_flag} is not 0 or 1")
+    count = (depth + 1) * signal_dim * num_atoms
+    if len(blob) != head + 8 * count:
         raise ParseError(
-            f"{path}: expected {expected} bytes for a depth-{depth} model, "
-            f"got {len(blob)}"
+            f"{path}: expected {head + 8 * count} bytes for a depth-{depth} "
+            f"model, got {len(blob)}"
         )
-    weights = []
-    offset = head
-    for _ in range(depth):
-        flat = np.frombuffer(blob, dtype="<f8", count=signal_dim * num_atoms,
-                             offset=offset)
-        weights.append(np.array(flat.reshape(signal_dim, num_atoms), order="F"))
-        offset += matrix_bytes
-    flat = np.frombuffer(blob, dtype="<f8", count=signal_dim * num_atoms,
-                         offset=offset)
-    dictionary = validate_dictionary(flat.reshape(signal_dim, num_atoms))
+    stack = np.frombuffer(blob, dtype="<f8", count=count, offset=head).reshape(
+        depth + 1, signal_dim, num_atoms
+    )
+    if not np.isfinite(stack[:depth]).all():
+        raise ParseError(f"{path}: non-finite selection weight")
+    try:
+        dictionary = validate_dictionary(stack[depth])
+    except InputError as exc:
+        raise ParseError(f"{path}: dictionary block: {exc}") from None
     proj = ProjectionMode.POSITIVE_ORTHANT if proj_flag else ProjectionMode.IDENTITY
-    return UnfoldedModel(selection_weights=weights, update_dict=dictionary, proj=proj)
+    return UnfoldedModel(selection_weights=_column_major(stack[:depth]),
+                         update_dict=dictionary, proj=proj)

@@ -1,4 +1,4 @@
-"""Bounded adaptive gradient steps for the selection matrices.
+"""Bounded adaptive gradient steps for the stack of selection matrices.
 
 Adam-style first/second moment estimates with bias correction, but the
 per-coordinate step size ``lr / sqrt(vhat + epsilon)`` is clamped into
@@ -31,14 +31,14 @@ class AdaBoundHyper:
 
 @dataclass
 class AdaBoundState:
-    """Per-parameter moment accumulators and the step counter.
+    """Moment accumulators shaped like the parameter stack, and the step counter.
 
     Single-writer: the training loop owns it exclusively. ``t`` advances by
     exactly one per step; second moments stay non-negative.
     """
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     hyper: AdaBoundHyper = field(default_factory=AdaBoundHyper)
 
@@ -46,8 +46,8 @@ class AdaBoundState:
 def init_adabound(params, hyper: AdaBoundHyper | None = None) -> AdaBoundState:
     hyper = hyper or AdaBoundHyper()
     return AdaBoundState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
         hyper=hyper,
     )
 
@@ -59,30 +59,26 @@ def step_bounds(hyper: AdaBoundHyper, t: int) -> tuple[float, float]:
     return lower, upper
 
 
-def adabound_step(state: AdaBoundState, params, grads):
-    """Advance every parameter in place by one bounded adaptive step.
+def adabound_step(state: AdaBoundState, params: np.ndarray, grads: np.ndarray):
+    """Advance a (K, ...) parameter stack in place by one bounded adaptive step.
 
     Returns ``(params, state)`` for chaining; both are mutated. Raises
     ShapeMismatch when params/grads/state disagree and NonFiniteGradient when
     any gradient entry is NaN or infinite.
     """
-    if len(params) != len(state.m) or len(grads) != len(state.m):
+    if params.shape != state.m.shape or grads.shape != state.m.shape:
         raise ShapeMismatch(
-            f"{len(params)} params / {len(grads)} grads for "
-            f"{len(state.m)} state slots"
+            f"params {params.shape} / grads {grads.shape} vs state "
+            f"{state.m.shape}"
         )
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != m.shape or g.shape != m.shape:
-            raise ShapeMismatch(
-                f"param {p.shape} / grad {g.shape} vs state {m.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("gradient contains NaN or Inf")
+    if not np.isfinite(grads).all():
+        raise NonFiniteGradient("gradient contains NaN or Inf")
     h = state.hyper
     t = state.t + 1
     lower, upper = step_bounds(h, t)
     bias1 = 1.0 - h.beta1 ** t
     bias2 = 1.0 - h.beta2 ** t
+    # block by block along axis 0: every temporary is one block in size
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= h.beta1
         m += (1.0 - h.beta1) * g

@@ -106,7 +106,9 @@ def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run ``len(selection_mats)`` pursuit steps on every row of a signal stack.
 
-    Step k scores each residual with ``selection_mats[k].T @ r`` and hard-max
+    ``selection_mats`` is a (depth, signal_dim, num_atoms) stack (the atoms
+    broadcast to every step for NNMP); step k scores each residual with
+    ``selection_mats[k].T @ r`` and hard-max
     picks the winner (ties go to the lowest index); the row then takes the
     fixed-dictionary update of :func:`residual_step`, so the subtracted
     coefficient is the winner's dictionary correlation whatever drove the
@@ -176,7 +178,8 @@ def nnmp_solve(dictionary: Dictionary, y, budget: int,
     if budget < 1:
         raise ZeroSparsity("budget must be >= 1")
     atoms = dictionary.atoms
-    return single_pursuit([atoms] * budget, atoms, y, proj)
+    stack = np.broadcast_to(atoms, (budget, *atoms.shape))
+    return single_pursuit(stack, atoms, y, proj)
 
 
 def _nnls_gram(grams: np.ndarray, rhs: np.ndarray, max_iter: int) -> np.ndarray:

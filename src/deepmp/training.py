@@ -123,7 +123,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     # they lead and later epochs could overwrite them
     best_epoch = -1
     best_recovery = _validation_recovery(model, val_supports, val_coeffs)
-    best_weights: list[np.ndarray] | None = None
+    best_weights: np.ndarray | None = None
 
     state = init_adabound(model.selection_weights, hyper)
     log_rows: list[TrainLogRow] = []
@@ -157,8 +157,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
         if num_val and val_recovery > best_recovery:
             best_epoch, best_recovery, best_weights = epoch, val_recovery, None
             if epoch + 1 < epochs:
-                best_weights = [w.copy(order="F")
-                                for w in model.selection_weights]
+                best_weights = model.selection_weights.copy(order="K")
 
     if not num_val or best_epoch == epochs - 1:
         return model, log_rows

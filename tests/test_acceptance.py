@@ -101,10 +101,7 @@ def test_criterion_2_gradient_oracle(acceptance_log):
     for _ in range(20):
         d = generate_synthetic_dictionary(6, 15, seed=rng.integers(2**63))
         depth = int(rng.integers(1, 4))
-        weights = [
-            np.asfortranarray(d.atoms + 0.3 * rng.standard_normal((6, 15)))
-            for _ in range(depth)
-        ]
+        weights = d.atoms + 0.3 * rng.standard_normal((depth, 6, 15))
         model = UnfoldedModel(selection_weights=weights, update_dict=d)
         samples = sample_mixture(
             d, MixtureConfig(sparsity=depth, num_samples=5,

@@ -1,12 +1,17 @@
 import json
 import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deepmp import training
 from deepmp.cli import blob_hash, main
-from deepmp.config import RunConfig, load_config, parse_k_range
+from deepmp.config import _SCHEMA, RunConfig, load_config, parse_k_range
 from deepmp.datagen import sample_mixture
 from deepmp.errors import ConfigError, EmptyInput
 from deepmp.metrics import hamming_complement
@@ -86,6 +91,50 @@ def test_config_rejects_bad_values(tmp_path):
     path.write_text("[dictionary]\nsignal_dim = 100\nnum_atoms = 50\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+no_newline = st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters="\r\n")
+ini_values = st.one_of(
+    st.text(no_newline, max_size=12),
+    st.integers(-3, 300).map(str),
+    st.floats().map(repr),
+    # k ranges: short ones, and ones too long for a tuple's length; lengths
+    # in between would be built in memory, so they are left out
+    st.tuples(st.integers(-2, 8),
+              st.one_of(st.integers(-2, 8), st.integers(2**63, 2**80))
+              ).map("{0[0]}-{0[1]}".format),
+    st.sampled_from(["positive", "identity", "synthetic", "surrogate", "raman",
+                     "1,2,4", "50%", "%(seed)s", "", "0.5"]),
+)
+ini_lines = st.one_of(
+    st.tuples(st.sampled_from([key for keys in _SCHEMA.values() for key in keys]
+                              + ["bogus"]),
+              st.sampled_from([" = ", "=", ": "]), ini_values).map("".join),
+    st.text(no_newline, max_size=20),
+)
+ini_sections = st.tuples(
+    st.sampled_from([*_SCHEMA, "DEFAULT", "nope"]).map("[{}]".format),
+    st.lists(ini_lines, max_size=4),
+).map(lambda section: "\n".join([section[0], *section[1]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(ini_sections, max_size=4).map("\n".join),
+                 st.text(max_size=80)))
+@example("[run]\nout_dir = runs/o50%\n")
+@example("[training]\nlr = nan\n")
+@example("[training]\nk_range = 1-99999999999999999999\n")
+def test_load_config_returns_valid_config_or_raises_config_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            config = load_config(path)
+        except ConfigError:
+            return
+    assert isinstance(config, RunConfig)
+    assert config.validate() is config
 
 
 # -- training loop ------------------------------------------------------------
@@ -217,8 +266,7 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
 
     model = init_from_dictionary(dictionary, depth)
     state = init_adabound(model.selection_weights)
-    candidates = [([w.copy() for w in model.selection_weights],
-                   recovery(model))]
+    candidates = [(model.selection_weights.copy(), recovery(model))]
     rows = []
     for epoch in range(epochs):
         loss_total = 0.0
@@ -238,8 +286,7 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
         val_recovery = recovery(model)
         rows.append((epoch, (loss_total / num_train).hex(),
                      val_recovery.hex()))
-        candidates.append(([w.copy() for w in model.selection_weights],
-                           val_recovery))
+        candidates.append((model.selection_weights.copy(), val_recovery))
     if len(val_truth):
         best = 0
         for j, (_, score) in enumerate(candidates):
@@ -387,6 +434,39 @@ def test_cli_eval_without_models_exits_2(tmp_path, capsys):
     assert run_cli(base + ["gen-dict"]) == 0
     assert run_cli(base + ["eval"]) == 2
     assert "MissingModel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "lr = nan", "lr = 0", "final_lr = -0.1", "final_lr = inf", "gamma = 0",
+    "gamma = nan", "beta1 = 1.0", "beta1 = -0.1", "beta2 = nan",
+    "epsilon = -1e-8", "epsilon = inf", "lr = 5%",
+])
+def test_cli_bad_optimizer_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[training]\n{line}\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path / "r", "gen-dict"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+
+
+def test_cli_percent_in_a_config_value_is_literal(tmp_path):
+    out = tmp_path / "o50%"
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text(f"[run]\nout_dir = {out}\n")
+    assert run_cli(["--config", cfg, "--scale", 0.002, "gen-dict"]) == 0
+    assert (out / "dictionary.csv").exists()
+
+
+def test_cli_eval_model_of_another_depth_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    assert run_cli(base + ["gen-dict"]) == 0
+    assert run_cli(base + ["train"]) == 0
+    shutil.copy(out / "models" / "model_k1.dmp", out / "models" / "model_k2.dmp")
+    capsys.readouterr()
+    assert run_cli(base + ["eval"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "SparsityMismatch" in errors[0]
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from deepmp.datagen import MixtureConfig, sample_mixture
 from deepmp.errors import (
     DimensionMismatch,
     MissingModel,
+    SparsityMismatch,
     ZeroColumn,
     ZeroSignal,
     ZeroSparsity,
@@ -260,6 +261,13 @@ def test_sweep_missing_model_raises(small_dictionary):
     solvers = {"deepmp": deepmp_runner({1: init_from_dictionary(small_dictionary, 1)})}
     with pytest.raises(MissingModel):
         run_sweep(small_dictionary, solvers, [1, 2], num_test=10, seed=3)
+
+
+def test_deepmp_runner_rejects_model_of_another_depth(small_dictionary):
+    # a depth-2 model at sparsity 3 would run and score well below NNMP
+    with pytest.raises(SparsityMismatch):
+        deepmp_runner({1: init_from_dictionary(small_dictionary, 1),
+                       3: init_from_dictionary(small_dictionary, 2)})
 
 
 def test_nnomp_perfect_recovery_implies_tiny_epsilon(table_dictionary):

@@ -1,3 +1,7 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,10 +34,7 @@ from conftest import random_unit_dictionary
 
 
 def random_model(rng, d, depth, noise=0.3):
-    weights = [
-        np.asfortranarray(d.atoms + noise * rng.standard_normal(d.atoms.shape))
-        for _ in range(depth)
-    ]
+    weights = d.atoms + noise * rng.standard_normal((depth, *d.atoms.shape))
     return UnfoldedModel(selection_weights=weights, update_dict=d)
 
 
@@ -53,7 +54,7 @@ def test_init_copies_dictionary(small_dictionary):
 def test_parameter_count_is_depth_times_dims(small_dictionary):
     for depth in (1, 2, 5):
         model = init_from_dictionary(small_dictionary, depth)
-        assert model.parameter_count() == depth * 10 * 50
+        assert model.selection_weights.size == depth * 10 * 50
 
 
 def test_init_rejects_zero_depth(small_dictionary):
@@ -62,10 +63,10 @@ def test_init_rejects_zero_depth(small_dictionary):
 
 
 def test_parameter_count_linear_in_depth(small_dictionary):
-    base = init_from_dictionary(small_dictionary, 1).parameter_count()
+    base = init_from_dictionary(small_dictionary, 1).selection_weights.size
     for depth in range(2, 7):
         model = init_from_dictionary(small_dictionary, depth)
-        assert model.parameter_count() == depth * base
+        assert model.selection_weights.size == depth * base
 
 
 def test_init_equivalence_with_nnmp_bitwise(table_dictionary):
@@ -348,3 +349,127 @@ def test_model_file_magic_and_truncation(tmp_path, small_dictionary):
     wrong.write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(ParseError):
         load_model(wrong)
+
+
+def test_model_file_rejects_depth_zero_bad_flag_nan_weight_and_bad_dictionary(
+        tmp_path, small_dictionary):
+    model = init_from_dictionary(small_dictionary, 2)
+    path = tmp_path / "model.dmp"
+    save_model(model, path)
+    blob = path.read_bytes()
+    head, block = 20, 10 * 50 * 8
+    nan = struct.pack("<d", np.nan)
+    cases = {
+        # a well-sized depth-0 file: the header and the dictionary block only
+        "depth0": blob[:4] + struct.pack("<I", 0) + blob[8:head]
+        + blob[head + 2 * block:],
+        "flag7": blob[:16] + struct.pack("<I", 7) + blob[head:],
+        "nanweight": blob[:head + 8] + nan + blob[head + 16:],
+        # the first dictionary entry raised: its column is no longer unit-norm
+        "dictionary": blob[:head + 2 * block]
+        + struct.pack("<d", small_dictionary.atoms[0, 0] + 0.5)
+        + blob[head + 2 * block + 8:],
+    }
+    for name, data in cases.items():
+        assert len(data) == len(blob) - (2 * block if name == "depth0" else 0)
+        bad = tmp_path / f"{name}.dmp"
+        bad.write_bytes(data)
+        with pytest.raises(ParseError) as excinfo:
+            load_model(bad)
+        assert str(bad) in str(excinfo.value), name
+
+
+def saved_model_bytes(seed, depth, signal_dim, extra_atoms, positive):
+    """A random model with its file bytes, written and read back in a temp dir."""
+    rng = np.random.default_rng(seed)
+    num_atoms = signal_dim + extra_atoms
+    d = validate_dictionary(random_unit_dictionary(rng, signal_dim, num_atoms))
+    model = UnfoldedModel(
+        selection_weights=rng.standard_normal((depth, signal_dim, num_atoms)),
+        update_dict=d,
+        proj=(ProjectionMode.POSITIVE_ORTHANT if positive
+              else ProjectionMode.IDENTITY),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.dmp"
+        save_model(model, path)
+        return model, path.read_bytes()
+
+
+def load_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.dmp"
+        path.write_bytes(data)
+        return load_model(path)
+
+
+model_shapes = dict(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 4),
+                    signal_dim=st.integers(1, 5), extra_atoms=st.integers(1, 5),
+                    positive=st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(**model_shapes)
+def test_model_file_save_load_is_bit_identical(seed, depth, signal_dim,
+                                               extra_atoms, positive):
+    model, blob = saved_model_bytes(seed, depth, signal_dim, extra_atoms,
+                                    positive)
+    loaded = load_bytes(blob)
+    assert loaded.proj is model.proj
+    assert loaded.selection_weights.shape == model.selection_weights.shape
+    assert (loaded.selection_weights.tobytes()
+            == model.selection_weights.tobytes())
+    assert loaded.update_dict.atoms.tobytes() == model.update_dict.atoms.tobytes()
+    # blocks come back column-major, the layout the atoms have
+    assert all(w.flags.f_contiguous for w in loaded.selection_weights)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "again.dmp"
+        save_model(loaded, path)
+        assert path.read_bytes() == blob
+
+
+HEADER_FIELDS = {"depth": 4, "signal_dim": 8, "num_atoms": 12, "flag": 16}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), **model_shapes)
+def test_damaged_model_files_raise_parse_error(data, seed, depth, signal_dim,
+                                               extra_atoms, positive):
+    # damage: any truncation or extension; any other magic; any other depth,
+    # signal_dim or num_atoms; a projection flag above 1; a non-finite
+    # selection weight; a dictionary entry made non-finite or moved by at
+    # least 0.01, which moves its column norm off 1 by more than NORM_TOL
+    model, blob = saved_model_bytes(seed, depth, signal_dim, extra_atoms,
+                                    positive)
+    head = 20
+    dict_start = head + depth * model.selection_weights[0].nbytes
+    damage = data.draw(st.sampled_from(
+        ["truncate", "extend", "magic", *HEADER_FIELDS, "weight", "dictionary"]
+    ))
+    if damage == "truncate":
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif damage == "extend":
+        damaged = blob + data.draw(st.binary(min_size=1, max_size=16))
+    elif damage == "magic":
+        magic = data.draw(st.binary(min_size=4, max_size=4)
+                          .filter(lambda b: b != b"DMP1"))
+        damaged = magic + blob[4:]
+    elif damage in HEADER_FIELDS:
+        at = HEADER_FIELDS[damage]
+        (old,) = struct.unpack_from("<I", blob, at)
+        low = 2 if damage == "flag" else 0
+        value = data.draw(st.integers(low, 2**32 - 1).filter(lambda v: v != old))
+        damaged = blob[:at] + struct.pack("<I", value) + blob[at + 4:]
+    else:
+        start, stop = (head, dict_start) if damage == "weight" else (
+            dict_start, len(blob))
+        at = start + 8 * data.draw(st.integers(0, (stop - start) // 8 - 1))
+        (old,) = struct.unpack_from("<d", blob, at)
+        bad_values = st.sampled_from([np.nan, np.inf, -np.inf])
+        if damage == "dictionary":
+            bad_values = st.one_of(bad_values, st.floats(0.01, 10.0).flatmap(
+                lambda step: st.sampled_from([old + step, old - step])))
+        damaged = (blob[:at] + struct.pack("<d", data.draw(bad_values))
+                   + blob[at + 8:])
+    with pytest.raises(ParseError):
+        load_bytes(damaged)

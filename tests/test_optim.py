@@ -11,10 +11,10 @@ from deepmp.optim import (
 
 
 def test_zero_gradient_leaves_params_unchanged():
-    params = [np.full((3, 4), 0.5), np.ones((2, 2))]
+    params = np.stack([np.full((3, 4), 0.5), np.ones((3, 4))])
     state = init_adabound(params)
-    before = [p.copy() for p in params]
-    adabound_step(state, params, [np.zeros((3, 4)), np.zeros((2, 2))])
+    before = params.copy()
+    adabound_step(state, params, np.zeros((2, 3, 4)))
     assert state.t == 1
     for p, b in zip(params, before):
         assert np.array_equal(p, b)
@@ -48,9 +48,9 @@ def scalar_oracle(g, t, hyper):
 
 def test_single_scalar_matches_oracle_transcription():
     hyper = AdaBoundHyper()
-    params = [np.zeros((1, 1))]
+    params = np.zeros((1, 1, 1))
     state = init_adabound(params, hyper)
-    grads = [np.ones((1, 1))]
+    grads = np.ones((1, 1, 1))
     adabound_step(state, params, grads)
     assert params[0][0, 0] == pytest.approx(scalar_oracle(1.0, 1, hyper), rel=1e-14)
     adabound_step(state, params, grads)
@@ -61,12 +61,12 @@ def test_single_scalar_matches_oracle_transcription():
 def test_effective_step_size_respects_clip_sandwich():
     rng = np.random.default_rng(6)
     hyper = AdaBoundHyper()
-    params = [np.asfortranarray(rng.standard_normal((5, 7)))]
+    params = rng.standard_normal((1, 5, 7))
     state = init_adabound(params, hyper)
     for _ in range(30):
         grad = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-4, 3)
         before = params[0].copy()
-        adabound_step(state, params, [grad])
+        adabound_step(state, params, grad[None])
         mhat = state.m[0] / (1 - hyper.beta1 ** state.t)
         delta = before - params[0]
         lower, upper = step_bounds(hyper, state.t)
@@ -83,14 +83,14 @@ def test_large_t_limit_approaches_sgd_at_final_lr():
     # 1 / (gamma * (t + 1)) ~ 1e-4 relative from plain SGD at final_lr
     hyper = AdaBoundHyper()
     g = np.full((2, 3), 0.7)
-    params = [np.zeros((2, 3))]
+    params = np.zeros((1, 2, 3))
     state = init_adabound(params, hyper)
-    state.m = [g.copy()]
-    state.v = [g * g]
+    state.m = g[None].copy()
+    state.v = (g * g)[None]
     t = 10**7
     state.t = t
     before = params[0].copy()
-    adabound_step(state, params, [g])
+    adabound_step(state, params, g[None])
     delta = before - params[0]
     expected = hyper.final_lr * (1 - 1 / (hyper.gamma * (t + 1) + 1)) * g
     assert np.allclose(delta, expected, rtol=1e-12, atol=0.0)
@@ -100,30 +100,30 @@ def test_large_t_limit_approaches_sgd_at_final_lr():
 
 def test_second_moment_stays_nonnegative_and_t_increments():
     rng = np.random.default_rng(3)
-    params = [rng.standard_normal((4, 4))]
+    params = rng.standard_normal((1, 4, 4))
     state = init_adabound(params)
     for expected_t in range(1, 6):
-        adabound_step(state, params, [rng.standard_normal((4, 4))])
+        adabound_step(state, params, rng.standard_normal((1, 4, 4)))
         assert state.t == expected_t
         assert np.all(state.v[0] >= 0.0)
 
 
 def test_shape_mismatch_rejected():
-    params = [np.zeros((2, 2))]
+    params = np.zeros((1, 2, 2))
     state = init_adabound(params)
     with pytest.raises(ShapeMismatch):
-        adabound_step(state, params, [np.zeros((2, 3))])
+        adabound_step(state, params, np.zeros((1, 2, 3)))
     with pytest.raises(ShapeMismatch):
-        adabound_step(state, params, [np.zeros((2, 2)), np.zeros((2, 2))])
+        adabound_step(state, params, np.zeros((2, 2, 2)))
 
 
 def test_non_finite_gradient_rejected():
-    params = [np.zeros((2, 2))]
+    params = np.zeros((1, 2, 2))
     state = init_adabound(params)
-    bad = np.zeros((2, 2))
-    bad[0, 0] = np.nan
+    bad = np.zeros((1, 2, 2))
+    bad[0, 0, 0] = np.nan
     with pytest.raises(NonFiniteGradient):
-        adabound_step(state, params, [bad])
-    bad[0, 0] = np.inf
+        adabound_step(state, params, bad)
+    bad[0, 0, 0] = np.inf
     with pytest.raises(NonFiniteGradient):
-        adabound_step(state, params, [bad])
+        adabound_step(state, params, bad)

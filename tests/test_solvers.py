@@ -68,7 +68,8 @@ def test_kernel_rows_match_one_row_calls(table_dictionary):
     )
     signals = np.vstack([samples.signals, np.zeros(30)])
     supports, codes, residuals, paths = hard_max_pursuit(
-        [atoms] * 3, atoms, signals, ProjectionMode.POSITIVE_ORTHANT
+        np.broadcast_to(atoms, (3, *atoms.shape)), atoms, signals,
+        ProjectionMode.POSITIVE_ORTHANT
     )
     for i, y in enumerate(signals):
         res = nnmp_solve(table_dictionary, y, 3)
