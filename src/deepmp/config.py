@@ -85,6 +85,8 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if self.epochs < -1:
+            raise ConfigError(f"epochs must be >= -1, got {self.epochs}")
         for name in ("num_train_samples", "batch_size", "z_test",
                      "shard_size", "ecdf_grid_points"):
             if getattr(self, name) < 1:
@@ -168,6 +170,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    # [DEFAULT] is unknown too; configparser would merge its keys into
+    # every other section
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [DEFAULT]")
     values: dict[str, object] = {}
     for section in parser.sections():
         if section not in _SCHEMA:

@@ -78,13 +78,19 @@ def adabound_step(state: AdaBoundState, params: np.ndarray, grads: np.ndarray):
     lower, upper = step_bounds(h, t)
     bias1 = 1.0 - h.beta1 ** t
     bias2 = 1.0 - h.beta2 ** t
-    # block by block along axis 0: every temporary is one block in size
+    # block by block along axis 0; two scratch arrays laid out like a block
+    # hold every temporary, so the step allocates nothing else
+    step, mhat = np.empty_like(params[0]), np.empty_like(params[0])
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= h.beta1
-        m += (1.0 - h.beta1) * g
+        m += np.multiply(1.0 - h.beta1, g, out=step)
         v *= h.beta2
-        v += (1.0 - h.beta2) * np.square(g)
-        step_size = np.clip(h.lr / np.sqrt(v / bias2 + h.epsilon), lower, upper)
-        p -= step_size * (m / bias1)
+        v += np.multiply(1.0 - h.beta2, np.square(g, out=step), out=step)
+        # step = clip(lr / sqrt(v / bias2 + epsilon), lower, upper)
+        np.divide(v, bias2, out=step)
+        step += h.epsilon
+        np.divide(h.lr, np.sqrt(step, out=step), out=step)
+        np.clip(step, lower, upper, out=step)
+        p -= np.multiply(step, np.divide(m, bias1, out=mhat), out=step)
     state.t = t
     return params, state

@@ -182,23 +182,25 @@ def nnmp_solve(dictionary: Dictionary, y, budget: int,
     return single_pursuit(stack, atoms, y, proj)
 
 
-def _nnls_gram(grams: np.ndarray, rhs: np.ndarray, max_iter: int) -> np.ndarray:
+def _nnls_gram(grams: np.ndarray, rhs: np.ndarray, x: np.ndarray,
+               max_iter: int) -> np.ndarray:
     """Active-set (Lawson-Hanson) NNLS of every row of a stack of Gram systems.
 
     Row b minimizes ``||A_b @ x - y_b||_2`` over ``x >= 0`` given only
     ``grams[b] = A_b.T @ A_b`` (n, n) and ``rhs[b] = A_b.T @ y_b`` (n,). Each
-    row starts from x = 0 and runs on its own; every inner step solves the
-    passive subsystems of all rows still iterating with one
-    ``np.linalg.solve``, a row's non-passive rows and columns replaced by the
-    identity (with a zero right-hand side) so every system keeps shape (n, n).
-    Returns the (rows, n) solutions.
+    row starts from its row of ``x`` (rows, n), passive where ``x > 0``: zero
+    or the least-squares solution on those columns, as an earlier solve
+    leaves it. Rows run on their own; every inner step solves the passive
+    subsystems of all rows still iterating with one ``np.linalg.solve``, a
+    row's non-passive rows and columns replaced by the identity (with a zero
+    right-hand side) so every system keeps shape (n, n). The solutions
+    overwrite ``x``, which is returned.
 
-    Raises MaxIterationsExceeded once any row passes ``max_iter`` iterations,
-    counting both insertions and backtracks.
+    Raises MaxIterationsExceeded once any row passes ``max_iter`` iterations
+    from its start, counting both insertions and backtracks.
     """
     rows, n = rhs.shape
-    x = np.zeros((rows, n))
-    passive = np.zeros((rows, n), dtype=bool)
+    passive = x > 0.0
     iterations = np.zeros(rows, dtype=np.int64)
     grad_tol = 1e-12 * np.maximum(1.0, np.abs(rhs).max(axis=1, initial=0.0))
     eye = np.eye(n)
@@ -249,8 +251,9 @@ def nnls_active_set(columns, target, max_iter: int | None = None) -> np.ndarray:
     coordinates and non-negative on zero coordinates. A one-row call of the
     Gram-form solver that :func:`nnomp_pursuit` runs on every row.
 
-    Raises MaxIterationsExceeded past the iteration cap (default three times
-    the number of columns, counting both insertions and backtracks).
+    Starts from x = 0. Raises MaxIterationsExceeded past the iteration cap
+    (default three times the number of columns, counting both insertions and
+    backtracks).
     """
     a = np.asarray(columns, dtype=np.float64)
     b = np.asarray(target, dtype=np.float64)
@@ -259,7 +262,8 @@ def nnls_active_set(columns, target, max_iter: int | None = None) -> np.ndarray:
             f"incompatible shapes {a.shape} and {b.shape} for NNLS"
         )
     cap = 3 * a.shape[1] if max_iter is None else max_iter
-    return _nnls_gram((a.T @ a)[None], (a.T @ b)[None], cap)[0]
+    x = np.zeros((1, a.shape[1]))
+    return _nnls_gram((a.T @ a)[None], (a.T @ b)[None], x, cap)[0]
 
 
 def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
@@ -274,12 +278,16 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
     by Lawson-Hanson NNLS on its own s x s Gram system (s <= budget), kept
     per row and grown by one row and column ``<d_j, d_new>`` per step; the
     right-hand side ``<d_j, y>`` is computed for the new column only. The
-    residual ``y - sum_j x_j d_{S_j}`` is rebuilt one support column at a
-    time, so no (batch, signal_dim, s) stack of columns is ever gathered.
+    refit starts from the row's previous coefficients, the new column at 0
+    and the positive ones passive, so a step that drops no coefficient
+    makes one solve, not one per selected atom; the result is the solve on
+    the final passive set either way. The residual ``y - sum_j x_j d_{S_j}``
+    is rebuilt one support column at a time, so no (batch, signal_dim, s)
+    stack of columns is ever gathered.
 
     Returns ``(supports, codes, residuals, norm_paths)`` in the layout of
     :func:`hard_max_pursuit`. Raises MaxIterationsExceeded when a refit
-    passes three times its column count in iterations.
+    passes three times its column count in iterations from its warm start.
     """
     signals = check_signals(signals, atoms.shape[0])
     batch = signals.shape[0]
@@ -311,8 +319,9 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
             for j in range(k + 1):
                 grams[rows, j, k] = grams[rows, k, j] = np.einsum(
                     "bm,bm->b", atoms_t[support[:, j]], new)
+            # warm start: the previous refit, 0 at the new column
             x = _nnls_gram(grams[rows, :k + 1, :k + 1], rhs[rows, :k + 1],
-                           3 * (k + 1))
+                           codes[rows[:, None], support], 3 * (k + 1))
             codes[rows[:, None], support] = x
             for j in range(k + 1):
                 refit -= x[:, j, None] * atoms_t[support[:, j]]

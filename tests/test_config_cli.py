@@ -476,6 +476,25 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, named", [
+    # -1 is the only negative value: it picks the source's default length
+    ("[training]\nepochs = -5\n", "epochs"),
+    ("[training]\nepochs = -2\n", "epochs"),
+    # configparser would merge [DEFAULT] keys into every other section
+    ("[DEFAULT]\nbogus = 1\n", "[DEFAULT]"),
+    ("[DEFAULT]\nlr = 0.5\n[training]\nepochs = 1\n[evaluation]\nz_test = 3\n",
+     "[DEFAULT]"),
+], ids=["epochs=-5", "epochs=-2", "default-alone", "default-beside-sections"])
+def test_cli_bad_config_names_its_fault_and_exits_2(tmp_path, capsys, text,
+                                                     named):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run_cli(["--config", cfg, "--out", tmp_path / "r", "gen-dict"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert named in errors[0]
+
+
 def cli_error_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines()
             if line.startswith("error:")]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,20 @@ def test_non_finite_gradient_rejected():
     bad[0, 0, 0] = np.inf
     with pytest.raises(NonFiniteGradient):
         adabound_step(state, params, bad)
+
+
+def test_step_allocates_at_most_two_blocks():
+    # column-major blocks, as the model lays them out
+    rng = np.random.default_rng(3)
+    params = rng.standard_normal((4, 150, 120)).transpose(0, 2, 1)
+    grads = rng.standard_normal((4, 150, 120)).transpose(0, 2, 1)
+    state = init_adabound(params)
+    block = params[0].nbytes
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            adabound_step(state, params, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block + 64 * 1024

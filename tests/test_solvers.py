@@ -18,6 +18,7 @@ from deepmp.errors import (
 )
 from deepmp.solvers import (
     ProjectionMode,
+    _nnls_gram,
     hard_max_pursuit,
     nnls_active_set,
     nnmp_solve,
@@ -434,3 +435,101 @@ def test_nnomp_kernel_properties(seed):
         grad = a.T @ (a @ x - y)
         assert np.all(grad[x == 0.0] >= -1e-8)
         assert np.all(np.abs(grad[x > 0.0]) <= 1e-8)
+
+
+# -- warm-started refits ----------------------------------------------------------
+
+
+def cold_refits(atoms, signals, supports):
+    """Each row's NNLS on its support, from x = 0, on the kernel's Gram system.
+
+    The Gram entries and right-hand sides are built with the kernel's own
+    ``einsum`` calls, entry (j, i) for j <= i as the product with atom i.
+    """
+    atoms_t = np.ascontiguousarray(atoms.T)
+    rows, n = supports.shape
+    grams = np.zeros((rows, n, n))
+    rhs = np.zeros((rows, n))
+    for i in range(n):
+        new = atoms_t[supports[:, i]]
+        rhs[:, i] = np.einsum("bm,bm->b", signals, new)
+        for j in range(i + 1):
+            grams[:, j, i] = grams[:, i, j] = np.einsum(
+                "bm,bm->b", atoms_t[supports[:, j]], new)
+    return _nnls_gram(grams, rhs, np.zeros((rows, n)), 3 * n)
+
+
+def assert_warm_equals_cold(atoms, signals, budget):
+    """Every level's codes equal a cold-start refit bit for bit.
+
+    Returns the number of (level, row) refits that ended with a selected
+    coefficient at zero, which only a backtrack leaves.
+    """
+    dropped = 0
+    for k in range(1, budget + 1):
+        supports, codes, _, _ = nnomp_pursuit(atoms, signals, k)
+        full = np.flatnonzero(supports[:, -1] >= 0)
+        support = supports[full]
+        warm = codes[full[:, None], support]
+        assert warm.tobytes() == \
+            cold_refits(atoms, signals[full], support).tobytes()
+        dropped += int((warm == 0.0).any(axis=1).sum())
+    return dropped
+
+
+@pytest.mark.parametrize("dictionary, k, num", [
+    ("table", 7, 400),
+    ("surrogate", 6, 150),
+])
+def test_warm_refits_equal_cold_refits(table_dictionary, dictionary, k, num):
+    d = table_dictionary if dictionary == "table" else surrogate_dictionary()
+    signals = sample_mixture(
+        d, MixtureConfig(sparsity=k, num_samples=num, seed=k)).signals
+    # signed signals make more refits drop a coefficient
+    rng = np.random.default_rng(k)
+    signed = rng.standard_normal((num, d.atoms.shape[0]))
+    assert assert_warm_equals_cold(d.atoms, np.vstack([signals, signed]), k) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_warm_refits_equal_cold_refits_on_random_dictionaries(seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(5, 20))
+    cols = int(rng.integers(rows + 1, 60))
+    atoms = random_unit_dictionary(rng, rows, cols)
+    batch = int(rng.integers(1, 40))
+    signals = np.abs(rng.standard_normal((batch, rows)))
+    assert_warm_equals_cold(atoms, signals, int(rng.integers(1, 6)))
+
+
+@pytest.mark.parametrize("budget", [2, 3, 5])
+def test_refits_without_backtracks_make_one_solve_per_step(monkeypatch, budget):
+    # orthonormal atoms and positive codes: every refit is exact and positive,
+    # so a step's refit inserts its new column and solves once (a refit from
+    # x = 0 would re-insert every selected column, one solve each)
+    rng = np.random.default_rng(budget)
+    atoms = np.linalg.qr(rng.standard_normal((12, 12)))[0][:, :8]
+    codes = rng.uniform(0.5, 2.0, size=(20, 8))
+    codes[rng.random((20, 8)) < 0.3] = 0.0
+    signals = codes @ atoms.T
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append(a.shape[0]) or solve(a, b))
+    supports, out, _, _ = nnomp_pursuit(atoms, signals, budget)
+    assert len(calls) == budget
+    picked = supports >= 0
+    assert np.all(out[np.arange(20)[:, None], supports][picked] > 0.0)
+
+
+def test_warm_start_counts_only_its_own_iterations():
+    # from x = 0 the same problem raises (test_nnls_iteration_cap_raises)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 3))
+    b = rng.standard_normal(6)
+    grams, rhs = (a.T @ a)[None], (a.T @ b)[None]
+    solution = nnls_active_set(a, b)
+    # started at its solution, a refit has nothing left to do
+    warm = _nnls_gram(grams, rhs, solution[None].copy(), 0)
+    assert warm[0].tobytes() == solution.tobytes()
