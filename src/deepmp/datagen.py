@@ -238,9 +238,15 @@ def read_dataset_meta(directory) -> dict:
 
 
 def iter_dataset(directory):
-    """Stream samples back from CSV shards, in written order."""
+    """Stream samples back from CSV shards, in written order.
+
+    Raises ParseError naming the file and row when a row does not parse, its
+    signal does not have the sidecar's ``signal_dim`` values, or its atom
+    indices are not ``k`` distinct indices in ``[0, num_atoms)``.
+    """
     meta = read_dataset_meta(directory)
     k = int(meta["k"])
+    signal_dim, num_atoms = int(meta["signal_dim"]), int(meta["num_atoms"])
     shards = sorted(
         f for f in os.listdir(directory)
         if f.startswith("shard_") and f.endswith(".csv")
@@ -260,5 +266,16 @@ def iter_dataset(directory):
                     signal = np.array([float(v) for v in cells[k:]])
                 except (ValueError, IndexError):
                     raise ParseError(f"{path}: row {lineno} is malformed") from None
+                if signal.size != signal_dim:
+                    raise ParseError(
+                        f"{path}: row {lineno} has {signal.size} signal "
+                        f"values, not {signal_dim}"
+                    )
+                if (np.unique(support).size != k or support.min() < 0
+                        or support.max() >= num_atoms):
+                    raise ParseError(
+                        f"{path}: row {lineno} atoms {support.tolist()} are "
+                        f"not {k} distinct indices in [0, {num_atoms})"
+                    )
                 yield Sample(signal=signal, true_support=support,
                              true_coeffs=coeffs)

@@ -195,9 +195,12 @@ def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
     Loss is the per-sample sum over live layers of -log softmax(target),
     averaged over the batch; the gradient, a stack like the weights, holds
     in block k the batch mean of outer(residual_k, softmax_k -
-    onehot(target_k)), with samples whose residual died before layer k
-    contributing nothing. The teacher residuals are replayed from the batch's
-    stored targets.
+    onehot(target_k)). All layers go in one stacked pass: the teacher
+    residuals, replayed from the batch's stored targets, form one
+    (depth, batch, signal_dim) stack that makes one score product and one
+    gradient product. A sample whose residual died before layer k has its
+    layer-k residual zeroed and its loss term masked, so from there on it
+    adds exactly nothing.
     """
     batch_size = len(batch)
     if batch_size == 0:
@@ -211,26 +214,27 @@ def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
             f"{model.signal_dim} dimensions"
         )
     atoms = model.update_dict.atoms
-    residuals = batch.signals
-    live = np.ones(batch_size, dtype=bool)
-    loss = 0.0
-    grads = np.zeros_like(model.selection_weights)
-    for k in range(model.depth):
-        live = live & (np.linalg.norm(residuals, axis=1) >= RESIDUAL_FLOOR)
-        if not live.any():
-            break
-        r_live = residuals[live]  # (L, M)
-        t_live = targets[live, k]
-        scores = r_live @ model.selection_weights[k]  # (L, N)
-        scores -= scores.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(scores).sum(axis=1))
-        rows = np.arange(r_live.shape[0])
-        loss += float((log_norm - scores[rows, t_live]).sum()) / batch_size
-        p = np.exp(scores - log_norm[:, None])
-        p[rows, t_live] -= 1.0
-        grads[k] += (r_live.T @ p) / batch_size
-        # teacher-forced residual update for every sample (dead rows are inert)
-        _, residuals = residual_step(atoms, residuals, targets[:, k], model.proj)
+    stack = np.empty((model.depth, batch_size, model.signal_dim))
+    stack[0] = batch.signals
+    for k in range(model.depth - 1):
+        _, stack[k + 1] = residual_step(atoms, stack[k], targets[:, k],
+                                        model.proj)
+    live = np.logical_and.accumulate(
+        np.linalg.norm(stack, axis=2) >= RESIDUAL_FLOOR, axis=0)  # (K, B)
+    stack[~live] = 0.0
+    # (K, B, N) scores, turned into softmax probabilities in place
+    p = np.matmul(stack, model.selection_weights)
+    p -= p.max(axis=2, keepdims=True)
+    hit = (np.arange(model.depth)[:, None], np.arange(batch_size), targets.T)
+    picked = p[hit]
+    np.exp(p, out=p)
+    z = p.sum(axis=2)
+    loss = float(((np.log(z) - picked) * live).sum()) / batch_size
+    p /= z[:, :, None]
+    p[hit] -= 1.0
+    # (K, N, M) product viewed as (K, M, N): column-major like the weights
+    grads = np.matmul(p.transpose(0, 2, 1), stack).transpose(0, 2, 1)
+    grads /= batch_size
     return loss, grads
 
 

@@ -10,7 +10,8 @@ Signals are never held; every batch synthesises its own with the helper
 that ``sample_mixture`` uses, so they equal the sampled signals bit for bit.
 The last ``val_fraction`` of the sample index space is held out: it never
 drives a gradient step; it is reported as per-epoch support recovery and
-picks the model that training returns.
+picks the model that training returns. Validation, too, synthesises and
+scores one batch of rows at a time.
 """
 
 from __future__ import annotations
@@ -61,12 +62,18 @@ def stream_shards(dictionary: Dictionary, depth: int, seed: int,
 
 
 def _validation_recovery(model: UnfoldedModel, supports: np.ndarray,
-                         coeffs: np.ndarray) -> float:
+                         coeffs: np.ndarray, batch_size: int) -> float:
+    """Mean support recovery over held-out rows, ``batch_size`` rows at a time."""
     if not len(supports):
         return float("nan")
-    signals = synthesize(model.update_dict.atoms, supports, coeffs)
-    picked, _ = batched_infer(model, signals)
-    return float(np.mean(row_recovery(picked, supports)))
+    recovery = np.empty(len(supports))
+    for lo in range(0, len(supports), batch_size):
+        rows = slice(lo, lo + batch_size)
+        signals = synthesize(model.update_dict.atoms, supports[rows],
+                             coeffs[rows])
+        picked, _ = batched_infer(model, signals)
+        recovery[rows] = row_recovery(picked, supports[rows])
+    return float(np.mean(recovery))
 
 
 def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
@@ -122,7 +129,8 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     # the dictionary rather than held; trained weights are copied only while
     # they lead and later epochs could overwrite them
     best_epoch = -1
-    best_recovery = _validation_recovery(model, val_supports, val_coeffs)
+    best_recovery = _validation_recovery(model, val_supports, val_coeffs,
+                                         batch_size)
     best_weights: np.ndarray | None = None
 
     state = init_adabound(model.selection_weights, hyper)
@@ -148,7 +156,8 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
                 # gradient sets would set the training memory peak
                 del grads
                 loss_total += loss * len(idx)
-        val_recovery = _validation_recovery(model, val_supports, val_coeffs)
+        val_recovery = _validation_recovery(model, val_supports, val_coeffs,
+                                            batch_size)
         log_rows.append(TrainLogRow(
             epoch=epoch,
             mean_loss=loss_total / num_train,

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from deepmp import training
 from deepmp.cli import blob_hash, main
 from deepmp.config import _SCHEMA, RunConfig, load_config, parse_k_range
-from deepmp.datagen import sample_mixture
+from deepmp.datagen import generate_synthetic_dictionary, sample_mixture
 from deepmp.errors import ConfigError, EmptyInput
 from deepmp.metrics import hamming_complement
 from deepmp.network import (
@@ -330,6 +331,29 @@ def test_training_draws_each_shard_once(monkeypatch, small_dictionary):
                 shard_size=64)
     assert sum(count for _, count in drawn) == 300
     assert len(drawn) == len(set(drawn)) == 5
+
+
+def test_validation_memory_grows_only_by_supports_and_targets():
+    # the held-out half is scored a batch at a time: ten times the mixtures
+    # may add their supports, coefficients and targets, but no signals
+    d = generate_synthetic_dictionary(200, 400, seed=8)
+    depth = 3
+
+    def peak(num_samples):
+        tracemalloc.start()
+        try:
+            train_model(d, depth, num_samples, epochs=0, seed=2,
+                        shard_size=2000, val_fraction=0.5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 2_000, 20_000
+    extra = large - small
+    # int64 supports and float64 coefficients of every row, int64 targets
+    # of the training half
+    support_bytes = 8 * depth * (2 * extra + extra // 2)
+    assert peak(large) - peak(small) <= support_bytes + 2**20
 
 
 # -- CLI ------------------------------------------------------------------------

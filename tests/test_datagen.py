@@ -288,3 +288,30 @@ def test_dataset_round_trip(tmp_path, small_dictionary):
         assert np.array_equal(s.signal, t.signal)
         recon = small_dictionary.atoms[:, t.true_support] @ t.true_coeffs
         assert np.linalg.norm(t.signal - recon) < 1e-9
+
+
+@pytest.mark.parametrize("fault", ["short_signal", "index_out_of_range",
+                                   "repeated_index"])
+def test_iter_dataset_rejects_rows_that_do_not_fit_the_sidecar(tmp_path,
+                                                               fault):
+    d = generate_synthetic_dictionary(6, 12, seed=3)
+    directory = tmp_path / "data"
+    write_dataset([sample_mixture(d, MixtureConfig(sparsity=3, num_samples=4,
+                                                   seed=5))],
+                  directory, dictionary=d, sparsity=3, seed=5)
+    shard = directory / "shard_00000.csv"
+    lines = shard.read_text().splitlines()
+    cells = lines[2].split(",")
+    if fault == "short_signal":
+        cells = cells[:3 + 2]
+    elif fault == "index_out_of_range":
+        cells[1] = "999:" + cells[1].split(":")[1]
+    else:
+        cells[1] = cells[0].split(":")[0] + ":" + cells[1].split(":")[1]
+    lines[2] = ",".join(cells)
+    shard.write_text("\n".join(lines) + "\n")
+    rows = iter_dataset(directory)
+    assert len([next(rows), next(rows)]) == 2
+    with pytest.raises(ParseError) as excinfo:
+        next(rows)
+    assert f"{shard}: row 3 " in str(excinfo.value)

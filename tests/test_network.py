@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepmp.datagen import MixtureConfig, generate_synthetic_dictionary, sample_mixture
+from deepmp.datagen import (
+    MixtureConfig,
+    generate_raman_surrogate,
+    generate_synthetic_dictionary,
+    sample_mixture,
+)
 from deepmp.errors import (
     EmptyBatch,
     NonFiniteSignal,
@@ -27,7 +33,7 @@ from deepmp.network import (
     save_model,
 )
 from deepmp.optim import adabound_step, init_adabound
-from deepmp.solvers import ProjectionMode, nnmp_solve, residual_step
+from deepmp.solvers import RESIDUAL_FLOOR, ProjectionMode, nnmp_solve, residual_step
 from deepmp.types import validate_dictionary
 
 from conftest import random_unit_dictionary
@@ -316,6 +322,129 @@ def test_loss_decreases_after_one_adabound_step(table_dictionary):
         if not after < before:
             failures += 1
     assert failures <= 1
+
+
+def per_layer_loss_and_gradient(model, batch):
+    """The loss and gradient walked one layer at a time, live rows only."""
+    batch_size = len(batch)
+    atoms, targets = model.update_dict.atoms, batch.targets
+    residuals = batch.signals
+    live = np.ones(batch_size, dtype=bool)
+    loss = 0.0
+    grads = np.zeros_like(model.selection_weights)
+    for k in range(model.depth):
+        live = live & (np.linalg.norm(residuals, axis=1) >= RESIDUAL_FLOOR)
+        if not live.any():
+            break
+        r_live = residuals[live]
+        t_live = targets[live, k]
+        scores = r_live @ model.selection_weights[k]
+        scores -= scores.max(axis=1, keepdims=True)
+        log_norm = np.log(np.exp(scores).sum(axis=1))
+        rows = np.arange(r_live.shape[0])
+        loss += float((log_norm - scores[rows, t_live]).sum()) / batch_size
+        p = np.exp(scores - log_norm[:, None])
+        p[rows, t_live] -= 1.0
+        grads[k] += (r_live.T @ p) / batch_size
+        _, residuals = residual_step(atoms, residuals, targets[:, k], model.proj)
+    return loss, grads
+
+
+def assert_close(value, reference, rtol=1e-12):
+    """Scalars or stacks equal to ``rtol`` of the reference's largest entry."""
+    scale = np.abs(reference).max()
+    assert np.abs(np.asarray(value) - reference).max() <= rtol * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5),
+       signal_dim=st.integers(3, 8), extra_atoms=st.integers(2, 10),
+       batch_size=st.integers(1, 24), positive=st.booleans())
+def test_stacked_pass_matches_per_layer_oracle(seed, depth, signal_dim,
+                                               extra_atoms, batch_size,
+                                               positive):
+    rng = np.random.default_rng(seed)
+    d = validate_dictionary(
+        random_unit_dictionary(rng, signal_dim, signal_dim + extra_atoms))
+    model = random_model(rng, d, depth)
+    if not positive:
+        model.proj = ProjectionMode.IDENTITY
+    samples = sample_mixture(
+        d, MixtureConfig(sparsity=depth, num_samples=batch_size, seed=seed))
+    batch = build_training_batch(model, samples.signals, samples.supports)
+    loss, grads = loss_and_gradient(model, batch)
+    ref_loss, ref_grads = per_layer_loss_and_gradient(model, batch)
+    assert_close(loss, ref_loss)
+    assert_close(grads, ref_grads)
+
+
+def test_dead_rows_add_nothing_to_loss_or_gradient():
+    # atoms 0..3 are the identity basis: the teacher removes one coordinate
+    # per step exactly, so a signal with a 1e-14 fourth coordinate has a
+    # residual below RESIDUAL_FLOOR, but not zero, at layer 4 of 4
+    extra = np.full((4, 2), 0.5)
+    d = validate_dictionary(np.hstack([np.eye(4), extra]))
+    rng = np.random.default_rng(12)
+    model = random_model(rng, d, 4)
+    mixtures = sample_mixture(d, MixtureConfig(sparsity=4, num_samples=9,
+                                               seed=4))
+    dying = np.array([[0.9, 0.4, 0.2, 1e-14]])
+    kept_signals = np.vstack([mixtures.signals, dying])
+    kept_supports = np.vstack([mixtures.supports, [[0, 1, 2, 3]]])
+    zero_supports = np.array([[5, 4, 3, 2], [0, 1, 2, 3], [1, 3, 5, 0]])
+    signals = np.vstack([kept_signals[:4], np.zeros((3, 4)), kept_signals[4:]])
+    supports = np.vstack([kept_supports[:4], zero_supports, kept_supports[4:]])
+
+    def scaled(signals, supports):
+        batch = build_training_batch(model, signals, supports)
+        loss, grads = loss_and_gradient(model, batch)
+        return len(batch) * loss, len(batch) * grads, batch
+
+    loss, grads, _ = scaled(signals, supports)
+    kept_loss, kept_grads, _ = scaled(kept_signals, kept_supports)
+    assert_close(loss, kept_loss)
+    assert_close(grads, kept_grads)
+
+    # the dying row: its dead last layer adds no loss and a zero block
+    loss, grads, batch = scaled(dying, [[0, 1, 2, 3]])
+    assert batch.targets.tolist() == [[0, 1, 2, 3]]
+    assert np.all(grads[3] == 0.0)
+    shallow = UnfoldedModel(selection_weights=model.selection_weights[:3],
+                            update_dict=d)
+    shallow_loss, shallow_grads = loss_and_gradient(shallow, TrainingBatch(
+        signals=batch.signals, targets=batch.targets[:, :3]))
+    assert_close(loss, shallow_loss)
+    assert_close(grads[:3], shallow_grads)
+
+
+def test_gradient_blocks_are_column_major_like_the_weights(table_dictionary):
+    model = init_from_dictionary(table_dictionary, 3)
+    samples = sample_mixture(
+        table_dictionary, MixtureConfig(sparsity=3, num_samples=16, seed=6))
+    batch = build_training_batch(model, samples.signals, samples.supports)
+    _, grads = loss_and_gradient(model, batch)
+    assert grads.shape == model.selection_weights.shape
+    assert all(g.flags.f_contiguous for g in grads)
+    assert grads.strides == model.selection_weights.strides
+
+
+def test_loss_and_gradient_allocates_one_stack_of_each():
+    # the residual stack, the score stack and the gradient stack, no more
+    depth, batch_size = 5, 128
+    d = generate_raman_surrogate(503, 600, peaks_per_atom=5, seed=2)
+    model = init_from_dictionary(d, depth)
+    samples = sample_mixture(d, MixtureConfig(sparsity=depth,
+                                              num_samples=batch_size, seed=3))
+    batch = build_training_batch(model, samples.signals, samples.supports)
+    m, n = d.atoms.shape
+    bound = 8 * (depth * batch_size * (m + n) + depth * m * n) + 2**20
+    tracemalloc.start()
+    try:
+        loss_and_gradient(model, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 # -- serialization ----------------------------------------------------------------
