@@ -22,7 +22,6 @@ from .metrics import (
     run_sweep,
 )
 from .network import (
-    TrainingBatch,
     UnfoldedModel,
     batched_infer,
     build_training_batch,
@@ -61,7 +60,6 @@ __all__ = [
     "ProjectionMode",
     "PursuitResult",
     "Sample",
-    "TrainingBatch",
     "UnfoldedModel",
     "adabound_step",
     "batched_infer",

@@ -59,11 +59,6 @@ def _model_path(config: RunConfig, k: int) -> str:
     return os.path.join(config.out_dir, "models", f"model_k{k}.dmp")
 
 
-def _projection(config: RunConfig) -> ProjectionMode:
-    return (ProjectionMode.POSITIVE_ORTHANT if config.projection == "positive"
-            else ProjectionMode.IDENTITY)
-
-
 def _build_dictionary(config: RunConfig) -> tuple[Dictionary, dict]:
     if config.source == "synthetic":
         dictionary = datagen.generate_synthetic_dictionary(
@@ -129,8 +124,9 @@ def cmd_train(config: RunConfig) -> None:
         model, rows = training.train_model(
             dictionary, k, config.num_train_samples,
             epochs=config.resolved_epochs, batch_size=config.batch_size,
-            hyper=config.hyper(), proj=_projection(config), seed=config.seed,
-            shard_size=config.shard_size, val_fraction=config.val_fraction,
+            hyper=config.hyper(), proj=ProjectionMode(config.projection),
+            seed=config.seed, shard_size=config.shard_size,
+            val_fraction=config.val_fraction,
         )
         model_path = _model_path(config, k)
         network.save_model(model, model_path)
@@ -155,7 +151,8 @@ def cmd_eval(config: RunConfig) -> None:
             raise MissingModel(f"no trained model for sparsity {k} at {path}")
         models[k] = network.load_model(path)
     solvers = {
-        "nnmp": metrics.nnmp_runner(dictionary, _projection(config)),
+        "nnmp": metrics.nnmp_runner(dictionary,
+                                    ProjectionMode(config.projection)),
         "nnomp": metrics.nnomp_runner(dictionary),
         "deepmp": metrics.deepmp_runner(models),
     }

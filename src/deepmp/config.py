@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .optim import AdaBoundHyper
+from .solvers import ProjectionMode
 
 SOURCES = ("synthetic", "raman", "surrogate")
-PROJECTIONS = ("positive", "identity")
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,20 @@ class RunConfig:
 
     def scaled(self, factor: float) -> "RunConfig":
         """Shrink (or grow) sample counts by ``factor``, floored at 1."""
-        if factor <= 0:
-            raise ConfigError(f"scale must be positive, got {factor}")
-        return replace(
-            self,
-            num_train_samples=max(1, round(self.num_train_samples * factor)),
-            z_test=max(1, round(self.z_test * factor)),
-        )
+        counts = {name: getattr(self, name) * factor
+                  for name in ("num_train_samples", "z_test")}
+        if not (factor > 0 and all(map(math.isfinite, counts.values()))):
+            raise ConfigError(
+                f"scale must be positive and give finite sample counts, "
+                f"got {factor}"
+            )
+        return replace(self, **{name: max(1, round(count))
+                                for name, count in counts.items()})
 
     def validate(self) -> "RunConfig":
         if self.source not in SOURCES:
             raise ConfigError(f"unknown dictionary source {self.source!r}")
-        if self.projection not in PROJECTIONS:
+        if self.projection not in {mode.value for mode in ProjectionMode}:
             raise ConfigError(f"unknown projection {self.projection!r}")
         if not self.k_range or any(k < 1 for k in self.k_range):
             raise ConfigError(f"bad k_range {self.k_range}")
@@ -126,37 +128,16 @@ def parse_k_range(text: str) -> tuple[int, ...]:
     return values
 
 
+#: the keys each INI section accepts; a value is parsed by the type of its
+#: field's default, and ``k_range`` by :func:`parse_k_range`
 _SCHEMA = {
-    "dictionary": {
-        "source": str,
-        "signal_dim": int,
-        "num_atoms": int,
-        "raman_path": str,
-        "peaks_per_atom": int,
-    },
-    "training": {
-        "k_range": parse_k_range,
-        "num_train_samples": int,
-        "epochs": int,
-        "batch_size": int,
-        "lr": float,
-        "final_lr": float,
-        "beta1": float,
-        "beta2": float,
-        "gamma": float,
-        "epsilon": float,
-        "projection": str,
-        "shard_size": int,
-        "val_fraction": float,
-    },
-    "evaluation": {
-        "z_test": int,
-        "ecdf_grid_points": int,
-    },
-    "run": {
-        "seed": int,
-        "out_dir": str,
-    },
+    "dictionary": ("source", "signal_dim", "num_atoms", "raman_path",
+                   "peaks_per_atom"),
+    "training": ("k_range", "num_train_samples", "epochs", "batch_size", "lr",
+                 "final_lr", "beta1", "beta2", "gamma", "epsilon",
+                 "projection", "shard_size", "val_fraction"),
+    "evaluation": ("z_test", "ecdf_grid_points"),
+    "run": ("seed", "out_dir"),
 }
 
 
@@ -181,8 +162,10 @@ def load_config(path) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            parse = (parse_k_range if key == "k_range"
+                     else type(getattr(RunConfig, key)))
             try:
-                values[key] = _SCHEMA[section][key](raw)
+                values[key] = parse(raw)
             except ValueError:
                 raise ConfigError(
                     f"{path}: bad value {raw!r} for {key!r}"

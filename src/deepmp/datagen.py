@@ -241,8 +241,9 @@ def iter_dataset(directory):
     """Stream samples back from CSV shards, in written order.
 
     Raises ParseError naming the file and row when a row does not parse, its
-    signal does not have the sidecar's ``signal_dim`` values, or its atom
-    indices are not ``k`` distinct indices in ``[0, num_atoms)``.
+    signal does not have the sidecar's ``signal_dim`` finite values, its atom
+    indices are not ``k`` distinct indices in ``[0, num_atoms)``, or a
+    coefficient lies outside the (0, 1] of the coefficient law.
     """
     meta = read_dataset_meta(directory)
     k = int(meta["k"])
@@ -271,11 +272,21 @@ def iter_dataset(directory):
                         f"{path}: row {lineno} has {signal.size} signal "
                         f"values, not {signal_dim}"
                     )
+                if not np.isfinite(signal).all():
+                    raise ParseError(
+                        f"{path}: row {lineno} has a non-finite signal value"
+                    )
                 if (np.unique(support).size != k or support.min() < 0
                         or support.max() >= num_atoms):
                     raise ParseError(
                         f"{path}: row {lineno} atoms {support.tolist()} are "
                         f"not {k} distinct indices in [0, {num_atoms})"
+                    )
+                # NaN fails both comparisons
+                if not ((coeffs > 0.0) & (coeffs <= 1.0)).all():
+                    raise ParseError(
+                        f"{path}: row {lineno} coefficients {coeffs.tolist()} "
+                        f"are not all in (0, 1]"
                     )
                 yield Sample(signal=signal, true_support=support,
                              true_coeffs=coeffs)

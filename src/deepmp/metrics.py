@@ -36,12 +36,10 @@ from .seeding import TEST_STREAM, child_seed
 from .solvers import ProjectionMode, hard_max_pursuit, nnomp_pursuit
 from .solvers import nnmp_solve  # unused here; perfbench/tracing.py wraps it here
 from .solvers import nnomp_solve  # unused here; perfbench/tracing.py wraps it here
-from .types import Dictionary, distinct_support
+from .types import Dictionary
 
 #: default ECDF grid resolution over [0, 1]
 ECDF_GRID_POINTS = 200
-#: default number of test mixtures per sparsity level
-DEFAULT_NUM_TEST = 5000
 
 #: (signals (B, M), sparsity k) -> (supports (B, k) padded with -1, codes (B, N))
 SweepSolver = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
@@ -55,7 +53,9 @@ def hamming_complement(acquired, truth, sparsity: int) -> float:
     """
     if sparsity < 1:
         raise ZeroSparsity("sparsity must be >= 1")
-    found = np.intersect1d(distinct_support(acquired), distinct_support(truth))
+    # intersect1d returns the sorted distinct common values
+    found = np.intersect1d(np.asarray(acquired, dtype=np.int64),
+                           np.asarray(truth, dtype=np.int64))
     return found.size / sparsity
 
 

@@ -15,7 +15,9 @@ relaxed to a softmax over the selection scores and each layer is penalized
 with cross entropy against a teacher target. Teacher forcing advances the
 residual with the ground-truth atom (the best remaining true atom by
 dictionary correlation), so layer k trains on the residual distribution it
-would see at inference when the earlier layers are right. Because the teacher
+would see at inference when the earlier layers are right. A training batch is
+two arrays: the (B, signal_dim) signals and the (B, depth) teacher targets
+that :func:`build_training_batch` computes for them. Because the teacher
 residuals never depend on the weights, the loss gradient is the closed-form
 softmax cross-entropy expression per layer and no backpropagation through the
 recursion is needed.
@@ -124,27 +126,9 @@ def batched_infer(model: UnfoldedModel, signals) -> tuple[np.ndarray, np.ndarray
 # -- training ------------------------------------------------------------------
 
 
-@dataclass
-class TrainingBatch:
-    """Signals of sparsity = depth with their per-step teacher targets.
-
-    ``signals`` is (batch, signal_dim); ``targets[i]`` is the ordered list of
-    ground-truth atom indices for sample i, one per layer, a permutation of
-    the sample's true support chosen by the teacher (greedy best remaining
-    atom). Targets depend only on the dictionary, never on the trainable
-    weights.
-    """
-
-    signals: np.ndarray
-    targets: np.ndarray
-
-    def __len__(self) -> int:
-        return self.signals.shape[0]
-
-
 def build_training_batch(model: UnfoldedModel, signals,
-                         supports) -> TrainingBatch:
-    """Compute teacher target order for every mixture (vectorized).
+                         supports) -> np.ndarray:
+    """Teacher target order of every mixture, as a (B, depth) int64 array.
 
     ``signals`` (B, signal_dim) are mixtures of the atoms in the rows of
     ``supports`` (B, depth). At each step the teacher picks, among the row's
@@ -185,37 +169,39 @@ def build_training_batch(model: UnfoldedModel, signals,
         used[rows, pick] = True
         targets[:, step] = chosen
         _, residuals = residual_step(atoms, residuals, chosen, model.proj)
-    return TrainingBatch(signals=signals, targets=targets)
+    return targets
 
 
-def loss_and_gradient(model: UnfoldedModel, batch: TrainingBatch
+def loss_and_gradient(model: UnfoldedModel, signals, targets
                       ) -> tuple[float, np.ndarray]:
     """Cross-entropy loss over all layers and its closed-form gradient.
 
-    Loss is the per-sample sum over live layers of -log softmax(target),
-    averaged over the batch; the gradient, a stack like the weights, holds
-    in block k the batch mean of outer(residual_k, softmax_k -
-    onehot(target_k)). All layers go in one stacked pass: the teacher
-    residuals, replayed from the batch's stored targets, form one
-    (depth, batch, signal_dim) stack that makes one score product and one
-    gradient product. A sample whose residual died before layer k has its
-    layer-k residual zeroed and its loss term masked, so from there on it
-    adds exactly nothing.
+    ``signals`` (B, signal_dim) are mixtures and ``targets`` (B, depth) their
+    teacher targets from :func:`build_training_batch`. Loss is the
+    per-sample sum over live layers of -log softmax(target), averaged over
+    the batch; the gradient, a stack like the weights, holds in block k the
+    batch mean of outer(residual_k, softmax_k - onehot(target_k)). All
+    layers go in one stacked pass: the teacher residuals, replayed from the
+    targets, form one (depth, batch, signal_dim) stack that makes one score
+    product and one gradient product. A sample whose residual died before
+    layer k has its layer-k residual zeroed and its loss term masked, so
+    from there on it adds exactly nothing. Raises EmptyBatch, and
+    DimensionMismatch unless the targets have one row of ``depth`` atoms
+    per signal.
     """
-    batch_size = len(batch)
+    signals = check_signals(signals, model.signal_dim)
+    targets = np.asarray(targets)
+    batch_size = len(signals)
     if batch_size == 0:
         raise EmptyBatch("no samples")
-    targets = batch.targets
-    if (batch.signals.shape[1] != model.signal_dim
-            or targets.shape[1] != model.depth):
+    if targets.shape != (batch_size, model.depth):
         raise DimensionMismatch(
-            f"batch of signals {batch.signals.shape} and targets "
-            f"{targets.shape} does not fit a depth-{model.depth} model on "
-            f"{model.signal_dim} dimensions"
+            f"targets of shape {targets.shape} for {batch_size} signals and "
+            f"a depth-{model.depth} model"
         )
     atoms = model.update_dict.atoms
     stack = np.empty((model.depth, batch_size, model.signal_dim))
-    stack[0] = batch.signals
+    stack[0] = signals
     for k in range(model.depth - 1):
         _, stack[k + 1] = residual_step(atoms, stack[k], targets[:, k],
                                         model.proj)

@@ -7,7 +7,9 @@ of its training mixtures are computed while it is alive. Only each
 mixture's support and coefficients, plus the targets, outlive the shard:
 O(N k) numbers for N mixtures at sparsity k, whatever the signal dimension.
 Signals are never held; every batch synthesises its own with the helper
-that ``sample_mixture`` uses, so they equal the sampled signals bit for bit.
+that ``sample_mixture`` uses, so they equal the sampled signals bit for bit,
+and passes them with the rows of the (N, k) target array to
+``loss_and_gradient``.
 The last ``val_fraction`` of the sample index space is held out: it never
 drives a gradient step; it is reported as per-epoch support recovery and
 picks the model that training returns. Validation, too, synthesises and
@@ -25,7 +27,6 @@ from .errors import EmptyInput, NonFiniteLoss
 from .metrics import hamming_complement  # unused; perfbench/tracing.py wraps it here
 from .metrics import row_recovery
 from .network import (
-    TrainingBatch,
     UnfoldedModel,
     batched_infer,
     build_training_batch,
@@ -119,8 +120,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
         for lo in range(0, shard_train, batch_size):
             hi = min(lo + batch_size, shard_train)
             targets[base + lo:base + hi] = build_training_batch(
-                model, shard.signals[lo:hi], shard.supports[lo:hi]
-            ).targets
+                model, shard.signals[lo:hi], shard.supports[lo:hi])
         # released before the next shard is drawn
         del shard
     val_supports, val_coeffs = supports[num_train:], coeffs[num_train:]
@@ -142,11 +142,9 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
             order = base + shuffle.permutation(min(shard_size, num_train - base))
             for lo in range(0, len(order), batch_size):
                 idx = order[lo:lo + batch_size]
-                batch = TrainingBatch(
-                    signals=synthesize(atoms, supports[idx], coeffs[idx]),
-                    targets=targets[idx],
-                )
-                loss, grads = loss_and_gradient(model, batch)
+                loss, grads = loss_and_gradient(
+                    model, synthesize(atoms, supports[idx], coeffs[idx]),
+                    targets[idx])
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
                         f"non-finite loss at epoch {epoch}, shard {i}"

@@ -94,11 +94,6 @@ def validate_dictionary(atoms) -> Dictionary:
     return Dictionary(a)
 
 
-def distinct_support(support) -> np.ndarray:
-    """Sorted distinct atom indices of a (possibly repeating) support."""
-    return np.unique(np.asarray(support, dtype=np.int64))
-
-
 # -- CSV serialization --------------------------------------------------------
 #
 # One row per signal dimension, comma-separated columns are atoms. An optional

@@ -107,8 +107,9 @@ def test_criterion_2_gradient_oracle(acceptance_log):
             d, MixtureConfig(sparsity=depth, num_samples=5,
                              seed=rng.integers(2**63)),
         )
-        batch = build_training_batch(model, samples.signals, samples.supports)
-        _, grads = loss_and_gradient(model, batch)
+        batch = (samples.signals,
+                 build_training_batch(model, samples.signals, samples.supports))
+        _, grads = loss_and_gradient(model, *batch)
         h = 1e-5
         for k in range(depth):
             w = model.selection_weights[k]
@@ -117,9 +118,9 @@ def test_criterion_2_gradient_oracle(acceptance_log):
                 for j in range(15):
                     orig = w[i, j]
                     w[i, j] = orig + h
-                    up, _ = loss_and_gradient(model, batch)
+                    up, _ = loss_and_gradient(model, *batch)
                     w[i, j] = orig - h
-                    down, _ = loss_and_gradient(model, batch)
+                    down, _ = loss_and_gradient(model, *batch)
                     w[i, j] = orig
                     fd[i, j] = (up - down) / (2 * h)
             denom = np.maximum(np.maximum(np.abs(grads[k]), np.abs(fd)), 1e-5)

@@ -65,15 +65,17 @@ class CountingTracer:
 
 
 def test_counter_hooks_read_depth_batch_length_and_stack_blocks(small_dictionary):
-    # the loss hook reads model.depth and len(batch); the AdaBound hook sums
-    # nbytes over the blocks it gets by iterating the parameter stack, so
+    # the loss hook reads model.depth and the batch size as len(args[1]), the
+    # signals' row count; the AdaBound hook sums nbytes over the blocks it
+    # gets by iterating the parameter stack, so
     # optim.adabound_step.bytes_computed moves only if the stack does
     model = init_from_dictionary(small_dictionary, 3)
     mixtures = sample_mixture(small_dictionary,
                               MixtureConfig(sparsity=3, num_samples=7, seed=2))
-    batch = build_training_batch(model, mixtures.signals, mixtures.supports)
+    targets = build_training_batch(model, mixtures.signals, mixtures.supports)
     assert model.depth == 3
-    assert len(batch) == 7
+    args = (model, mixtures.signals, targets)
+    assert len(args[1]) == 7
     blocks = list(model.selection_weights)
     assert len(blocks) == model.depth
     assert all(w.shape == small_dictionary.atoms.shape for w in blocks)
@@ -81,14 +83,15 @@ def test_counter_hooks_read_depth_batch_length_and_stack_blocks(small_dictionary
 
     traced = load_tracing().TRACED
     tracer = CountingTracer()
-    args = (model, batch)
     traced["network.loss_and_gradient"][2](
         tracer, "network.loss_and_gradient", args, {},
         loss_and_gradient(*args))
     args = (init_adabound(model.selection_weights), model.selection_weights,
-            loss_and_gradient(model, batch)[1])
+            loss_and_gradient(model, mixtures.signals, targets)[1])
     traced["optim.adabound_step"][2](
         tracer, "optim.adabound_step", args, {}, adabound_step(*args))
-    assert tracer.counters["network.loss_and_gradient.flops_computed"] > 0
+    b, m, n = 7, model.signal_dim, model.num_atoms
+    assert (tracer.counters["network.loss_and_gradient.flops_computed"]
+            == 3 * (4 * b * m * n + 5 * b * n + 6 * b * m))
     assert (tracer.counters["optim.adabound_step.bytes_computed"]
             == 7 * model.selection_weights.nbytes)

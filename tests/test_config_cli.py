@@ -80,6 +80,24 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.lr == 1e-3 and cfg.final_lr == 0.1
 
 
+def test_config_naming_every_key_at_its_default_loads_the_defaults(tmp_path):
+    # each value is parsed by the type of its field's default
+    defaults = RunConfig()
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key in keys:
+            value = getattr(defaults, key)
+            if key == "k_range":
+                value = ",".join(map(str, value))
+            lines.append(f"{key} = {value}")
+    path = tmp_path / "defaults.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert sorted(key for keys in _SCHEMA.values() for key in keys) == sorted(
+        vars(defaults))
+    assert load_config(path) == defaults
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[training]\nlearning_rate = 0.1\n")
@@ -280,8 +298,10 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
                 min(len(shard), shard_train))
             for lo in range(0, len(order), batch_size):
                 chunk = order[lo:lo + batch_size]
-                loss, grads = loss_and_gradient(model, build_training_batch(
-                    model, shard.signals[chunk], shard.supports[chunk]))
+                signals = shard.signals[chunk]
+                targets = build_training_batch(model, signals,
+                                               shard.supports[chunk])
+                loss, grads = loss_and_gradient(model, signals, targets)
                 adabound_step(state, model.selection_weights, grads)
                 loss_total += loss * len(chunk)
         val_recovery = recovery(model)
@@ -470,6 +490,14 @@ def test_cli_bad_optimizer_value_exits_2(tmp_path, capsys, line):
     cfg.write_text(f"[training]\n{line}\n")
     assert run_cli(["--config", cfg, "--out", tmp_path / "r", "gen-dict"]) == 2
     errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+
+
+# 1e305 is finite but scales the default 150000 mixtures past the floats
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e400", "1e305"])
+def test_cli_non_finite_scale_exits_2(tmp_path, capsys, scale):
+    assert run_cli(["--scale", scale, "--out", tmp_path / "r", "gen-dict"]) == 2
+    errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and "ConfigError" in errors[0]
 
 

@@ -291,7 +291,9 @@ def test_dataset_round_trip(tmp_path, small_dictionary):
 
 
 @pytest.mark.parametrize("fault", ["short_signal", "index_out_of_range",
-                                   "repeated_index"])
+                                   "repeated_index", "nan_coefficient",
+                                   "negative_coefficient",
+                                   "coefficient_above_one", "infinite_signal"])
 def test_iter_dataset_rejects_rows_that_do_not_fit_the_sidecar(tmp_path,
                                                                fault):
     d = generate_synthetic_dictionary(6, 12, seed=3)
@@ -302,10 +304,16 @@ def test_iter_dataset_rejects_rows_that_do_not_fit_the_sidecar(tmp_path,
     shard = directory / "shard_00000.csv"
     lines = shard.read_text().splitlines()
     cells = lines[2].split(",")
+    bad_coefficients = {"nan_coefficient": "nan", "negative_coefficient": "-2.0",
+                        "coefficient_above_one": "1.5"}
     if fault == "short_signal":
         cells = cells[:3 + 2]
     elif fault == "index_out_of_range":
         cells[1] = "999:" + cells[1].split(":")[1]
+    elif fault in bad_coefficients:
+        cells[1] = cells[1].split(":")[0] + ":" + bad_coefficients[fault]
+    elif fault == "infinite_signal":
+        cells[3] = "inf"
     else:
         cells[1] = cells[0].split(":")[0] + ":" + cells[1].split(":")[1]
     lines[2] = ",".join(cells)

@@ -15,6 +15,7 @@ from deepmp.datagen import (
     sample_mixture,
 )
 from deepmp.errors import (
+    DimensionMismatch,
     EmptyBatch,
     NonFiniteSignal,
     ParseError,
@@ -22,7 +23,6 @@ from deepmp.errors import (
     ZeroSparsity,
 )
 from deepmp.network import (
-    TrainingBatch,
     UnfoldedModel,
     batched_infer,
     build_training_batch,
@@ -158,8 +158,9 @@ def test_inference_rejects_non_finite_signals(small_dictionary, bad):
 def test_single_sparse_sample_target_is_its_atom(small_dictionary):
     model = init_from_dictionary(small_dictionary, 1)
     j = 7
-    batch = build_training_batch(model, [0.6 * small_dictionary.atom(j)], [[j]])
-    assert batch.targets.tolist() == [[j]]
+    targets = build_training_batch(model, [0.6 * small_dictionary.atom(j)],
+                                   [[j]])
+    assert targets.tolist() == [[j]]
 
 
 def test_softmax_outputs_normalized(table_dictionary):
@@ -172,13 +173,14 @@ def test_softmax_outputs_normalized(table_dictionary):
         table_dictionary, MixtureConfig(sparsity=3, num_samples=10, seed=8)
     )
     for b in range(len(samples)):
-        batch = build_training_batch(model, samples.signals[b:b + 1],
-                                     samples.supports[b:b + 1])
-        _, grads = loss_and_gradient(model, batch)
+        signals = samples.signals[b:b + 1]
+        targets = build_training_batch(model, signals,
+                                       samples.supports[b:b + 1])
+        _, grads = loss_and_gradient(model, signals, targets)
         for k, g in enumerate(grads):
             assert g.shape == (30, 200)
             assert np.all(np.abs(g.sum(axis=1)) < 1e-12)
-            off_target = np.delete(g, batch.targets[0, k], axis=1)
+            off_target = np.delete(g, targets[0, k], axis=1)
             assert np.all(off_target >= 0.0)
 
 
@@ -190,13 +192,12 @@ def test_teacher_residual_vanishes_for_orthogonal_atoms():
     model = init_from_dictionary(d, 3)
     support = np.array([0, 1, 2])
     coeffs = np.array([0.9, 0.4, 0.2])
-    batch = build_training_batch(model, [d.atoms[:, support] @ coeffs],
-                                 [support])
+    residuals = (d.atoms[:, support] @ coeffs)[None, :]
+    targets = build_training_batch(model, residuals, [support])
     # oracle order: largest correlation first
-    assert batch.targets.tolist() == [[0, 1, 2]]
-    residuals = batch.signals
+    assert targets.tolist() == [[0, 1, 2]]
     for k in range(3):
-        _, residuals = residual_step(d.atoms, residuals, batch.targets[:, k],
+        _, residuals = residual_step(d.atoms, residuals, targets[:, k],
                                      model.proj)
     assert np.linalg.norm(residuals[0]) < 1e-9
 
@@ -215,9 +216,9 @@ def test_targets_are_a_permutation_of_support(table_dictionary):
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=4, num_samples=30, seed=21)
     )
-    batch = build_training_batch(model, samples.signals, samples.supports)
-    for support, targets in zip(samples.supports, batch.targets):
-        assert sorted(targets.tolist()) == sorted(support.tolist())
+    targets = build_training_batch(model, samples.signals, samples.supports)
+    for support, row in zip(samples.supports, targets):
+        assert sorted(row.tolist()) == sorted(support.tolist())
 
 
 # -- loss and gradient ----------------------------------------------------------
@@ -229,8 +230,8 @@ def test_uniform_scores_give_log_n_per_layer(small_dictionary):
     samples = sample_mixture(
         small_dictionary, MixtureConfig(sparsity=1, num_samples=6, seed=3)
     )
-    batch = build_training_batch(model, samples.signals, samples.supports)
-    loss, grads = loss_and_gradient(model, batch)
+    targets = build_training_batch(model, samples.signals, samples.supports)
+    loss, grads = loss_and_gradient(model, samples.signals, targets)
     assert loss == pytest.approx(np.log(50), abs=1e-12)
 
 
@@ -242,21 +243,35 @@ def test_one_hot_probability_gives_zero_loss_and_gradient(small_dictionary):
     w = np.zeros_like(model.selection_weights[0])
     w[:, j] = 1e4 * y / np.linalg.norm(y) ** 2
     model.selection_weights[0] = w
-    batch = build_training_batch(model, [y], [[j]])
-    loss, grads = loss_and_gradient(model, batch)
+    targets = build_training_batch(model, [y], [[j]])
+    loss, grads = loss_and_gradient(model, [y], targets)
     assert loss == 0.0
     assert np.all(grads[0] == 0.0)
 
 
 def test_loss_rejects_empty_batch(small_dictionary):
     model = init_from_dictionary(small_dictionary, 2)
-    empty = TrainingBatch(signals=np.zeros((0, 10)),
-                          targets=np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(EmptyBatch):
-        loss_and_gradient(model, empty)
+        loss_and_gradient(model, np.zeros((0, 10)),
+                          np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(EmptyBatch):
         build_training_batch(model, np.zeros((0, 10)),
                              np.zeros((0, 2), dtype=np.int64))
+
+
+def test_batch_arrays_must_agree_in_rows_and_depth(small_dictionary):
+    model = init_from_dictionary(small_dictionary, 2)
+    mixtures = sample_mixture(
+        small_dictionary, MixtureConfig(sparsity=2, num_samples=4, seed=1))
+    targets = build_training_batch(model, mixtures.signals, mixtures.supports)
+    with pytest.raises(DimensionMismatch):
+        build_training_batch(model, mixtures.signals[:3], mixtures.supports)
+    with pytest.raises(DimensionMismatch):
+        loss_and_gradient(model, mixtures.signals[:3], targets)
+    with pytest.raises(DimensionMismatch):
+        loss_and_gradient(model, mixtures.signals, targets[:3])
+    with pytest.raises(DimensionMismatch):
+        loss_and_gradient(model, mixtures.signals, targets[:, :1])
 
 
 def test_gradient_matches_finite_differences():
@@ -265,8 +280,9 @@ def test_gradient_matches_finite_differences():
     depth = 3
     model = random_model(rng, d, depth)
     samples = sample_mixture(d, MixtureConfig(sparsity=depth, num_samples=5, seed=9))
-    batch = build_training_batch(model, samples.signals, samples.supports)
-    loss, grads = loss_and_gradient(model, batch)
+    batch = (samples.signals,
+             build_training_batch(model, samples.signals, samples.supports))
+    loss, grads = loss_and_gradient(model, *batch)
     h = 1e-5
     for k in range(depth):
         w = model.selection_weights[k]
@@ -275,9 +291,9 @@ def test_gradient_matches_finite_differences():
             for j in range(w.shape[1]):
                 orig = w[i, j]
                 w[i, j] = orig + h
-                up, _ = loss_and_gradient(model, batch)
+                up, _ = loss_and_gradient(model, *batch)
                 w[i, j] = orig - h
-                down, _ = loss_and_gradient(model, batch)
+                down, _ = loss_and_gradient(model, *batch)
                 w[i, j] = orig
                 fd[i, j] = (up - down) / (2.0 * h)
         denom = np.maximum(np.abs(grads[k]), np.abs(fd))
@@ -293,16 +309,17 @@ def test_single_class_problem_converges_to_its_atom():
     d = generate_synthetic_dictionary(6, 15, seed=50)
     model = init_from_dictionary(d, 1)
     j = 4
-    batch = build_training_batch(model, [0.8 * d.atom(j)], [[j]])
+    signals = np.array([0.8 * d.atom(j)])
+    targets = build_training_batch(model, signals, [[j]])
     state = init_adabound(model.selection_weights)
     for _ in range(200):
-        _, grads = loss_and_gradient(model, batch)
+        _, grads = loss_and_gradient(model, signals, targets)
         adabound_step(state, model.selection_weights, grads)
     # one depth-1 sample: the loss is -log p_j, the layer-0 softmax
     # probability of the true atom at the signal
-    loss, _ = loss_and_gradient(model, batch)
+    loss, _ = loss_and_gradient(model, signals, targets)
     p_j = np.exp(-loss)
-    assert int(np.argmax(model.selection_weights[0].T @ batch.signals[0])) == j
+    assert int(np.argmax(model.selection_weights[0].T @ signals[0])) == j
     assert p_j > 0.9
 
 
@@ -314,21 +331,22 @@ def test_loss_decreases_after_one_adabound_step(table_dictionary):
             table_dictionary,
             MixtureConfig(sparsity=2, num_samples=64, seed=1000 + seed),
         )
-        batch = build_training_batch(model, samples.signals, samples.supports)
-        before, grads = loss_and_gradient(model, batch)
+        batch = (samples.signals,
+                 build_training_batch(model, samples.signals, samples.supports))
+        before, grads = loss_and_gradient(model, *batch)
         state = init_adabound(model.selection_weights)
         adabound_step(state, model.selection_weights, grads)
-        after, _ = loss_and_gradient(model, batch)
+        after, _ = loss_and_gradient(model, *batch)
         if not after < before:
             failures += 1
     assert failures <= 1
 
 
-def per_layer_loss_and_gradient(model, batch):
+def per_layer_loss_and_gradient(model, signals, targets):
     """The loss and gradient walked one layer at a time, live rows only."""
-    batch_size = len(batch)
-    atoms, targets = model.update_dict.atoms, batch.targets
-    residuals = batch.signals
+    batch_size = len(signals)
+    atoms = model.update_dict.atoms
+    residuals = signals
     live = np.ones(batch_size, dtype=bool)
     loss = 0.0
     grads = np.zeros_like(model.selection_weights)
@@ -371,9 +389,10 @@ def test_stacked_pass_matches_per_layer_oracle(seed, depth, signal_dim,
         model.proj = ProjectionMode.IDENTITY
     samples = sample_mixture(
         d, MixtureConfig(sparsity=depth, num_samples=batch_size, seed=seed))
-    batch = build_training_batch(model, samples.signals, samples.supports)
-    loss, grads = loss_and_gradient(model, batch)
-    ref_loss, ref_grads = per_layer_loss_and_gradient(model, batch)
+    batch = (samples.signals,
+             build_training_batch(model, samples.signals, samples.supports))
+    loss, grads = loss_and_gradient(model, *batch)
+    ref_loss, ref_grads = per_layer_loss_and_gradient(model, *batch)
     assert_close(loss, ref_loss)
     assert_close(grads, ref_grads)
 
@@ -396,9 +415,9 @@ def test_dead_rows_add_nothing_to_loss_or_gradient():
     supports = np.vstack([kept_supports[:4], zero_supports, kept_supports[4:]])
 
     def scaled(signals, supports):
-        batch = build_training_batch(model, signals, supports)
-        loss, grads = loss_and_gradient(model, batch)
-        return len(batch) * loss, len(batch) * grads, batch
+        targets = build_training_batch(model, signals, supports)
+        loss, grads = loss_and_gradient(model, signals, targets)
+        return len(signals) * loss, len(signals) * grads, targets
 
     loss, grads, _ = scaled(signals, supports)
     kept_loss, kept_grads, _ = scaled(kept_signals, kept_supports)
@@ -406,13 +425,13 @@ def test_dead_rows_add_nothing_to_loss_or_gradient():
     assert_close(grads, kept_grads)
 
     # the dying row: its dead last layer adds no loss and a zero block
-    loss, grads, batch = scaled(dying, [[0, 1, 2, 3]])
-    assert batch.targets.tolist() == [[0, 1, 2, 3]]
+    loss, grads, targets = scaled(dying, [[0, 1, 2, 3]])
+    assert targets.tolist() == [[0, 1, 2, 3]]
     assert np.all(grads[3] == 0.0)
     shallow = UnfoldedModel(selection_weights=model.selection_weights[:3],
                             update_dict=d)
-    shallow_loss, shallow_grads = loss_and_gradient(shallow, TrainingBatch(
-        signals=batch.signals, targets=batch.targets[:, :3]))
+    shallow_loss, shallow_grads = loss_and_gradient(shallow, dying,
+                                                    targets[:, :3])
     assert_close(loss, shallow_loss)
     assert_close(grads[:3], shallow_grads)
 
@@ -421,8 +440,8 @@ def test_gradient_blocks_are_column_major_like_the_weights(table_dictionary):
     model = init_from_dictionary(table_dictionary, 3)
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=3, num_samples=16, seed=6))
-    batch = build_training_batch(model, samples.signals, samples.supports)
-    _, grads = loss_and_gradient(model, batch)
+    targets = build_training_batch(model, samples.signals, samples.supports)
+    _, grads = loss_and_gradient(model, samples.signals, targets)
     assert grads.shape == model.selection_weights.shape
     assert all(g.flags.f_contiguous for g in grads)
     assert grads.strides == model.selection_weights.strides
@@ -435,12 +454,12 @@ def test_loss_and_gradient_allocates_one_stack_of_each():
     model = init_from_dictionary(d, depth)
     samples = sample_mixture(d, MixtureConfig(sparsity=depth,
                                               num_samples=batch_size, seed=3))
-    batch = build_training_batch(model, samples.signals, samples.supports)
+    targets = build_training_batch(model, samples.signals, samples.supports)
     m, n = d.atoms.shape
     bound = 8 * (depth * batch_size * (m + n) + depth * m * n) + 2**20
     tracemalloc.start()
     try:
-        loss_and_gradient(model, batch)
+        loss_and_gradient(model, samples.signals, targets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,0 +1,13 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run_as_written(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out
