@@ -109,19 +109,25 @@ class RunConfig:
         return self
 
 
+#: most sparsity levels a ``lo-hi`` k_range may span
+MAX_K_SPAN = 1000
+
+
 def parse_k_range(text: str) -> tuple[int, ...]:
-    """Accept "1-5", "3", or "1,2,4"."""
+    """Accept "1-5", "3", or "1,2,4"; a span holds at most MAX_K_SPAN levels."""
     text = text.strip()
     try:
         if "-" in text:
-            lo, hi = text.split("-")
-            values = tuple(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split("-"))
+            if hi - lo >= MAX_K_SPAN:
+                raise ConfigError(
+                    f"k_range {text!r} spans more than {MAX_K_SPAN} levels")
+            values = tuple(range(lo, hi + 1))
         elif "," in text:
             values = tuple(int(part) for part in text.split(","))
         else:
             values = (int(text),)
-    # OverflowError: a range too long for a tuple's length
-    except (ValueError, OverflowError):
+    except ValueError:
         raise ConfigError(f"cannot parse k_range {text!r}") from None
     if not values:
         raise ConfigError(f"empty k_range {text!r}")

@@ -20,7 +20,8 @@ two arrays: the (B, signal_dim) signals and the (B, depth) teacher targets
 that :func:`build_training_batch` computes for them. Because the teacher
 residuals never depend on the weights, the loss gradient is the closed-form
 softmax cross-entropy expression per layer and no backpropagation through the
-recursion is needed.
+recursion is needed: :func:`loss_and_gradient` is :func:`cross_entropy_head`
+applied to the residual stack of :func:`teacher_replay`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     EmptyBatch,
     InputError,
+    OutOfRange,
     ParseError,
     ShapeMismatch,
     SparsityMismatch,
@@ -137,8 +139,8 @@ def build_training_batch(model: UnfoldedModel, signals,
     position), then applies the fixed-dictionary update. Every row always
     receives exactly ``depth`` targets even if its residual dies early.
     Raises EmptyBatch, SparsityMismatch when the supports do not have
-    ``depth`` columns, and DimensionMismatch when signals and supports
-    differ in row count.
+    ``depth`` columns, DimensionMismatch when signals and supports differ in
+    row count, and OutOfRange for a support that is not an atom index.
     """
     candidates = np.asarray(supports, dtype=np.int64)  # (B, depth)
     if not len(candidates):
@@ -148,6 +150,7 @@ def build_training_batch(model: UnfoldedModel, signals,
         raise SparsityMismatch(
             f"supports of shape {candidates.shape} != model depth {depth}"
         )
+    _check_atom_indices(candidates, model.num_atoms, "supports")
     atoms = model.update_dict.atoms
     signals = check_signals(signals, model.signal_dim)
     batch = len(candidates)
@@ -172,6 +175,58 @@ def build_training_batch(model: UnfoldedModel, signals,
     return targets
 
 
+def _check_atom_indices(indices: np.ndarray, num_atoms: int, what: str) -> None:
+    bad = indices[(indices < 0) | (indices >= num_atoms)]
+    if bad.size:
+        raise OutOfRange(f"{what} hold atom index {bad[0]}, not in "
+                         f"[0, {num_atoms})")
+
+
+def teacher_replay(model: UnfoldedModel, signals: np.ndarray,
+                   targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher residuals of every layer, replayed from the targets.
+
+    Returns the (K, B, M) stack, layer k after the first k targets, and the
+    (K, B) live mask: a row lives while every residual so far has norm >=
+    ``RESIDUAL_FLOOR``. Dead rows are zeroed in the stack.
+    """
+    atoms = model.update_dict.atoms
+    stack = np.empty((model.depth, *signals.shape))
+    stack[0] = signals
+    for k in range(model.depth - 1):
+        _, stack[k + 1] = residual_step(atoms, stack[k], targets[:, k],
+                                        model.proj)
+    live = np.logical_and.accumulate(
+        np.einsum("kbm,kbm->kb", stack, stack) >= RESIDUAL_FLOOR ** 2, axis=0)
+    stack[~live] = 0.0
+    return stack, live
+
+
+def cross_entropy_head(weights: np.ndarray, stack: np.ndarray,
+                       live: np.ndarray, targets: np.ndarray
+                       ) -> tuple[float, np.ndarray]:
+    """Loss and weight gradient of :func:`teacher_replay`'s output.
+
+    All layers go in one score product and one gradient product, and dead
+    rows' loss terms are masked. The scores are one (K, N, B) array whose
+    normalisation is folded into the gradient product: target entries take
+    ``-= z`` and the rows of ``stack`` (overwritten) ``/= z * B``. The
+    (K, N, M) product is returned as (K, M, N), with column-major blocks
+    like the weights.
+    """
+    depth, batch_size, _ = stack.shape
+    p = np.matmul(weights.transpose(0, 2, 1), stack.transpose(0, 2, 1))
+    p -= p.max(axis=1, keepdims=True)
+    hit = (np.arange(depth)[:, None], targets.T, np.arange(batch_size))
+    picked = p[hit]
+    np.exp(p, out=p)
+    z = p.sum(axis=1)  # (K, B)
+    loss = float(((np.log(z) - picked) * live).sum()) / batch_size
+    p[hit] -= z
+    stack /= (z * batch_size)[:, :, None]
+    return loss, np.matmul(p, stack).transpose(0, 2, 1)
+
+
 def loss_and_gradient(model: UnfoldedModel, signals, targets
                       ) -> tuple[float, np.ndarray]:
     """Cross-entropy loss over all layers and its closed-form gradient.
@@ -180,14 +235,11 @@ def loss_and_gradient(model: UnfoldedModel, signals, targets
     teacher targets from :func:`build_training_batch`. Loss is the
     per-sample sum over live layers of -log softmax(target), averaged over
     the batch; the gradient, a stack like the weights, holds in block k the
-    batch mean of outer(residual_k, softmax_k - onehot(target_k)). All
-    layers go in one stacked pass: the teacher residuals, replayed from the
-    targets, form one (depth, batch, signal_dim) stack that makes one score
-    product and one gradient product. A sample whose residual died before
-    layer k has its layer-k residual zeroed and its loss term masked, so
-    from there on it adds exactly nothing. Raises EmptyBatch, and
-    DimensionMismatch unless the targets have one row of ``depth`` atoms
-    per signal.
+    batch mean of outer(residual_k, softmax_k - onehot(target_k)). A sample
+    whose residual died before layer k adds exactly nothing from there on.
+    Raises EmptyBatch, DimensionMismatch unless the targets have one row of
+    ``depth`` atoms per signal, and OutOfRange for a target that is not an
+    atom index.
     """
     signals = check_signals(signals, model.signal_dim)
     targets = np.asarray(targets)
@@ -199,29 +251,9 @@ def loss_and_gradient(model: UnfoldedModel, signals, targets
             f"targets of shape {targets.shape} for {batch_size} signals and "
             f"a depth-{model.depth} model"
         )
-    atoms = model.update_dict.atoms
-    stack = np.empty((model.depth, batch_size, model.signal_dim))
-    stack[0] = signals
-    for k in range(model.depth - 1):
-        _, stack[k + 1] = residual_step(atoms, stack[k], targets[:, k],
-                                        model.proj)
-    live = np.logical_and.accumulate(
-        np.linalg.norm(stack, axis=2) >= RESIDUAL_FLOOR, axis=0)  # (K, B)
-    stack[~live] = 0.0
-    # (K, B, N) scores, turned into softmax probabilities in place
-    p = np.matmul(stack, model.selection_weights)
-    p -= p.max(axis=2, keepdims=True)
-    hit = (np.arange(model.depth)[:, None], np.arange(batch_size), targets.T)
-    picked = p[hit]
-    np.exp(p, out=p)
-    z = p.sum(axis=2)
-    loss = float(((np.log(z) - picked) * live).sum()) / batch_size
-    p /= z[:, :, None]
-    p[hit] -= 1.0
-    # (K, N, M) product viewed as (K, M, N): column-major like the weights
-    grads = np.matmul(p.transpose(0, 2, 1), stack).transpose(0, 2, 1)
-    grads /= batch_size
-    return loss, grads
+    _check_atom_indices(targets, model.num_atoms, "targets")
+    return cross_entropy_head(model.selection_weights,
+                              *teacher_replay(model, signals, targets), targets)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -7,11 +7,14 @@ per-coordinate step size ``lr / sqrt(vhat + epsilon)`` is clamped into
     lower(t) = final_lr * (1 - 1 / (gamma * t + 1))
     upper(t) = final_lr * (1 + 1 / (gamma * t))
 
-so updates start adaptive and approach plain SGD at ``final_lr``.
+so updates start adaptive and approach plain SGD at ``final_lr``. A step folds
+the bias corrections into scalars (Kingma & Ba 2015, section 2) and walks the
+stack in memory order, in chunks of at most one block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,12 +62,17 @@ def step_bounds(hyper: AdaBoundHyper, t: int) -> tuple[float, float]:
     return lower, upper
 
 
+#: largest chunk, in elements, that a step updates at a time
+CHUNK = 1 << 15
+
+
 def adabound_step(state: AdaBoundState, params: np.ndarray, grads: np.ndarray):
     """Advance a (K, ...) parameter stack in place by one bounded adaptive step.
 
     Returns ``(params, state)`` for chaining; both are mutated. Raises
-    ShapeMismatch when params/grads/state disagree and NonFiniteGradient when
-    any gradient entry is NaN or infinite.
+    ShapeMismatch when params/grads/state disagree in shape or params and
+    moments differ in memory layout, and NonFiniteGradient when any gradient
+    entry is NaN or infinite.
     """
     if params.shape != state.m.shape or grads.shape != state.m.shape:
         raise ShapeMismatch(
@@ -78,19 +86,27 @@ def adabound_step(state: AdaBoundState, params: np.ndarray, grads: np.ndarray):
     lower, upper = step_bounds(h, t)
     bias1 = 1.0 - h.beta1 ** t
     bias2 = 1.0 - h.beta2 ** t
-    # block by block along axis 0; two scratch arrays laid out like a block
-    # hold every temporary, so the step allocates nothing else
-    step, mhat = np.empty_like(params[0]), np.empty_like(params[0])
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= h.beta1
-        m += np.multiply(1.0 - h.beta1, g, out=step)
-        v *= h.beta2
-        v += np.multiply(1.0 - h.beta2, np.square(g, out=step), out=step)
-        # step = clip(lr / sqrt(v / bias2 + epsilon), lower, upper)
-        np.divide(v, bias2, out=step)
-        step += h.epsilon
-        np.divide(h.lr, np.sqrt(step, out=step), out=step)
-        np.clip(step, lower, upper, out=step)
-        p -= np.multiply(step, np.divide(m, bias1, out=mhat), out=step)
+    # bias corrections folded into scalars: clip(lr / sqrt(v / bias2 + eps),
+    # lower, upper) * m / bias1 is clip(scale / sqrt(v + eps * bias2),
+    # lower / bias1, upper / bias1) * m
+    scale = h.lr * math.sqrt(bias2) / bias1
+    floor, ceil, eps = lower / bias1, upper / bias1, h.epsilon * bias2
+    # flat, in the parameters' memory order; ravel copies what it cannot view
+    axes = sorted(range(params.ndim), key=lambda i: -params.strides[i])
+    p, g, m, v = (a.transpose(axes).ravel()
+                  for a in (params, grads, state.m, state.v))
+    if not all(map(np.may_share_memory, (p, m, v), (params, state.m, state.v))):
+        raise ShapeMismatch("params and moments must share one layout")
+    step = np.empty(min(params[0].size, CHUNK))  # the one scratch array
+    for lo in range(0, len(p), len(step)):
+        pc, gc, mc, vc = (a[lo:lo + len(step)] for a in (p, g, m, v))
+        sc = step[:len(pc)]
+        mc *= h.beta1
+        mc += np.multiply(1.0 - h.beta1, gc, out=sc)
+        vc *= h.beta2
+        vc += np.multiply(1.0 - h.beta2, np.square(gc, out=sc), out=sc)
+        np.divide(scale, np.sqrt(np.add(vc, eps, out=sc), out=sc), out=sc)
+        np.minimum(np.maximum(sc, floor, out=sc), ceil, out=sc)
+        pc -= np.multiply(sc, mc, out=sc)
     state.t = t
     return params, state

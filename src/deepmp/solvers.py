@@ -46,12 +46,6 @@ class ProjectionMode(Enum):
     POSITIVE_ORTHANT = "positive"
 
 
-def project(values: np.ndarray, mode: ProjectionMode) -> np.ndarray:
-    if mode is ProjectionMode.POSITIVE_ORTHANT:
-        return np.maximum(values, 0.0)
-    return values
-
-
 @dataclass(frozen=True)
 class PursuitResult:
     """Outcome of one pursuit run.
@@ -94,11 +88,17 @@ def residual_step(atoms: np.ndarray, residuals: np.ndarray, index: np.ndarray,
 
     Row b takes the dictionary correlation ``coeff[b] = <d_i, r_b>`` of its
     atom ``i = index[b]`` and becomes ``P(r_b - coeff[b] * d_i)``. Returns
-    ``(coeff, new_residuals)``; the input stack is not modified.
+    ``(coeff, new_residuals)``; the input stack is not modified. The update
+    is built in one buffer: multiply, subtract, then clamp for
+    ``POSITIVE_ORTHANT``.
     """
     picked = atoms[:, index]  # (M, B)
     coeff = np.einsum("mb,bm->b", picked, residuals)
-    return coeff, project(residuals - coeff[:, None] * picked.T, proj)
+    update = np.multiply(coeff[:, None], picked.T)
+    np.subtract(residuals, update, out=update)
+    if proj is ProjectionMode.POSITIVE_ORTHANT:
+        np.maximum(update, 0.0, out=update)
+    return coeff, update
 
 
 def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,

@@ -62,6 +62,15 @@ def test_parse_k_range_forms():
         parse_k_range("five")
 
 
+def test_parse_k_range_rejects_a_long_span_before_building_it():
+    # the span bound is 1000 levels; 10**6 levels would cost tens of MB if
+    # built first, so this stays cheap where the bound is missing
+    assert parse_k_range("1-1000") == tuple(range(1, 1001))
+    for spec in ("1-1001", "1-1000000", "1-99999999999999999999"):
+        with pytest.raises(ConfigError, match="spans more than 1000"):
+            parse_k_range(spec)
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(
@@ -560,6 +569,14 @@ def test_cli_sparsity_above_atom_count_exits_2(tmp_path, capsys):
     assert run_cli(base + ["--k-range", "250", "train"]) == 2
     errors = cli_error_lines(capsys)
     assert len(errors) == 1 and "DimensionMismatch" in errors[0]
+
+
+def test_cli_over_long_k_span_exits_2(tmp_path, capsys):
+    code = run_cli(["--out", tmp_path / "run", "--k-range", "1-1000000",
+                    "gen-dict"])
+    assert code == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
 
 
 def test_cli_bad_surrogate_peaks_exits_2(tmp_path, capsys):

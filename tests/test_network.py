@@ -18,6 +18,7 @@ from deepmp.errors import (
     DimensionMismatch,
     EmptyBatch,
     NonFiniteSignal,
+    OutOfRange,
     ParseError,
     SparsityMismatch,
     ZeroSparsity,
@@ -26,11 +27,13 @@ from deepmp.network import (
     UnfoldedModel,
     batched_infer,
     build_training_batch,
+    cross_entropy_head,
     forward_infer,
     init_from_dictionary,
     load_model,
     loss_and_gradient,
     save_model,
+    teacher_replay,
 )
 from deepmp.optim import adabound_step, init_adabound
 from deepmp.solvers import RESIDUAL_FLOOR, ProjectionMode, nnmp_solve, residual_step
@@ -272,6 +275,51 @@ def test_batch_arrays_must_agree_in_rows_and_depth(small_dictionary):
         loss_and_gradient(model, mixtures.signals, targets[:3])
     with pytest.raises(DimensionMismatch):
         loss_and_gradient(model, mixtures.signals, targets[:, :1])
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_atom_indices_out_of_range_are_rejected(small_dictionary, shift):
+    # a shift by -N used to wrap silently, one by +N to end in IndexError
+    n = small_dictionary.num_atoms
+    model = init_from_dictionary(small_dictionary, 3)
+    mixtures = sample_mixture(small_dictionary,
+                              MixtureConfig(sparsity=3, num_samples=4, seed=2))
+    targets = build_training_batch(model, mixtures.signals, mixtures.supports)
+    with pytest.raises(OutOfRange, match="atom index"):
+        build_training_batch(model, mixtures.signals,
+                             mixtures.supports + shift * n)
+    with pytest.raises(OutOfRange, match="atom index"):
+        loss_and_gradient(model, mixtures.signals, targets + shift * n)
+
+
+def test_loss_and_gradient_is_the_head_of_the_replay(table_dictionary):
+    rng = np.random.default_rng(4)
+    model = random_model(rng, table_dictionary, 3)
+    samples = sample_mixture(
+        table_dictionary, MixtureConfig(sparsity=3, num_samples=32, seed=4))
+    targets = build_training_batch(model, samples.signals, samples.supports)
+    loss, grads = loss_and_gradient(model, samples.signals, targets)
+    stack, live = teacher_replay(model, samples.signals, targets)
+    assert stack.shape == (3, 32, table_dictionary.signal_dim)
+    assert live.shape == (3, 32)
+    head_loss, head_grads = cross_entropy_head(model.selection_weights, stack,
+                                               live, targets)
+    assert loss == head_loss
+    assert np.array_equal(grads, head_grads)
+
+
+def test_loss_and_gradient_do_not_depend_on_row_order(table_dictionary):
+    rng = np.random.default_rng(9)
+    model = random_model(rng, table_dictionary, 4)
+    samples = sample_mixture(
+        table_dictionary, MixtureConfig(sparsity=4, num_samples=50, seed=9))
+    targets = build_training_batch(model, samples.signals, samples.supports)
+    loss, grads = loss_and_gradient(model, samples.signals, targets)
+    order = rng.permutation(50)
+    shuffled_loss, shuffled_grads = loss_and_gradient(
+        model, samples.signals[order], targets[order])
+    assert_close(shuffled_loss, loss)
+    assert_close(shuffled_grads, grads)
 
 
 def test_gradient_matches_finite_differences():

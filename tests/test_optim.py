@@ -1,8 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deepmp import optim
 from deepmp.errors import NonFiniteGradient, ShapeMismatch
 from deepmp.optim import (
     AdaBoundHyper,
@@ -31,20 +35,23 @@ def test_bounds_converge_to_final_lr():
     assert lo1 < 0.001 < up1
 
 
+def scalar_step(p, m, v, g, step, hyper):
+    """Straight transcription of step ``step`` of the rule for one scalar."""
+    m = hyper.beta1 * m + (1 - hyper.beta1) * g
+    v = hyper.beta2 * v + (1 - hyper.beta2) * g * g
+    mhat = m / (1 - hyper.beta1**step)
+    vhat = v / (1 - hyper.beta2**step)
+    lower = hyper.final_lr * (1 - 1 / (hyper.gamma * step + 1))
+    upper = hyper.final_lr * (1 + 1 / (hyper.gamma * step))
+    rate = min(max(hyper.lr / np.sqrt(vhat + hyper.epsilon), lower), upper)
+    return p - rate * mhat, m, v
+
+
 def scalar_oracle(g, t, hyper):
-    """Straight transcription of the update rule for one scalar parameter."""
-    m = 0.0
-    v = 0.0
-    p = 0.0
+    """The rule run for t steps on one scalar parameter from zero."""
+    p = m = v = 0.0
     for step in range(1, t + 1):
-        m = hyper.beta1 * m + (1 - hyper.beta1) * g
-        v = hyper.beta2 * v + (1 - hyper.beta2) * g * g
-        mhat = m / (1 - hyper.beta1**step)
-        vhat = v / (1 - hyper.beta2**step)
-        lower = hyper.final_lr * (1 - 1 / (hyper.gamma * step + 1))
-        upper = hyper.final_lr * (1 + 1 / (hyper.gamma * step))
-        rate = min(max(hyper.lr / np.sqrt(vhat + hyper.epsilon), lower), upper)
-        p -= rate * mhat
+        p, m, v = scalar_step(p, m, v, g, step, hyper)
     return p
 
 
@@ -146,3 +153,54 @@ def test_step_allocates_at_most_two_blocks():
         finally:
             tracemalloc.stop()
         assert peak <= 2 * block + 64 * 1024
+
+
+def stack_like(values, column_major):
+    """``values`` as a (K, M, N) stack with column-major or C-order blocks."""
+    if column_major:
+        return np.array(values.transpose(0, 2, 1), order="C").transpose(0, 2, 1)
+    return np.array(values, order="C")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 9)),
+       chunk=st.sampled_from([1, 5, 16, optim.CHUNK]),
+       column_major=st.booleans(), grads_column_major=st.booleans(),
+       t=st.integers(0, 5000),
+       lr=st.floats(1e-5, 1.0), final_lr=st.floats(1e-3, 1.0),
+       beta1=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       beta2=st.floats(0.0, 0.9999), gamma=st.floats(1e-4, 1.0),
+       epsilon=st.one_of(st.just(0.0), st.floats(1e-12, 1e-3)))
+def test_step_matches_scalar_oracle(seed, shape, chunk, column_major,
+                                    grads_column_major, t, lr, final_lr, beta1,
+                                    beta2, gamma, epsilon):
+    # each entry takes step t + 1 from its own random state; the stack is
+    # walked in chunks of ``chunk`` elements (capped at one block), so most
+    # stacks span several chunks, some of them partial
+    hyper = AdaBoundHyper(lr=lr, final_lr=final_lr, beta1=beta1, beta2=beta2,
+                          gamma=gamma, epsilon=epsilon)
+    rng = np.random.default_rng(seed)
+    params = stack_like(np.zeros(shape), column_major)
+    state = init_adabound(params, hyper)
+    state.m[...] = rng.standard_normal(shape)
+    state.v[...] = rng.random(shape) * 10.0 ** rng.integers(-6, 2, shape)
+    state.t = t
+    grads = stack_like(rng.standard_normal(shape), grads_column_major)
+    m0, v0 = state.m.copy(), state.v.copy()
+    with mock.patch.object(optim, "CHUNK", chunk):
+        adabound_step(state, params, grads)
+    assert state.t == t + 1
+    for i in np.ndindex(shape):
+        p, m, v = scalar_step(0.0, m0[i], v0[i], grads[i], t + 1, hyper)
+        assert params[i] == pytest.approx(p, rel=1e-12, abs=0.0)
+        assert state.m[i] == pytest.approx(m, rel=1e-12, abs=0.0)
+        assert state.v[i] == pytest.approx(v, rel=1e-12, abs=0.0)
+
+
+def test_moments_laid_out_unlike_the_params_are_rejected():
+    params = stack_like(np.zeros((2, 3, 4)), column_major=True)
+    state = init_adabound(params)
+    state.m = np.zeros((2, 3, 4))
+    with pytest.raises(ShapeMismatch):
+        adabound_step(state, params, np.ones((2, 3, 4)))

@@ -24,10 +24,34 @@ from deepmp.solvers import (
     nnmp_solve,
     nnomp_pursuit,
     nnomp_solve,
+    residual_step,
 )
 from deepmp.types import validate_dictionary
 
 from conftest import random_unit_dictionary
+
+
+# -- residual update ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("proj", list(ProjectionMode))
+def test_residual_step_is_the_plain_expression_bit_for_bit(table_dictionary,
+                                                           proj):
+    rng = np.random.default_rng(8)
+    atoms = table_dictionary.atoms
+    residuals = rng.standard_normal((64, atoms.shape[0]))
+    index = rng.integers(0, atoms.shape[1], 64)
+    before = residuals.copy()
+    coeff, updated = residual_step(atoms, residuals, index, proj)
+    picked = atoms[:, index]
+    expected = residuals - coeff[:, None] * picked.T
+    if proj is ProjectionMode.POSITIVE_ORTHANT:
+        expected = np.maximum(expected, 0.0)
+    assert np.array_equal(coeff, np.einsum("mb,bm->b", picked, residuals))
+    assert np.array_equal(updated, expected)
+    assert np.array_equal(residuals, before)
+    if proj is ProjectionMode.POSITIVE_ORTHANT:
+        assert (updated == 0.0).any()
 
 
 # -- hard-max selection ---------------------------------------------------------
