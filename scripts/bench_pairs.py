@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Interleaved benchmark pairs: a git revision against the working tree.
+
+Exports REF with ``git archive`` into a temporary directory and runs
+``perfbench/run.py`` there and in the working tree, once each per pair,
+alternating which side runs first. Each run's last output line is
+perfbench's JSON summary. The script prints every end-to-end metric per pair
+and per side, then each side's median and quartiles, the number of pairs the
+working tree wins (by the direction ``BENCHMARK.json`` gives), whether the
+gap between the medians exceeds REF's interquartile range, and REF's commit
+and tree hashes.
+
+Usage (from anywhere inside the repository):
+  python3 scripts/bench_pairs.py --ref HEAD --workload train-synth \\
+      --seed 3 --seconds 20 --pairs 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("ref", "work")
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def export(commit: str, directory: str) -> None:
+    """Unpack the tree of ``commit`` into ``directory``."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar",
+                                             commit))) as tar:
+        tar.extractall(directory, filter="data")
+
+
+def run_bench(checkout: str, args) -> dict:
+    """The metrics of one perfbench run in ``checkout``, by name."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds)],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        summary = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(f"bench_pairs: no summary from {checkout} "
+                         f"(exit {proc.returncode}):\n{proc.stderr}") from None
+    if not summary["correct"]:
+        print(f"  {checkout}: {summary['failed']} of {summary['attempted']} "
+              f"operations failed", file=sys.stderr)
+    return {name: entry["value"] for name, entry in summary["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Lower quartile, median and upper quartile (inclusive method)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    low, mid, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, mid, high
+
+
+def summarise(pairs: list[dict], better: dict) -> dict:
+    """Per metric: each side's quartiles, the working tree's wins, the verdict.
+
+    ``pairs`` holds one ``{"ref": metrics, "work": metrics}`` per pair and
+    ``better`` maps a metric's bare name to "lower" or "higher". A pair with
+    a null value on either side neither wins nor counts.
+    """
+    out = {}
+    for name in pairs[0]["ref"]:
+        sign = -1.0 if better.get(name.rsplit("/", 1)[-1]) == "lower" else 1.0
+        both = [(p["ref"][name], p["work"][name]) for p in pairs
+                if p["ref"].get(name) is not None
+                and p["work"].get(name) is not None]
+        if not both:
+            continue
+        ref_q = quartiles([r for r, _ in both])
+        work_q = quartiles([w for _, w in both])
+        gap = sign * (work_q[1] - ref_q[1])
+        out[name] = {
+            "ref": ref_q,
+            "work": work_q,
+            "wins": sum(sign * (w - r) > 0.0 for r, w in both),
+            "pairs": len(both),
+            "gap_exceeds_ref_iqr": gap > ref_q[2] - ref_q[0],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", required=True, help="git revision to compare")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    commit = git("rev-parse", "--verify", f"{args.ref}^{{commit}}").decode().strip()
+    tree = git("rev-parse", f"{commit}^{{tree}}").decode().strip()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        export(commit, tmp)
+        checkouts = {"ref": tmp, "work": ROOT}
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {side: run_bench(checkouts[side], args) for side in order}
+            pairs.append(pair)
+            print(f"pair {i + 1} ({order[0]} first)")
+            for name in sorted(pair["ref"]):
+                print(f"  {name:36s} ref {pair['ref'][name]!s:>22} "
+                      f"work {pair['work'].get(name)!s:>22}")
+            sys.stdout.flush()
+
+    print(f"\nref {args.ref}: commit {commit}, tree {tree}")
+    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s, "
+          f"{args.pairs} pairs; quartiles are 25% / median / 75%")
+    for name, s in summarise(pairs, better).items():
+        ref, work = (" / ".join(f"{v:.6g}" for v in s[side]) for side in SIDES)
+        print(f"{name:36s} ref {ref}  work {work}  work wins "
+              f"{s['wins']}/{s['pairs']}  median gap > ref IQR: "
+              f"{'yes' if s['gap_exceeds_ref_iqr'] else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

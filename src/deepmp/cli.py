@@ -20,7 +20,7 @@ import numpy as np
 
 from . import datagen, metrics, network, training
 from .config import RunConfig, load_config, parse_k_range
-from .errors import InputError, MissingModel, NumericalError
+from .errors import ConfigError, InputError, MissingModel, NumericalError
 from .seeding import DICT_STREAM, child_seed
 from .solvers import ProjectionMode
 from .types import Dictionary, load_dictionary_csv, save_dictionary_csv
@@ -239,6 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(path: str) -> None:
+    """ConfigError when the run directory is, or lies under, a non-directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"run directory {path!r}: {probe!r} is not a directory")
+
+
 def resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     overrides = {}
@@ -252,6 +261,7 @@ def resolve_config(args) -> RunConfig:
         config = replace(config, **overrides)
     if args.scale is not None:
         config = config.scaled(args.scale)
+    _check_out_dir(config.out_dir)
     return config.validate()
 
 

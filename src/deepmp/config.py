@@ -148,11 +148,13 @@ _SCHEMA = {
 
 
 def load_config(path) -> RunConfig:
-    """Parse an INI config; unknown sections or keys are rejected."""
+    """Parse a UTF-8 INI config; unknown sections or keys are rejected."""
     # no interpolation: a '%' in a value (a path, say) is taken literally
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not read:

@@ -33,7 +33,13 @@ from .errors import (
     ParseError,
     ZeroSparsity,
 )
-from .types import Dictionary, Sample, read_csv_matrix, validate_dictionary
+from .types import (
+    Dictionary,
+    Sample,
+    read_csv_matrix,
+    text_lines,
+    validate_dictionary,
+)
 
 log = logging.getLogger(__name__)
 
@@ -233,14 +239,20 @@ def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
 
 
 def read_dataset_meta(directory) -> dict:
-    with open(os.path.join(directory, "dataset.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON sidecar; ParseError naming it if it is not UTF-8 JSON."""
+    path = os.path.join(directory, "dataset.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise ParseError(f"{path}: not UTF-8 JSON: {exc}") from None
 
 
 def iter_dataset(directory):
     """Stream samples back from CSV shards, in written order.
 
-    Raises ParseError naming the file and row when a row does not parse, its
+    Raises ParseError naming the file when a shard or the sidecar is not
+    UTF-8 text, and naming the file and row when a row does not parse, its
     signal does not have the sidecar's ``signal_dim`` finite values, its atom
     indices are not ``k`` distinct indices in ``[0, num_atoms)``, or a
     coefficient lies outside the (0, 1] of the coefficient law.
@@ -255,7 +267,7 @@ def iter_dataset(directory):
     for shard in shards:
         path = os.path.join(directory, shard)
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            for lineno, line in enumerate(text_lines(fh, path), start=1):
                 line = line.strip()
                 if not line:
                     continue

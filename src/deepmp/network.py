@@ -21,11 +21,14 @@ that :func:`build_training_batch` computes for them. Because the teacher
 residuals never depend on the weights, the loss gradient is the closed-form
 softmax cross-entropy expression per layer and no backpropagation through the
 recursion is needed: :func:`loss_and_gradient` is :func:`cross_entropy_head`
-applied to the residual stack of :func:`teacher_replay`.
+applied to the residual stack of :func:`teacher_replay`. The head shifts the
+scores by their row maxima only when some score lies far enough out that
+``exp`` could overflow or underflow.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -53,6 +56,8 @@ from .solvers import (
 from .types import Dictionary
 
 _MAGIC = b"DMP1"
+#: log of the smallest normal float64, about -708.4
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -162,9 +167,9 @@ def build_training_batch(model: UnfoldedModel, signals,
     used = np.zeros((batch, depth), dtype=bool)
     targets = np.zeros((batch, depth), dtype=np.int64)
     rows = np.arange(batch)
+    cand_atoms = atoms[:, candidates]  # (M, B, depth)
     for step in range(depth):
         # correlations of each sample's true atoms with its current residual
-        cand_atoms = atoms[:, candidates]  # (M, B, depth)
         corr = np.einsum("mbk,bm->bk", cand_atoms, residuals)
         corr[used] = -np.inf
         pick = np.argmax(corr, axis=1)
@@ -213,10 +218,20 @@ def cross_entropy_head(weights: np.ndarray, stack: np.ndarray,
     ``-= z`` and the rows of ``stack`` (overwritten) ``/= z * B``. The
     (K, N, M) product is returned as (K, M, N), with column-major blocks
     like the weights.
+
+    The per-row max-shift runs only when a score leaves the open interval
+    ``±(-log(tiny) - log(N * B))``, about ±698 at N = 200, B = 128. Inside
+    it every ``exp``, normaliser ``z`` and ``z * B`` is a finite normal
+    float, so skipping the shift changes the loss and gradient by rounding
+    only: about ``eps * max|score|`` in a row's loss term, which the score
+    product carries anyway, and at most ``eps / 2`` in a gradient entry
+    where ``/= z * B`` takes residual entries below the normal range.
     """
     depth, batch_size, _ = stack.shape
     p = np.matmul(weights.transpose(0, 2, 1), stack.transpose(0, 2, 1))
-    p -= p.max(axis=1, keepdims=True)
+    limit = -_LOG_TINY - math.log(p.shape[1] * batch_size)
+    if not (-limit < p.min() and p.max() < limit):
+        p -= p.max(axis=1, keepdims=True)
     hit = (np.arange(depth)[:, None], targets.T, np.arange(batch_size))
     picked = p[hit]
     np.exp(p, out=p)

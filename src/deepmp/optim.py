@@ -9,7 +9,8 @@ per-coordinate step size ``lr / sqrt(vhat + epsilon)`` is clamped into
 
 so updates start adaptive and approach plain SGD at ``final_lr``. A step folds
 the bias corrections into scalars (Kingma & Ba 2015, section 2) and walks the
-stack in memory order, in chunks of at most one block.
+whole stack in memory order, in flat chunks of ``CHUNK`` elements that may span
+several blocks: a stack of at most ``CHUNK`` elements takes one chunk.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def adabound_step(state: AdaBoundState, params: np.ndarray, grads: np.ndarray):
                   for a in (params, grads, state.m, state.v))
     if not all(map(np.may_share_memory, (p, m, v), (params, state.m, state.v))):
         raise ShapeMismatch("params and moments must share one layout")
-    step = np.empty(min(params[0].size, CHUNK))  # the one scratch array
+    step = np.empty(min(params.size, CHUNK))  # the one scratch array
     for lo in range(0, len(p), len(step)):
         pc, gc, mc, vc = (a[lo:lo + len(step)] for a in (p, g, m, v))
         sc = step[:len(pc)]

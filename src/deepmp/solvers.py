@@ -141,9 +141,11 @@ def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
             coeff, updated = residual_step(atoms, residuals, picked, proj)
             # score and correlation can straddle zero only at float-noise level
             live &= (best > 0.0) & (coeff > 0.0)
-            supports[live, k] = picked[live]
-            codes[live, picked[live]] += coeff[live]
-            residuals[live] = updated[live]
+            # stopped rows keep -1, add 0.0 to a code entry that is +0.0 or
+            # positive, and keep their residual
+            supports[:, k] = np.where(live, picked, -1)
+            codes[rows, picked] += np.where(live, coeff, 0.0)
+            np.copyto(residuals, updated, where=live[:, None])
         norm_paths[:, k + 1] = np.linalg.norm(residuals, axis=1)
     return supports, codes, residuals, norm_paths
 

@@ -102,10 +102,14 @@ def validate_dictionary(atoms) -> Dictionary:
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    """Parse a dense numeric CSV matrix, skipping one optional header line."""
+    """Parse a dense numeric CSV matrix, skipping one optional header line.
+
+    Raises ParseError naming the file when it is not UTF-8 text, a cell is
+    not numeric, rows differ in length, or no numeric row is found.
+    """
     rows: list[np.ndarray] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(text_lines(fh, path), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -129,6 +133,17 @@ def read_csv_matrix(path) -> np.ndarray:
     if not rows:
         raise ParseError(f"{path}: no numeric rows")
     return np.array(rows, dtype=np.float64)
+
+
+def text_lines(fh, path):
+    """The lines of ``fh``, opened as UTF-8 text from ``path``.
+
+    Raises ParseError naming ``path`` where the bytes are not UTF-8.
+    """
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def _is_float(cell: str) -> bool:

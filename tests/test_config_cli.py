@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -111,6 +112,13 @@ def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[training]\nlearning_rate = 0.1\n")
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[run]\nseed = 1\xff\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8")):
         load_config(path)
 
 
@@ -559,6 +567,48 @@ def test_cli_bad_config_names_its_fault_and_exits_2(tmp_path, capsys, text,
 def cli_error_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines()
             if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "ecdf",
+                                     "config"])
+def test_cli_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    out.mkdir()
+    garbage = out / "dictionary.csv"
+    garbage.write_bytes(b"\xff\xfe\x00garbage\n")
+    args = ["--out", out, "--scale", 0.001]
+    if command == "config":
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"[run]\nseed = 1\xff\n")
+        args = ["--config", cfg] + args + ["gen-dict"]
+    elif command == "ecdf":
+        args += ["ecdf", garbage]
+    else:
+        args += [command]
+    assert run_cli(args) == 2
+    errors = cli_error_lines(capsys)
+    fault = "ConfigError" if command == "config" else "ParseError"
+    assert len(errors) == 1 and fault in errors[0] and "UTF-8" in errors[0]
+
+
+@pytest.mark.parametrize("command", ["gen-dict", "gen-data", "train", "eval",
+                                     "ecdf"])
+@pytest.mark.parametrize("under", [False, True], ids=["at", "under"])
+def test_cli_run_directory_at_or_under_a_file_exits_2(tmp_path, capsys,
+                                                      command, under):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" if under else afile
+    args = ["--out", out, "--scale", 0.001, command]
+    if command == "ecdf":
+        dictionary = tmp_path / "dictionary.csv"
+        dictionary.write_text("1.0,0.0,0.6\n0.0,1.0,0.8\n")
+        args.append(dictionary)
+    assert run_cli(args) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert f"{str(afile)!r} is not a directory" in errors[0]
+    assert afile.read_text() == ""
 
 
 def test_cli_sparsity_above_atom_count_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -288,6 +290,19 @@ def test_dataset_round_trip(tmp_path, small_dictionary):
         assert np.array_equal(s.signal, t.signal)
         recon = small_dictionary.atoms[:, t.true_support] @ t.true_coeffs
         assert np.linalg.norm(t.signal - recon) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["shard_00000.csv", "dataset.json"])
+def test_iter_dataset_names_a_file_that_is_not_utf8(tmp_path, name):
+    d = generate_synthetic_dictionary(6, 12, seed=3)
+    directory = tmp_path / "data"
+    write_dataset([sample_mixture(d, MixtureConfig(sparsity=3, num_samples=4,
+                                                   seed=5))],
+                  directory, dictionary=d, sparsity=3, seed=5)
+    path = directory / name
+    path.write_bytes(path.read_bytes() + b"\xff\xfe\x00garbage\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8")):
+        list(iter_dataset(directory))
 
 
 @pytest.mark.parametrize("fault", ["short_signal", "index_out_of_range",

@@ -416,9 +416,10 @@ def per_layer_loss_and_gradient(model, signals, targets):
     return loss, grads
 
 
-def assert_close(value, reference, rtol=1e-12):
-    """Scalars or stacks equal to ``rtol`` of the reference's largest entry."""
-    scale = np.abs(reference).max()
+def assert_close(value, reference, rtol=1e-12, scale=0.0):
+    """Scalars or stacks equal to ``rtol`` of the reference's largest entry,
+    or of ``scale`` where that is larger."""
+    scale = max(np.abs(reference).max(), scale)
     assert np.abs(np.asarray(value) - reference).max() <= rtol * scale
 
 
@@ -443,6 +444,53 @@ def test_stacked_pass_matches_per_layer_oracle(seed, depth, signal_dim,
     ref_loss, ref_grads = per_layer_loss_and_gradient(model, *batch)
     assert_close(loss, ref_loss)
     assert_close(grads, ref_grads)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5),
+       signal_dim=st.integers(3, 8), extra_atoms=st.integers(2, 10),
+       batch_size=st.integers(1, 24), positive=st.booleans(),
+       scale=st.sampled_from(["x100", "x5000", "edge"]))
+def test_large_scores_match_per_layer_oracle(seed, depth, signal_dim,
+                                             extra_atoms, batch_size,
+                                             positive, scale):
+    # the head skips its max-shift while every score lies inside
+    # +-(-log(tiny) - log(N * B)); unit-norm signals bound each score by its
+    # weight column's norm, so x100 stays inside, x5000 leaves the range,
+    # and "edge" scales the largest score to just inside it
+    rng = np.random.default_rng(seed)
+    d = validate_dictionary(
+        random_unit_dictionary(rng, signal_dim, signal_dim + extra_atoms))
+    model = random_model(rng, d, depth)
+    if not positive:
+        model.proj = ProjectionMode.IDENTITY
+    samples = sample_mixture(
+        d, MixtureConfig(sparsity=depth, num_samples=batch_size, seed=seed))
+    signals = samples.signals / np.linalg.norm(samples.signals, axis=1,
+                                               keepdims=True)
+    targets = build_training_batch(model, signals, samples.supports)
+    stack, _ = teacher_replay(model, signals, targets)
+    limit = -np.log(np.finfo(np.float64).tiny) - np.log(
+        d.num_atoms * batch_size)
+
+    def scores():
+        weights = model.selection_weights
+        return np.matmul(weights.transpose(0, 2, 1), stack.transpose(0, 2, 1))
+
+    if scale == "edge":
+        model.selection_weights *= 0.9999 * limit / np.abs(scores()).max()
+    else:
+        model.selection_weights *= float(scale[1:])
+    p = scores()
+    assert (np.abs(p).max() < limit) == (scale != "x5000")
+    loss, grads = loss_and_gradient(model, signals, targets)
+    ref_loss, ref_grads = per_layer_loss_and_gradient(model, signals, targets)
+    assert np.isfinite(loss)
+    # confident rows make the loss and gradient differences of nearly equal
+    # numbers, so both are compared at the scale of their terms: the scores
+    # for the loss, the residual entries for the gradient
+    assert_close(loss, ref_loss, scale=np.abs(p).max())
+    assert_close(grads, ref_grads, scale=np.abs(stack).max())
 
 
 def test_dead_rows_add_nothing_to_loss_or_gradient():

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deepmp import optim
@@ -165,19 +165,24 @@ def stack_like(values, column_major):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 9)),
-       chunk=st.sampled_from([1, 5, 16, optim.CHUNK]),
+       chunk=st.sampled_from([1, 5, 16, 100, optim.CHUNK]),
        column_major=st.booleans(), grads_column_major=st.booleans(),
        t=st.integers(0, 5000),
        lr=st.floats(1e-5, 1.0), final_lr=st.floats(1e-3, 1.0),
        beta1=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
        beta2=st.floats(0.0, 0.9999), gamma=st.floats(1e-4, 1.0),
        epsilon=st.one_of(st.just(0.0), st.floats(1e-12, 1e-3)))
+# chunks of 100 over 54-element blocks: every chunk spans a block boundary
+# and the last of the three is partial
+@example(seed=7, shape=(4, 6, 9), chunk=100, column_major=True,
+         grads_column_major=False, t=3, lr=1e-3, final_lr=0.1, beta1=0.9,
+         beta2=0.999, gamma=1e-3, epsilon=1e-8)
 def test_step_matches_scalar_oracle(seed, shape, chunk, column_major,
                                     grads_column_major, t, lr, final_lr, beta1,
                                     beta2, gamma, epsilon):
     # each entry takes step t + 1 from its own random state; the stack is
-    # walked in chunks of ``chunk`` elements (capped at one block), so most
-    # stacks span several chunks, some of them partial
+    # walked in chunks of ``chunk`` elements, which may span several blocks,
+    # so most stacks span several chunks, some of them partial
     hyper = AdaBoundHyper(lr=lr, final_lr=final_lr, beta1=beta1, beta2=beta2,
                           gamma=gamma, epsilon=epsilon)
     rng = np.random.default_rng(seed)

@@ -17,6 +17,7 @@ from deepmp.errors import (
     ZeroSparsity,
 )
 from deepmp.solvers import (
+    RESIDUAL_FLOOR,
     ProjectionMode,
     _nnls_gram,
     hard_max_pursuit,
@@ -104,6 +105,67 @@ def test_kernel_rows_match_one_row_calls(table_dictionary):
         assert np.array_equal(paths[i, :res.steps_taken + 1],
                               res.residual_norm_path)
     assert supports[-1].tolist() == [-1, -1, -1]
+
+
+def masked_pursuit(selection_mats, atoms, signals, proj):
+    """:func:`hard_max_pursuit` as it read with boolean-masked updates."""
+    residuals = np.array(signals, dtype=np.float64)
+    batch, depth = residuals.shape[0], len(selection_mats)
+    supports = np.full((batch, depth), -1, dtype=np.int64)
+    codes = np.zeros((batch, atoms.shape[1]))
+    norm_paths = np.empty((batch, depth + 1))
+    norm_paths[:, 0] = np.linalg.norm(residuals, axis=1)
+    live = np.ones(batch, dtype=bool)
+    rows = np.arange(batch)
+    for k, weights in enumerate(selection_mats):
+        live &= norm_paths[:, k] >= RESIDUAL_FLOOR
+        if live.any():
+            scores = residuals @ weights
+            picked = np.argmax(scores, axis=1)
+            best = scores[rows, picked]
+            coeff, updated = residual_step(atoms, residuals, picked, proj)
+            live &= (best > 0.0) & (coeff > 0.0)
+            supports[live, k] = picked[live]
+            codes[live, picked[live]] += coeff[live]
+            residuals[live] = updated[live]
+        norm_paths[:, k + 1] = np.linalg.norm(residuals, axis=1)
+    return supports, codes, residuals, norm_paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5),
+       signal_dim=st.integers(3, 8), extra_atoms=st.integers(2, 10),
+       batch_size=st.integers(0, 20), noise=st.sampled_from([0.0, 0.3, 2.0]),
+       proj=st.sampled_from(list(ProjectionMode)))
+def test_hard_max_pursuit_matches_masked_updates_bit_for_bit(
+        seed, depth, signal_dim, extra_atoms, batch_size, noise, proj):
+    # atoms 0..M-1 are the identity basis. The selection blocks are
+    # non-negative, and block 0 scores atom 0 with 100 * e_1, so three
+    # appended rows stop at step 0, one on each stop test: a zero row on the
+    # residual floor, a negative row on its best score (every score <= 0),
+    # and e_1 on its correlation (atom 0 wins, and <e_0, e_1> = 0)
+    rng = np.random.default_rng(seed)
+    d = validate_dictionary(np.hstack([
+        np.eye(signal_dim),
+        random_unit_dictionary(rng, signal_dim, extra_atoms)]))
+    atoms = d.atoms
+    weights = np.abs(atoms + noise * rng.standard_normal((depth, *atoms.shape)))
+    weights[0][:, 0] = 100.0 * np.eye(signal_dim)[1]
+    mixtures = sample_mixture(d, MixtureConfig(
+        sparsity=min(depth, 3), num_samples=max(batch_size, 1), seed=seed))
+    e1 = np.eye(signal_dim)[1]
+    signals = np.vstack([
+        mixtures.signals[:batch_size],
+        rng.standard_normal((batch_size, signal_dim)),
+        # an exact atom multiple: its residual can reach 0 mid-run
+        rng.random((batch_size, 1)) * np.eye(signal_dim)[
+            rng.integers(0, signal_dim, batch_size)],
+        np.zeros(signal_dim), -(rng.random(signal_dim) + 0.1), e1])
+    got = hard_max_pursuit(weights, atoms, signals, proj)
+    expected = masked_pursuit(weights, atoms, signals, proj)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+    assert (got[0][-3:] == -1).all()
 
 
 # -- nnmp ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,13 @@ def test_csv_parse_error_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,4.0\n5.0,oops\n")
     with pytest.raises(ParseError, match=r"row 3, column 2"):
+        read_csv_matrix(path)
+
+
+def test_csv_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "garbage.csv"
+    path.write_bytes(b"1.0,2.0\n\xff\xfe\x00garbage\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8")):
         read_csv_matrix(path)
 
 
