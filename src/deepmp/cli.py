@@ -105,11 +105,9 @@ def cmd_gen_data(config: RunConfig) -> None:
         shards = (shard for _, shard in training.stream_shards(
             dictionary, k, config.seed, config.shard_size,
             config.num_train_samples))
-        datagen.write_dataset(shards, directory, dictionary=dictionary,
-                              sparsity=k, seed=config.seed)
-        outputs.extend(
-            os.path.join(directory, name) for name in sorted(os.listdir(directory))
-        )
+        outputs.extend(datagen.write_dataset(
+            shards, directory, dictionary=dictionary, sparsity=k,
+            seed=config.seed))
         print(f"wrote {config.num_train_samples} samples at sparsity {k} "
               f"to {directory}")
     _write_manifest(config.out_dir, "gen-data", config, [csv_path], outputs)
@@ -279,7 +277,7 @@ def main(argv=None) -> int:
             cmd_eval(config)
         elif args.command == "ecdf":
             cmd_ecdf(config, args.source)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

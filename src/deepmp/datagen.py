@@ -10,9 +10,9 @@ its atoms is exchangeable. A Lorentzian-peak surrogate generator stands in
 for a real spectra library and produces the same kind of coherent, smooth,
 non-negative atoms.
 
-Dataset files are CSV shards (one mixture per row: k "index:coefficient"
-cells, then the signal values) next to a JSON sidecar recording dimensions,
-sparsity, seed, sample count, and the coefficient law.
+Dataset files are an export only: CSV shards (one mixture per row: k
+"index:coefficient" cells, then the signal values) next to a JSON sidecar
+recording dimensions, sparsity, seed, sample count, and the coefficient law.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .types import (
     Dictionary,
     Sample,
     read_csv_matrix,
-    text_lines,
     validate_dictionary,
 )
 
@@ -204,12 +203,18 @@ def generate_raman_surrogate(signal_dim: int, num_atoms: int, peaks_per_atom: in
 
 
 def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
-                  seed: int) -> dict:
+                  seed: int) -> list[str]:
     """Write each :class:`Mixtures` shard as one CSV file, plus a JSON sidecar.
 
-    Returns the sidecar.
+    Replaces the ``shard_*.csv`` files of an earlier call, so the shards in
+    ``directory`` are exactly the sidecar's; other files stay. Returns the
+    paths written: the shards in order, then the sidecar.
     """
     os.makedirs(directory, exist_ok=True)
+    for name in os.listdir(directory):
+        if name.startswith("shard_") and name.endswith(".csv"):
+            os.remove(os.path.join(directory, name))
+    paths = []
     count = 0
     for index, shard in enumerate(shards):
         path = os.path.join(directory, f"shard_{index:05d}.csv")
@@ -223,6 +228,7 @@ def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
                 cells.extend(repr(v) for v in signal.tolist())
                 fh.write(",".join(cells))
                 fh.write("\n")
+        paths.append(path)
         count += len(shard)
     sidecar = {
         "signal_dim": dictionary.signal_dim,
@@ -232,73 +238,8 @@ def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
         "num_samples": count,
         "coefficient_law": COEFFICIENT_LAW,
     }
-    with open(os.path.join(directory, "dataset.json"), "w", encoding="utf-8") as meta:
+    path = os.path.join(directory, "dataset.json")
+    with open(path, "w", encoding="utf-8") as meta:
         json.dump(sidecar, meta, indent=2, sort_keys=True)
         meta.write("\n")
-    return sidecar
-
-
-def read_dataset_meta(directory) -> dict:
-    """The JSON sidecar; ParseError naming it if it is not UTF-8 JSON."""
-    path = os.path.join(directory, "dataset.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-            raise ParseError(f"{path}: not UTF-8 JSON: {exc}") from None
-
-
-def iter_dataset(directory):
-    """Stream samples back from CSV shards, in written order.
-
-    Raises ParseError naming the file when a shard or the sidecar is not
-    UTF-8 text, and naming the file and row when a row does not parse, its
-    signal does not have the sidecar's ``signal_dim`` finite values, its atom
-    indices are not ``k`` distinct indices in ``[0, num_atoms)``, or a
-    coefficient lies outside the (0, 1] of the coefficient law.
-    """
-    meta = read_dataset_meta(directory)
-    k = int(meta["k"])
-    signal_dim, num_atoms = int(meta["signal_dim"]), int(meta["num_atoms"])
-    shards = sorted(
-        f for f in os.listdir(directory)
-        if f.startswith("shard_") and f.endswith(".csv")
-    )
-    for shard in shards:
-        path = os.path.join(directory, shard)
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(text_lines(fh, path), start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                try:
-                    pairs = [cell.split(":") for cell in cells[:k]]
-                    support = np.array([int(i) for i, _ in pairs], dtype=np.int64)
-                    coeffs = np.array([float(c) for _, c in pairs])
-                    signal = np.array([float(v) for v in cells[k:]])
-                except (ValueError, IndexError):
-                    raise ParseError(f"{path}: row {lineno} is malformed") from None
-                if signal.size != signal_dim:
-                    raise ParseError(
-                        f"{path}: row {lineno} has {signal.size} signal "
-                        f"values, not {signal_dim}"
-                    )
-                if not np.isfinite(signal).all():
-                    raise ParseError(
-                        f"{path}: row {lineno} has a non-finite signal value"
-                    )
-                if (np.unique(support).size != k or support.min() < 0
-                        or support.max() >= num_atoms):
-                    raise ParseError(
-                        f"{path}: row {lineno} atoms {support.tolist()} are "
-                        f"not {k} distinct indices in [0, {num_atoms})"
-                    )
-                # NaN fails both comparisons
-                if not ((coeffs > 0.0) & (coeffs <= 1.0)).all():
-                    raise ParseError(
-                        f"{path}: row {lineno} coefficients {coeffs.tolist()} "
-                        f"are not all in (0, 1]"
-                    )
-                yield Sample(signal=signal, true_support=support,
-                             true_coeffs=coeffs)
+    return paths + [path]

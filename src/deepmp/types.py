@@ -109,41 +109,34 @@ def read_csv_matrix(path) -> np.ndarray:
     """
     rows: list[np.ndarray] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(text_lines(fh, path), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                values = np.array([float(c) for c in cells])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                col = next(i for i, c in enumerate(cells) if not _is_float(c))
-                raise ParseError(
-                    f"{path}: row {lineno}, column {col + 1}: "
-                    f"{cells[col].strip()!r} is not numeric"
-                ) from None
-            if rows and len(values) != len(rows[0]):
-                raise ParseError(
-                    f"{path}: row {lineno} has {len(values)} cells, "
-                    f"expected {len(rows[0])}"
-                )
-            rows.append(values)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                try:
+                    values = np.array([float(c) for c in cells])
+                except ValueError:
+                    if lineno == 1:
+                        continue  # header
+                    col = next(i for i, c in enumerate(cells)
+                               if not _is_float(c))
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col + 1}: "
+                        f"{cells[col].strip()!r} is not numeric"
+                    ) from None
+                if rows and len(values) != len(rows[0]):
+                    raise ParseError(
+                        f"{path}: row {lineno} has {len(values)} cells, "
+                        f"expected {len(rows[0])}"
+                    )
+                rows.append(values)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise ParseError(f"{path}: no numeric rows")
     return np.array(rows, dtype=np.float64)
-
-
-def text_lines(fh, path):
-    """The lines of ``fh``, opened as UTF-8 text from ``path``.
-
-    Raises ParseError naming ``path`` where the bytes are not UTF-8.
-    """
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def _is_float(cell: str) -> bool:

@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from deepmp.datagen import generate_synthetic_dictionary
+from deepmp.datagen import Mixtures, generate_synthetic_dictionary
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -35,3 +38,17 @@ def random_unit_dictionary(rng: np.random.Generator, rows: int, cols: int):
     atoms = np.abs(rng.standard_normal((rows, cols)))
     atoms /= np.linalg.norm(atoms, axis=0)
     return atoms
+
+
+def read_shards(directory):
+    """Oracle for write_dataset: the sidecar, and every shard row as Mixtures."""
+    directory = Path(directory)
+    meta = json.loads((directory / "dataset.json").read_text(encoding="utf-8"))
+    k = meta["k"]
+    rows = [line.split(",") for shard in sorted(directory.glob("shard_*.csv"))
+            for line in shard.read_text(encoding="utf-8").splitlines()]
+    supports = [[int(cell.split(":")[0]) for cell in row[:k]] for row in rows]
+    coeffs = [[float(cell.split(":")[1]) for cell in row[:k]] for row in rows]
+    signals = [[float(v) for v in row[k:]] for row in rows]
+    return meta, Mixtures(np.array(signals), np.array(supports, dtype=np.int64),
+                          np.array(coeffs))

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 from deepmp import training
 from deepmp.cli import blob_hash, main
 from deepmp.config import _SCHEMA, RunConfig, load_config, parse_k_range
-from deepmp.datagen import generate_synthetic_dictionary, sample_mixture
+from deepmp.datagen import (
+    generate_synthetic_dictionary,
+    sample_mixture,
+    write_dataset,
+)
 from deepmp.errors import ConfigError, EmptyInput
 from deepmp.metrics import hamming_complement
 from deepmp.network import (
@@ -31,6 +35,8 @@ from deepmp.optim import adabound_step, init_adabound
 from deepmp.seeding import SHUFFLE_STREAM, rng_for
 from deepmp.training import stream_shards, train_model
 from deepmp.types import load_dictionary_csv
+
+from conftest import read_shards
 
 
 # -- configuration ------------------------------------------------------------
@@ -591,6 +597,25 @@ def test_cli_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert len(errors) == 1 and fault in errors[0] and "UTF-8" in errors[0]
 
 
+@pytest.mark.parametrize("command", ["ecdf", "eval", "raman"])
+def test_cli_input_that_is_a_directory_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    args = ["--out", out, "--scale", 0.001, "--k-range", "1"]
+    if command == "ecdf":
+        args += ["ecdf", tmp_path]
+    elif command == "eval":
+        assert run_cli(args + ["gen-dict"]) == 0
+        (out / "models" / "model_k1.dmp").mkdir(parents=True)
+        args += ["eval"]
+    else:
+        cfg = tmp_path / "raman.ini"
+        cfg.write_text(f"[dictionary]\nsource = raman\nraman_path = {tmp_path}\n")
+        args = ["--config", cfg] + args + ["gen-dict"]
+    assert run_cli(args) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "IsADirectoryError" in errors[0]
+
+
 @pytest.mark.parametrize("command", ["gen-dict", "gen-data", "train", "eval",
                                      "ecdf"])
 @pytest.mark.parametrize("under", [False, True], ids=["at", "under"])
@@ -651,19 +676,36 @@ def test_cli_empty_training_split_exits_2(tmp_path, capsys):
 
 def test_gen_data_shards_match_training_stream(tmp_path, small_dictionary):
     # the exported dataset is the same deterministic stream train_model reads
-    from deepmp.datagen import iter_dataset
-    from deepmp.training import stream_shards
-
     out = tmp_path / "data"
-    from deepmp.datagen import write_dataset
-
     shards = (shard for _, shard in stream_shards(small_dictionary, 2, 17, 64,
                                                   150))
     write_dataset(shards, out, dictionary=small_dictionary, sparsity=2, seed=17)
-    regenerated = [s for _, shard in stream_shards(small_dictionary, 2, 17, 64, 150)
-                   for s in shard]
-    loaded = list(iter_dataset(out))
-    assert len(loaded) == len(regenerated) == 150
-    for s, t in zip(regenerated, loaded):
-        assert np.array_equal(s.signal, t.signal)
-        assert np.array_equal(s.true_support, t.true_support)
+    regenerated = [shard for _, shard in stream_shards(small_dictionary, 2, 17,
+                                                       64, 150)]
+    _, loaded = read_shards(out)
+    assert len(loaded) == sum(map(len, regenerated)) == 150
+    assert np.array_equal(loaded.signals,
+                          np.concatenate([s.signals for s in regenerated]))
+    assert np.array_equal(loaded.supports,
+                          np.concatenate([s.supports for s in regenerated]))
+
+
+def test_cli_gen_data_rerun_replaces_the_earlier_shards(tmp_path):
+    cfg = tmp_path / "shards.ini"
+    cfg.write_text("[training]\nshard_size = 40\n")
+    out = tmp_path / "run"
+    base = ["--config", cfg, "--seed", 5, "--out", out, "--k-range", "1"]
+    assert run_cli(base + ["--scale", 0.001, "gen-dict"]) == 0
+    assert run_cli(base + ["--scale", 0.001, "gen-data"]) == 0  # 150 rows
+    data = out / "data" / "k1"
+    assert len(list(data.glob("shard_*.csv"))) == 4
+    (data / "notes.txt").write_text("kept\n")
+    assert run_cli(base + ["--scale", 0.0005, "gen-data"]) == 0  # 75 rows
+    meta, loaded = read_shards(data)
+    assert meta["num_samples"] == len(loaded) == 75
+    shards = sorted(p.name for p in data.glob("shard_*.csv"))
+    assert shards == ["shard_00000.csv", "shard_00001.csv"]
+    manifest = json.loads((out / "manifest_gen_data.json").read_text())
+    assert sorted(manifest["outputs"]) == [
+        f"data/k1/{name}" for name in ["dataset.json"] + shards]
+    assert (data / "notes.txt").read_text() == "kept\n"

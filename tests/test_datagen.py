@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +8,7 @@ from deepmp.datagen import (
     _draw_nonneg_column,
     generate_raman_surrogate,
     generate_synthetic_dictionary,
-    iter_dataset,
     load_raman_library,
-    read_dataset_meta,
     sample_mixture,
     synthesize,
     write_dataset,
@@ -28,6 +24,8 @@ from deepmp.errors import (
 )
 from deepmp.metrics import pairwise_coherences
 from deepmp.types import save_dictionary_csv, validate_dictionary
+
+from conftest import read_shards
 
 
 # -- synthetic dictionary -----------------------------------------------------
@@ -273,68 +271,22 @@ def test_dataset_round_trip(tmp_path, small_dictionary):
         for n in (10, 10, 5)
     ]
     directory = tmp_path / "data"
-    sidecar = write_dataset(shards, directory, dictionary=small_dictionary,
-                            sparsity=3, seed=13)
-    assert sidecar["num_samples"] == 25
-    assert sidecar["coefficient_law"] == "uniform(0,1]"
+    paths = write_dataset(shards, directory, dictionary=small_dictionary,
+                          sparsity=3, seed=13)
+    assert paths == [str(directory / name) for name in (
+        "shard_00000.csv", "shard_00001.csv", "shard_00002.csv", "dataset.json")]
     assert len(list(directory.glob("shard_*.csv"))) == 3
 
-    meta = read_dataset_meta(directory)
-    assert meta == sidecar
-    loaded = list(iter_dataset(directory))
+    meta, loaded = read_shards(directory)
+    assert meta == {"signal_dim": 10, "num_atoms": 50, "k": 3, "seed": 13,
+                    "num_samples": 25, "coefficient_law": "uniform(0,1]"}
     assert len(loaded) == 25
-    samples = [s for shard in shards for s in shard]
-    for s, t in zip(samples, loaded):
-        assert np.array_equal(s.true_support, t.true_support)
-        assert np.array_equal(s.true_coeffs, t.true_coeffs)
-        assert np.array_equal(s.signal, t.signal)
-        recon = small_dictionary.atoms[:, t.true_support] @ t.true_coeffs
-        assert np.linalg.norm(t.signal - recon) < 1e-9
-
-
-@pytest.mark.parametrize("name", ["shard_00000.csv", "dataset.json"])
-def test_iter_dataset_names_a_file_that_is_not_utf8(tmp_path, name):
-    d = generate_synthetic_dictionary(6, 12, seed=3)
-    directory = tmp_path / "data"
-    write_dataset([sample_mixture(d, MixtureConfig(sparsity=3, num_samples=4,
-                                                   seed=5))],
-                  directory, dictionary=d, sparsity=3, seed=5)
-    path = directory / name
-    path.write_bytes(path.read_bytes() + b"\xff\xfe\x00garbage\n")
-    with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8")):
-        list(iter_dataset(directory))
-
-
-@pytest.mark.parametrize("fault", ["short_signal", "index_out_of_range",
-                                   "repeated_index", "nan_coefficient",
-                                   "negative_coefficient",
-                                   "coefficient_above_one", "infinite_signal"])
-def test_iter_dataset_rejects_rows_that_do_not_fit_the_sidecar(tmp_path,
-                                                               fault):
-    d = generate_synthetic_dictionary(6, 12, seed=3)
-    directory = tmp_path / "data"
-    write_dataset([sample_mixture(d, MixtureConfig(sparsity=3, num_samples=4,
-                                                   seed=5))],
-                  directory, dictionary=d, sparsity=3, seed=5)
-    shard = directory / "shard_00000.csv"
-    lines = shard.read_text().splitlines()
-    cells = lines[2].split(",")
-    bad_coefficients = {"nan_coefficient": "nan", "negative_coefficient": "-2.0",
-                        "coefficient_above_one": "1.5"}
-    if fault == "short_signal":
-        cells = cells[:3 + 2]
-    elif fault == "index_out_of_range":
-        cells[1] = "999:" + cells[1].split(":")[1]
-    elif fault in bad_coefficients:
-        cells[1] = cells[1].split(":")[0] + ":" + bad_coefficients[fault]
-    elif fault == "infinite_signal":
-        cells[3] = "inf"
-    else:
-        cells[1] = cells[0].split(":")[0] + ":" + cells[1].split(":")[1]
-    lines[2] = ",".join(cells)
-    shard.write_text("\n".join(lines) + "\n")
-    rows = iter_dataset(directory)
-    assert len([next(rows), next(rows)]) == 2
-    with pytest.raises(ParseError) as excinfo:
-        next(rows)
-    assert f"{shard}: row 3 " in str(excinfo.value)
+    assert np.array_equal(loaded.supports,
+                          np.concatenate([s.supports for s in shards]))
+    assert np.array_equal(loaded.coeffs,
+                          np.concatenate([s.coeffs for s in shards]))
+    assert np.array_equal(loaded.signals,
+                          np.concatenate([s.signals for s in shards]))
+    recon = np.einsum("mbk,bk->bm", small_dictionary.atoms[:, loaded.supports],
+                      loaded.coeffs)
+    assert np.linalg.norm(loaded.signals - recon, axis=1).max() < 1e-9
