@@ -139,22 +139,44 @@ def cmd_train(config: RunConfig) -> None:
     _write_manifest(config.out_dir, "train", config, [csv_path], outputs)
 
 
+def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
+    """ECDF CSVs of a dictionary's atoms (``ecdf_<base>.csv``) or of each
+    block l of a selection stack (``ecdf_<base>_layer<l>.csv``)."""
+    grid = np.linspace(0.0, 1.0, config.ecdf_grid_points)
+    if matrices.ndim == 2:
+        named = {f"ecdf_{base}.csv": matrices}
+    else:
+        named = {f"ecdf_{base}_layer{layer}.csv": weights
+                 for layer, weights in enumerate(matrices)}
+    paths = [os.path.join(config.out_dir, name) for name in named]
+    for path, matrix in zip(paths, named.values()):
+        metrics.write_ecdf_csv(metrics.coherence_ecdf(matrix, grid), path)
+    return paths
+
+
 def cmd_eval(config: RunConfig) -> None:
     csv_path = _dictionary_path(config)
     dictionary = load_dictionary_csv(csv_path)
+    proj = ProjectionMode(config.projection)
     models = {}
     for k in config.k_range:
         path = _model_path(config, k)
         if not os.path.exists(path):
             raise MissingModel(f"no trained model for sparsity {k} at {path}")
-        models[k] = network.load_model(path)
+        model = models[k] = network.load_model(path)
+        # NNMP and NNOMP run on dictionary.csv with the config's projection,
+        # so a model trained for another of either is not comparable
+        if not np.array_equal(model.update_dict.atoms.view(np.uint64),
+                              dictionary.atoms.view(np.uint64)):
+            raise ConfigError(f"{path}: dictionary differs from {csv_path}")
+        if model.proj is not proj:
+            raise ConfigError(f"{path}: projection {model.proj.value!r}, "
+                              f"config has {proj.value!r}")
     solvers = {
-        "nnmp": metrics.nnmp_runner(dictionary,
-                                    ProjectionMode(config.projection)),
+        "nnmp": metrics.nnmp_runner(dictionary, proj),
         "nnomp": metrics.nnomp_runner(dictionary),
         "deepmp": metrics.deepmp_runner(models),
     }
-    grid = np.linspace(0.0, 1.0, config.ecdf_grid_points)
     reports = metrics.run_sweep(
         dictionary, solvers, config.k_range, config.z_test, config.seed,
     )
@@ -164,16 +186,10 @@ def cmd_eval(config: RunConfig) -> None:
     metrics.write_metrics_csv(reports, metrics_csv)
     metrics.write_metrics_json(reports, metrics_json)
     outputs.extend([metrics_csv, metrics_json])
-    dict_ecdf = os.path.join(config.out_dir, "ecdf_dictionary.csv")
-    metrics.write_ecdf_csv(metrics.coherence_ecdf(dictionary.atoms, grid),
-                           dict_ecdf)
-    outputs.append(dict_ecdf)
+    outputs.extend(_write_ecdfs(config, "dictionary", dictionary.atoms))
     deepest = max(config.k_range)
-    for layer, weights in enumerate(models[deepest].selection_weights):
-        path = os.path.join(config.out_dir,
-                            f"ecdf_model_k{deepest}_layer{layer}.csv")
-        metrics.write_ecdf_csv(metrics.coherence_ecdf(weights, grid), path)
-        outputs.append(path)
+    outputs.extend(_write_ecdfs(config, f"model_k{deepest}",
+                                models[deepest].selection_weights))
     inputs = [csv_path] + [_model_path(config, k) for k in config.k_range]
     # timings vary between runs, so they go here and not in the metrics files
     solver_seconds = {
@@ -192,22 +208,13 @@ def cmd_eval(config: RunConfig) -> None:
 
 
 def cmd_ecdf(config: RunConfig, source_path: str) -> None:
-    grid = np.linspace(0.0, 1.0, config.ecdf_grid_points)
     os.makedirs(config.out_dir, exist_ok=True)
-    outputs = []
     base = os.path.splitext(os.path.basename(source_path))[0]
     if source_path.endswith(".dmp"):
-        model = network.load_model(source_path)
-        for layer, weights in enumerate(model.selection_weights):
-            path = os.path.join(config.out_dir, f"ecdf_{base}_layer{layer}.csv")
-            metrics.write_ecdf_csv(metrics.coherence_ecdf(weights, grid), path)
-            outputs.append(path)
+        matrices = network.load_model(source_path).selection_weights
     else:
-        dictionary = load_dictionary_csv(source_path)
-        path = os.path.join(config.out_dir, f"ecdf_{base}.csv")
-        metrics.write_ecdf_csv(metrics.coherence_ecdf(dictionary.atoms, grid),
-                               path)
-        outputs.append(path)
+        matrices = load_dictionary_csv(source_path).atoms
+    outputs = _write_ecdfs(config, base, matrices)
     _write_manifest(config.out_dir, "ecdf", config, [source_path], outputs)
     for path in outputs:
         print(f"wrote {path}")

@@ -80,6 +80,8 @@ class RunConfig:
             raise ConfigError(f"unknown projection {self.projection!r}")
         if not self.k_range or any(k < 1 for k in self.k_range):
             raise ConfigError(f"bad k_range {self.k_range}")
+        if len(set(self.k_range)) != len(self.k_range):
+            raise ConfigError(f"k_range {self.k_range} repeats a level")
         if self.signal_dim < 1 or self.num_atoms <= self.signal_dim:
             raise ConfigError(
                 f"need 1 <= signal_dim < num_atoms, got "

@@ -168,23 +168,17 @@ def load_raman_library(path) -> Dictionary:
 
 
 def generate_raman_surrogate(signal_dim: int, num_atoms: int, peaks_per_atom: int,
-                             seed: int | np.random.SeedSequence,
-                             width_range: tuple[float, float] | None = None
-                             ) -> Dictionary:
+                             seed: int | np.random.SeedSequence) -> Dictionary:
     """Spectra-like dictionary: each atom is a sum of Lorentzian lines.
 
-    Peak centers are uniform over the grid, half-widths are log-uniform over
-    ``width_range`` (default 2 to signal_dim/4 grid bins), peak heights are
-    uniform on (0, 1]. Smooth overlapping lines make these atoms markedly more
-    coherent than clipped-normal random atoms of the same size.
+    Peak centers are uniform over the grid, half-widths are log-uniform from
+    2 to ``max(2, signal_dim / 4)`` grid bins, peak heights are uniform on
+    (0, 1]. Smooth overlapping lines make these atoms markedly more coherent
+    than clipped-normal random atoms of the same size.
     """
     if peaks_per_atom < 1:
         raise OutOfRange("peaks_per_atom must be >= 1")
-    if width_range is None:
-        width_range = (2.0, max(2.0, signal_dim / 4.0))
-    lo, hi = width_range
-    if not (0.0 < lo <= hi):
-        raise OutOfRange(f"bad width_range {width_range}")
+    lo, hi = 2.0, max(2.0, signal_dim / 4.0)
     rng = np.random.default_rng(seed)
     grid = np.arange(signal_dim, dtype=np.float64)
     atoms = np.empty((signal_dim, num_atoms), order="F")

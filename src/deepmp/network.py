@@ -48,10 +48,10 @@ from .solvers import (
     RESIDUAL_FLOOR,
     ProjectionMode,
     PursuitResult,
+    _one_row,
     check_signals,
     hard_max_pursuit,
     residual_step,
-    single_pursuit,
 )
 from .types import Dictionary
 
@@ -112,9 +112,9 @@ def init_from_dictionary(dictionary: Dictionary, depth: int,
 
 def forward_infer(model: UnfoldedModel, y) -> PursuitResult:
     """Hard-max inference; shape-identical to plain matching pursuit."""
-    return single_pursuit(
-        model.selection_weights, model.update_dict.atoms, y, model.proj
-    )
+    return _one_row(*hard_max_pursuit(
+        model.selection_weights, model.update_dict.atoms, [y], model.proj
+    ))
 
 
 def batched_infer(model: UnfoldedModel, signals) -> tuple[np.ndarray, np.ndarray]:

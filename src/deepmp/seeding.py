@@ -20,7 +20,3 @@ def child_seed(master_seed: int, stream: int, *key: int) -> np.random.SeedSequen
     return np.random.SeedSequence(
         entropy=[int(master_seed), int(stream), *(int(k) for k in key)]
     )
-
-
-def rng_for(master_seed: int, stream: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(child_seed(master_seed, stream, *key))

@@ -162,12 +162,6 @@ def _one_row(supports, codes, residuals, norm_paths) -> PursuitResult:
     )
 
 
-def single_pursuit(selection_mats, atoms: np.ndarray, y,
-                   proj: ProjectionMode) -> PursuitResult:
-    """:func:`hard_max_pursuit` on the one signal ``y``, as a PursuitResult."""
-    return _one_row(*hard_max_pursuit(selection_mats, atoms, [y], proj))
-
-
 def nnmp_solve(dictionary: Dictionary, y, budget: int,
                proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT) -> PursuitResult:
     """Non-negative matching pursuit.
@@ -181,7 +175,7 @@ def nnmp_solve(dictionary: Dictionary, y, budget: int,
         raise ZeroSparsity("budget must be >= 1")
     atoms = dictionary.atoms
     stack = np.broadcast_to(atoms, (budget, *atoms.shape))
-    return single_pursuit(stack, atoms, y, proj)
+    return _one_row(*hard_max_pursuit(stack, atoms, [y], proj))
 
 
 def _nnls_gram(grams: np.ndarray, rhs: np.ndarray, x: np.ndarray,

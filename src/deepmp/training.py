@@ -34,7 +34,7 @@ from .network import (
     loss_and_gradient,
 )
 from .optim import AdaBoundHyper, adabound_step, init_adabound
-from .seeding import SHUFFLE_STREAM, TRAIN_STREAM, child_seed, rng_for
+from .seeding import SHUFFLE_STREAM, TRAIN_STREAM, child_seed
 from .solvers import ProjectionMode
 from .types import Dictionary
 
@@ -138,7 +138,8 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     for epoch in range(epochs):
         loss_total = 0.0
         for i, base in enumerate(range(0, num_train, shard_size)):
-            shuffle = rng_for(seed, SHUFFLE_STREAM, depth, epoch, i)
+            shuffle = np.random.default_rng(
+                child_seed(seed, SHUFFLE_STREAM, depth, epoch, i))
             order = base + shuffle.permutation(min(shard_size, num_train - base))
             for lo in range(0, len(order), batch_size):
                 idx = order[lo:lo + batch_size]

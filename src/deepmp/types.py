@@ -4,14 +4,14 @@ All numerics are float64. Atom matrices are kept column-contiguous (Fortran
 order) because the hot kernel everywhere is the correlation ``atoms.T @ r``,
 one dot product per atom, which walks columns.
 
-Conventions:
+Conventions: the kernels take stacks, one row per signal, for a dictionary
+of ``signal_dim`` = M rows and ``num_atoms`` = N atoms.
 
-* a signal is a 1-D float vector of length ``signal_dim``;
-* a sparse code is a 1-D float vector of length ``num_atoms``; pursuit
-  results are non-negative with at most ``budget`` nonzeros;
-* a support is a 1-D int vector of atom indices in selection order; plain
-  matching pursuit may select the same atom more than once, so repeats are
-  allowed and order is meaningful.
+* signals are (B, M) floats; sparse codes are (B, N) floats, non-negative
+  with at most ``budget`` nonzeros per row for a pursuit;
+* supports are (B, k) ints: atom indices in selection order, -1 after a
+  pursuit's early stop. Plain matching pursuit may select an atom more than
+  once, so repeats are allowed and order is meaningful.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class Dictionary:
     @property
     def num_atoms(self) -> int:
         return self.atoms.shape[1]
-
-    def atom(self, index: int) -> np.ndarray:
-        return self.atoms[:, index]
 
 
 @dataclass(frozen=True)

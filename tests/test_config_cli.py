@@ -32,7 +32,7 @@ from deepmp.network import (
     save_model,
 )
 from deepmp.optim import adabound_step, init_adabound
-from deepmp.seeding import SHUFFLE_STREAM, rng_for
+from deepmp.seeding import SHUFFLE_STREAM, child_seed
 from deepmp.training import stream_shards, train_model
 from deepmp.types import load_dictionary_csv
 
@@ -317,8 +317,9 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
             shard_train = num_train - i * shard_size
             if shard_train <= 0:
                 break
-            order = rng_for(seed, SHUFFLE_STREAM, depth, epoch, i).permutation(
-                min(len(shard), shard_train))
+            order = np.random.default_rng(
+                child_seed(seed, SHUFFLE_STREAM, depth, epoch, i)
+            ).permutation(min(len(shard), shard_train))
             for lo in range(0, len(order), batch_size):
                 chunk = order[lo:lo + batch_size]
                 signals = shard.signals[chunk]
@@ -544,6 +545,35 @@ def test_cli_eval_model_of_another_depth_exits_2(tmp_path, capsys):
     assert len(errors) == 1 and "SparsityMismatch" in errors[0]
 
 
+def test_cli_eval_model_of_another_dictionary_exits_2(tmp_path, capsys):
+    # NNMP and NNOMP would run on the new dictionary, DeepMP on the old one
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    assert run_cli(base + ["gen-dict"]) == 0
+    assert run_cli(base + ["train"]) == 0
+    assert run_cli(pipeline_args(out, seed=7) + ["gen-dict"]) == 0
+    capsys.readouterr()
+    assert run_cli(base + ["eval"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert str(out / "models" / "model_k1.dmp") in errors[0]
+
+
+def test_cli_eval_model_of_another_projection_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    cfg = tmp_path / "identity.ini"
+    cfg.write_text("[training]\nprojection = identity\n")
+    assert run_cli(base + ["gen-dict"]) == 0
+    assert run_cli(base + ["--config", cfg, "train"]) == 0
+    capsys.readouterr()
+    assert run_cli(base + ["eval"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert str(out / "models" / "model_k1.dmp") in errors[0]
+    assert "identity" in errors[0]
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[nope]\nx = 1\n")
@@ -652,6 +682,25 @@ def test_cli_over_long_k_span_exits_2(tmp_path, capsys):
     assert code == 2
     errors = cli_error_lines(capsys)
     assert len(errors) == 1 and "ConfigError" in errors[0]
+
+
+@pytest.mark.parametrize("where, spec", [("flag", "2,2"), ("flag", "1,2,1"),
+                                         ("config", "2,2")])
+def test_cli_repeated_sparsity_level_exits_2(tmp_path, capsys, where, spec):
+    # a repeated level would train, write and sweep the same model twice
+    args = ["--out", tmp_path / "run", "--scale", 0.002]
+    if where == "flag":
+        args += ["--k-range", spec]
+    else:
+        cfg = tmp_path / "repeat.ini"
+        cfg.write_text(f"[training]\nk_range = {spec}\n")
+        args += ["--config", cfg]
+    assert run_cli(args + ["gen-dict"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert "repeats a level" in errors[0]
+    with pytest.raises(ConfigError):
+        RunConfig(k_range=parse_k_range(spec)).validate()
 
 
 def test_cli_bad_surrogate_peaks_exits_2(tmp_path, capsys):

@@ -278,12 +278,12 @@ def test_nnomp_perfect_recovery_implies_tiny_epsilon(table_dictionary):
 
     samples = make_samples(table_dictionary, 3, 200, 21)
     checked = 0
-    for s in samples:
-        res = nnomp_solve(table_dictionary, s.signal, 3)
-        if hamming_complement(res.support, s.true_support, 3) == 1.0:
+    for y, truth in zip(samples.signals, samples.supports):
+        res = nnomp_solve(table_dictionary, y, 3)
+        if hamming_complement(res.support, truth, 3) == 1.0:
             checked += 1
-            rel = (np.linalg.norm(s.signal - table_dictionary.atoms @ res.code)
-                   / np.linalg.norm(s.signal))
+            rel = (np.linalg.norm(y - table_dictionary.atoms @ res.code)
+                   / np.linalg.norm(y))
             assert rel < 1e-6
     assert checked > 100  # the property must actually be exercised
 

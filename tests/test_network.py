@@ -113,7 +113,7 @@ def test_selection_is_driven_by_weights_not_dictionary(small_dictionary):
         small_dictionary.atoms[:, perm]
     )
     j = 13
-    res = forward_infer(model, small_dictionary.atom(j))
+    res = forward_infer(model, small_dictionary.atoms[:, j])
     expected_position = int(np.flatnonzero(perm == j)[0])
     assert res.support.tolist() == [expected_position]
 
@@ -138,8 +138,8 @@ def test_batched_infer_matches_per_sample(table_dictionary):
     )
     signals = samples.signals
     supports, codes = batched_infer(model, signals)
-    for row, code_row, s in zip(supports, codes, samples):
-        ref = forward_infer(model, s.signal)
+    for row, code_row, y in zip(supports, codes, signals):
+        ref = forward_infer(model, y)
         assert row[row >= 0].tolist() == ref.support.tolist()
         assert np.allclose(code_row, ref.code, atol=1e-12)
 
@@ -161,7 +161,7 @@ def test_inference_rejects_non_finite_signals(small_dictionary, bad):
 def test_single_sparse_sample_target_is_its_atom(small_dictionary):
     model = init_from_dictionary(small_dictionary, 1)
     j = 7
-    targets = build_training_batch(model, [0.6 * small_dictionary.atom(j)],
+    targets = build_training_batch(model, [0.6 * small_dictionary.atoms[:, j]],
                                    [[j]])
     assert targets.tolist() == [[j]]
 
@@ -241,7 +241,7 @@ def test_uniform_scores_give_log_n_per_layer(small_dictionary):
 def test_one_hot_probability_gives_zero_loss_and_gradient(small_dictionary):
     model = init_from_dictionary(small_dictionary, 1)
     j = 11
-    y = 0.7 * small_dictionary.atom(j)
+    y = 0.7 * small_dictionary.atoms[:, j]
     # a huge score gap drives the softmax to an exact one-hot in float64
     w = np.zeros_like(model.selection_weights[0])
     w[:, j] = 1e4 * y / np.linalg.norm(y) ** 2
@@ -357,7 +357,7 @@ def test_single_class_problem_converges_to_its_atom():
     d = generate_synthetic_dictionary(6, 15, seed=50)
     model = init_from_dictionary(d, 1)
     j = 4
-    signals = np.array([0.8 * d.atom(j)])
+    signals = np.array([0.8 * d.atoms[:, j]])
     targets = build_training_batch(model, signals, [[j]])
     state = init_adabound(model.selection_weights)
     for _ in range(200):

@@ -80,7 +80,7 @@ def test_hard_max_tie_breaks_low_index():
 def test_hard_max_self_correlation_wins(small_dictionary):
     # a unit atom's self inner product is the strict maximum when coherence < 1
     for j in (0, 17, 49):
-        res = nnmp_solve(small_dictionary, small_dictionary.atom(j), 1)
+        res = nnmp_solve(small_dictionary, small_dictionary.atoms[:, j], 1)
         assert res.support.tolist() == [j]
         assert res.code[j] == pytest.approx(1.0, abs=1e-9)
 
@@ -172,7 +172,7 @@ def test_hard_max_pursuit_matches_masked_updates_bit_for_bit(
 
 
 def test_nnmp_single_atom_signal(small_dictionary):
-    res = nnmp_solve(small_dictionary, small_dictionary.atom(3), 1)
+    res = nnmp_solve(small_dictionary, small_dictionary.atoms[:, 3], 1)
     assert res.support.tolist() == [3]
     assert res.code[3] == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(res.residual) < 1e-9
@@ -264,7 +264,7 @@ def test_one_sparse_inputs_recovered_by_both_solvers(seed):
     rng = np.random.default_rng(seed)
     d = validate_dictionary(random_unit_dictionary(rng, 8, 20))
     j = int(rng.integers(20))
-    y = float(rng.uniform(0.1, 2.0)) * d.atom(j)
+    y = float(rng.uniform(0.1, 2.0)) * d.atoms[:, j]
     assert nnmp_solve(d, y, 1).support.tolist() == [j]
     assert nnomp_solve(d, y, 1).support.tolist() == [j]
 
@@ -360,7 +360,7 @@ def test_nnls_iteration_cap_raises():
 
 
 def test_nnomp_stops_on_exact_recovery(small_dictionary):
-    res = nnomp_solve(small_dictionary, small_dictionary.atom(3), 2)
+    res = nnomp_solve(small_dictionary, small_dictionary.atoms[:, 3], 2)
     assert res.steps_taken == 1
     assert res.support.tolist() == [3]
     assert np.linalg.norm(res.residual) < 1e-9
@@ -395,8 +395,8 @@ def test_nnomp_never_reselects(table_dictionary):
     samples = sample_mixture(
         table_dictionary, MixtureConfig(sparsity=4, num_samples=50, seed=3)
     )
-    for s in samples:
-        res = nnomp_solve(table_dictionary, s.signal, 4)
+    for y in samples.signals:
+        res = nnomp_solve(table_dictionary, y, 4)
         assert len(set(res.support.tolist())) == res.support.size
 
 

@@ -63,7 +63,7 @@ def test_validated_atoms_are_frozen():
 def test_synthesize_unit_code_returns_atom():
     d = validate_dictionary(unit_2x3())
     signals = synthesize(d.atoms, np.array([[1]]), np.array([[1.0]]))
-    assert np.array_equal(signals[0], d.atom(1))
+    assert np.array_equal(signals[0], d.atoms[:, 1])
 
 
 def test_synthesize_zero_code():
