@@ -4,7 +4,8 @@ Subcommands: gen-dict, gen-data, train, eval, ecdf. Every command reads an
 optional INI config (defaults reproduce the full-scale reference setting),
 applies --seed / --scale / --out overrides, writes its outputs under the run
 directory, and records a manifest with content hashes of everything it read
-and wrote. Exit codes: 0 success, 1 numerical failure, 2 bad input or config.
+and wrote, its wall seconds and the process's peak RSS. Exit codes: 0
+success, 1 numerical failure, 2 bad input or config.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -23,26 +26,34 @@ from .config import RunConfig, load_config, parse_k_range
 from .errors import ConfigError, InputError, MissingModel, NumericalError
 from .seeding import DICT_STREAM, child_seed
 from .solvers import ProjectionMode
-from .types import Dictionary, load_dictionary_csv, save_dictionary_csv
+from .types import READ_BYTES, Dictionary, load_dictionary_csv, save_dictionary_csv
 
 
 def blob_hash(path) -> str:
-    """Git-style content hash: sha1 over a blob header plus the file bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Git-style content hash: sha1 over a blob header plus the file bytes,
+    read ``READ_BYTES`` at a time."""
     digest = hashlib.sha1()
-    digest.update(f"blob {len(data)}\0".encode("ascii"))
-    digest.update(data)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        digest.update(f"blob {size}\0".encode("ascii"))
+        buffer = bytearray(min(size, READ_BYTES))
+        while count := fh.readinto(buffer):
+            digest.update(memoryview(buffer)[:count])
     return digest.hexdigest()
 
 
 def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs,
-                    **extra) -> None:
+                    started: float, **extra) -> None:
+    """Hashes of what ``command`` read and wrote, plus its wall seconds since
+    ``started`` (a ``perf_counter`` reading) and the process's peak RSS."""
     manifest = {
         "command": command,
         "config": asdict(config),
         "inputs": {os.path.relpath(p, out_dir): blob_hash(p) for p in inputs},
         "outputs": {os.path.relpath(p, out_dir): blob_hash(p) for p in outputs},
+        "wall_seconds": time.perf_counter() - started,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         **extra,
     }
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
@@ -81,7 +92,7 @@ def _build_dictionary(config: RunConfig) -> tuple[Dictionary, dict]:
     return dictionary, meta
 
 
-def cmd_gen_dict(config: RunConfig) -> None:
+def cmd_gen_dict(config: RunConfig, started: float) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     dictionary, meta = _build_dictionary(config)
     csv_path = _dictionary_path(config)
@@ -92,11 +103,11 @@ def cmd_gen_dict(config: RunConfig) -> None:
         fh.write("\n")
     inputs = [config.raman_path] if config.source == "raman" else []
     _write_manifest(config.out_dir, "gen-dict", config, inputs,
-                    [csv_path, meta_path])
+                    [csv_path, meta_path], started)
     print(f"wrote {csv_path} ({meta['signal_dim']}x{meta['num_atoms']})")
 
 
-def cmd_gen_data(config: RunConfig) -> None:
+def cmd_gen_data(config: RunConfig, started: float) -> None:
     csv_path = _dictionary_path(config)
     dictionary = load_dictionary_csv(csv_path)
     outputs = []
@@ -110,10 +121,11 @@ def cmd_gen_data(config: RunConfig) -> None:
             seed=config.seed))
         print(f"wrote {config.num_train_samples} samples at sparsity {k} "
               f"to {directory}")
-    _write_manifest(config.out_dir, "gen-data", config, [csv_path], outputs)
+    _write_manifest(config.out_dir, "gen-data", config, [csv_path], outputs,
+                    started)
 
 
-def cmd_train(config: RunConfig) -> None:
+def cmd_train(config: RunConfig, started: float) -> None:
     csv_path = _dictionary_path(config)
     dictionary = load_dictionary_csv(csv_path)
     os.makedirs(os.path.join(config.out_dir, "models"), exist_ok=True)
@@ -136,7 +148,8 @@ def cmd_train(config: RunConfig) -> None:
         last = rows[-1].mean_loss if rows else float("nan")
         print(f"trained depth-{k} model ({config.resolved_epochs} epochs, "
               f"final mean loss {last:.6g}) -> {model_path}")
-    _write_manifest(config.out_dir, "train", config, [csv_path], outputs)
+    _write_manifest(config.out_dir, "train", config, [csv_path], outputs,
+                    started)
 
 
 def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
@@ -154,7 +167,7 @@ def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
     return paths
 
 
-def cmd_eval(config: RunConfig) -> None:
+def cmd_eval(config: RunConfig, started: float) -> None:
     csv_path = _dictionary_path(config)
     dictionary = load_dictionary_csv(csv_path)
     proj = ProjectionMode(config.projection)
@@ -172,6 +185,8 @@ def cmd_eval(config: RunConfig) -> None:
         if model.proj is not proj:
             raise ConfigError(f"{path}: projection {model.proj.value!r}, "
                               f"config has {proj.value!r}")
+        # bit-equal, so every model shares the one copy
+        model.update_dict = dictionary
     solvers = {
         "nnmp": metrics.nnmp_runner(dictionary, proj),
         "nnomp": metrics.nnomp_runner(dictionary),
@@ -196,7 +211,7 @@ def cmd_eval(config: RunConfig) -> None:
         label: {str(k): t for k, t in sorted(rep.seconds.items())}
         for label, rep in reports.items()
     }
-    _write_manifest(config.out_dir, "eval", config, inputs, outputs,
+    _write_manifest(config.out_dir, "eval", config, inputs, outputs, started,
                     solver_seconds=solver_seconds)
     for label in sorted(reports):
         rep = reports[label]
@@ -207,7 +222,7 @@ def cmd_eval(config: RunConfig) -> None:
     print(f"wrote {metrics_csv}")
 
 
-def cmd_ecdf(config: RunConfig, source_path: str) -> None:
+def cmd_ecdf(config: RunConfig, source_path: str, started: float) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     base = os.path.splitext(os.path.basename(source_path))[0]
     if source_path.endswith(".dmp"):
@@ -215,7 +230,8 @@ def cmd_ecdf(config: RunConfig, source_path: str) -> None:
     else:
         matrices = load_dictionary_csv(source_path).atoms
     outputs = _write_ecdfs(config, base, matrices)
-    _write_manifest(config.out_dir, "ecdf", config, [source_path], outputs)
+    _write_manifest(config.out_dir, "ecdf", config, [source_path], outputs,
+                    started)
     for path in outputs:
         print(f"wrote {path}")
 
@@ -271,19 +287,20 @@ def resolve_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
         if args.command == "gen-dict":
-            cmd_gen_dict(config)
+            cmd_gen_dict(config, started)
         elif args.command == "gen-data":
-            cmd_gen_data(config)
+            cmd_gen_data(config, started)
         elif args.command == "train":
-            cmd_train(config)
+            cmd_train(config, started)
         elif args.command == "eval":
-            cmd_eval(config)
+            cmd_eval(config, started)
         elif args.command == "ecdf":
-            cmd_ecdf(config, args.source)
+            cmd_ecdf(config, args.source, started)
     except (InputError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -106,12 +106,17 @@ def _normalized_columns(matrix) -> np.ndarray:
 def pairwise_coherences(matrix) -> np.ndarray:
     """Normalized absolute inner products of all unordered column pairs.
 
-    Clipped into [0, 1]; the input is normalized internally, never modified.
+    Clipped into [0, 1], in the row-major order of the Gram matrix's strict
+    upper triangle; the input is normalized internally, never modified.
     """
     normed = _normalized_columns(matrix)
     gram = normed.T @ normed
-    iu = np.triu_indices(gram.shape[0], k=1)
-    return np.clip(np.abs(gram[iu]), 0.0, 1.0)
+    del normed
+    upper = np.tri(len(gram), dtype=bool)
+    np.logical_not(upper, out=upper)  # the strict upper triangle
+    pairs = gram[upper]
+    np.abs(pairs, out=pairs)
+    return np.clip(pairs, 0.0, 1.0, out=pairs)
 
 
 def coherence(matrix) -> float:
@@ -123,7 +128,8 @@ def coherence_ecdf(matrix, grid=None) -> list[tuple[float, float]]:
     """Fraction of column pairs with coherence <= t, for each grid point t."""
     if grid is None:
         grid = np.linspace(0.0, 1.0, ECDF_GRID_POINTS)
-    pairs = np.sort(pairwise_coherences(matrix))
+    pairs = pairwise_coherences(matrix)
+    pairs.sort()
     counts = np.searchsorted(pairs, np.asarray(grid, dtype=np.float64),
                              side="right")
     return [(float(t), float(c) / pairs.size) for t, c in zip(grid, counts)]

@@ -23,14 +23,18 @@ softmax cross-entropy expression per layer and no backpropagation through the
 recursion is needed: :func:`loss_and_gradient` is :func:`cross_entropy_head`
 applied to the residual stack of :func:`teacher_replay`. The head shifts the
 scores by their row maxima only when some score lies far enough out that
-``exp`` could overflow or underflow.
+``exp`` could overflow or underflow, and it forms the gradient on demand, a
+group of blocks at a time, so training can update each group before the next
+is formed; :func:`loss_and_gradient` forms the whole stack.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from .solvers import (
     hard_max_pursuit,
     residual_step,
 )
-from .types import Dictionary
+from .types import READ_BYTES, Dictionary, _own_dictionary
 
 _MAGIC = b"DMP1"
 #: log of the smallest normal float64, about -708.4
@@ -209,15 +213,16 @@ def teacher_replay(model: UnfoldedModel, signals: np.ndarray,
 
 def cross_entropy_head(weights: np.ndarray, stack: np.ndarray,
                        live: np.ndarray, targets: np.ndarray
-                       ) -> tuple[float, np.ndarray]:
+                       ) -> tuple[float, Callable[[int, int], np.ndarray]]:
     """Loss and weight gradient of :func:`teacher_replay`'s output.
 
-    All layers go in one score product and one gradient product, and dead
-    rows' loss terms are masked. The scores are one (K, N, B) array whose
-    normalisation is folded into the gradient product: target entries take
-    ``-= z`` and the rows of ``stack`` (overwritten) ``/= z * B``. The
-    (K, N, M) product is returned as (K, M, N), with column-major blocks
-    like the weights.
+    All layers go in one score product, and dead rows' loss terms are masked.
+    The scores are one (K, N, B) array whose normalisation is folded into the
+    gradient product: target entries take ``-= z`` and the rows of ``stack``
+    (overwritten) ``/= z * B``. The gradient is returned as a function
+    ``gradient(lo, hi)`` that forms blocks ``lo:hi`` with one product, the
+    (hi - lo, N, M) product as (hi - lo, M, N), with column-major blocks like
+    the weights; it holds the scores and the stack while it lives.
 
     The per-row max-shift runs only when a score leaves the open interval
     ``±(-log(tiny) - log(N * B))``, about ±698 at N = 200, B = 128. Inside
@@ -239,7 +244,11 @@ def cross_entropy_head(weights: np.ndarray, stack: np.ndarray,
     loss = float(((np.log(z) - picked) * live).sum()) / batch_size
     p[hit] -= z
     stack /= (z * batch_size)[:, :, None]
-    return loss, np.matmul(p, stack).transpose(0, 2, 1)
+
+    def gradient(lo: int, hi: int) -> np.ndarray:
+        return np.matmul(p[lo:hi], stack[lo:hi]).transpose(0, 2, 1)
+
+    return loss, gradient
 
 
 def loss_and_gradient(model: UnfoldedModel, signals, targets
@@ -267,8 +276,10 @@ def loss_and_gradient(model: UnfoldedModel, signals, targets
             f"a depth-{model.depth} model"
         )
     _check_atom_indices(targets, model.num_atoms, "targets")
-    return cross_entropy_head(model.selection_weights,
-                              *teacher_replay(model, signals, targets), targets)
+    loss, gradient = cross_entropy_head(
+        model.selection_weights, *teacher_replay(model, signals, targets),
+        targets)
+    return loss, gradient(0, model.depth)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -297,42 +308,57 @@ def save_model(model: UnfoldedModel, path) -> None:
 def load_model(path) -> UnfoldedModel:
     """Read a model written by :func:`save_model`.
 
-    Raises ParseError naming the file when the header is malformed (bad
-    magic, depth 0, a projection flag other than 0 or 1), the size does not
-    match the header, a selection weight is not finite, or the dictionary
-    block fails :func:`~deepmp.types.validate_dictionary`.
+    The file is read ``READ_BYTES`` at a time, straight into the
+    column-major selection stack and dictionary, so loading holds no copy
+    of the file. Raises ParseError naming the file when the header is
+    malformed (bad magic, depth 0, a projection flag other than 0 or 1), the
+    size does not match the header, a selection weight is not finite, or the
+    dictionary block fails :func:`~deepmp.types.validate_dictionary`.
     """
-    from .types import validate_dictionary
-
-    with open(path, "rb") as fh:
-        blob = fh.read()
     head = struct.calcsize("<4sIIII")
-    if len(blob) < head:
-        raise ParseError(f"{path}: truncated model file")
-    magic, depth, signal_dim, num_atoms, proj_flag = struct.unpack(
-        "<4sIIII", blob[:head]
-    )
-    if magic != _MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
-    if depth < 1:
-        raise ParseError(f"{path}: depth-{depth} model")
-    if proj_flag not in (0, 1):
-        raise ParseError(f"{path}: projection flag {proj_flag} is not 0 or 1")
-    count = (depth + 1) * signal_dim * num_atoms
-    if len(blob) != head + 8 * count:
-        raise ParseError(
-            f"{path}: expected {head + 8 * count} bytes for a depth-{depth} "
-            f"model, got {len(blob)}"
-        )
-    stack = np.frombuffer(blob, dtype="<f8", count=count, offset=head).reshape(
-        depth + 1, signal_dim, num_atoms
-    )
-    if not np.isfinite(stack[:depth]).all():
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(head)
+        if len(header) < head:
+            raise ParseError(f"{path}: truncated model file")
+        magic, depth, signal_dim, num_atoms, proj_flag = struct.unpack(
+            "<4sIIII", header)
+        if magic != _MAGIC:
+            raise ParseError(f"{path}: bad magic {magic!r}")
+        if depth < 1:
+            raise ParseError(f"{path}: depth-{depth} model")
+        if proj_flag not in (0, 1):
+            raise ParseError(
+                f"{path}: projection flag {proj_flag} is not 0 or 1")
+        expected = head + 8 * (depth + 1) * signal_dim * num_atoms
+        if size != expected:
+            raise ParseError(
+                f"{path}: expected {expected} bytes for a depth-{depth} "
+                f"model, got {size}"
+            )
+        weights = np.empty((depth, num_atoms, signal_dim)).transpose(0, 2, 1)
+        atoms = np.empty((signal_dim, num_atoms), order="F")
+        for block in (*weights, atoms):
+            _read_rows(fh, block, path)
+    if not all(np.isfinite(w).all() for w in weights):
         raise ParseError(f"{path}: non-finite selection weight")
     try:
-        dictionary = validate_dictionary(stack[depth])
+        dictionary = _own_dictionary(atoms)
     except InputError as exc:
         raise ParseError(f"{path}: dictionary block: {exc}") from None
     proj = ProjectionMode.POSITIVE_ORTHANT if proj_flag else ProjectionMode.IDENTITY
-    return UnfoldedModel(selection_weights=_column_major(stack[:depth]),
-                         update_dict=dictionary, proj=proj)
+    return UnfoldedModel(selection_weights=weights, update_dict=dictionary,
+                         proj=proj)
+
+
+def _read_rows(fh, block: np.ndarray, path) -> None:
+    """Fill ``block`` from the row-major little-endian float64 rows at the
+    file position, at most ``READ_BYTES`` at a time."""
+    rows, cols = block.shape
+    step = max(1, READ_BYTES // max(1, 8 * cols))
+    buffer = np.empty((min(rows, step), cols), dtype="<f8")
+    for lo in range(0, rows, step):
+        chunk = buffer[:min(step, rows - lo)]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise ParseError(f"{path}: truncated model file")
+        block[lo:lo + len(chunk)] = chunk

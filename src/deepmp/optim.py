@@ -9,8 +9,11 @@ per-coordinate step size ``lr / sqrt(vhat + epsilon)`` is clamped into
 
 so updates start adaptive and approach plain SGD at ``final_lr``. A step folds
 the bias corrections into scalars (Kingma & Ba 2015, section 2) and walks the
-whole stack in memory order, in flat chunks of ``CHUNK`` elements that may span
-several blocks: a stack of at most ``CHUNK`` elements takes one chunk.
+stack in memory order, in flat chunks of ``CHUNK`` elements that may span
+several blocks: a stack of at most ``CHUNK`` elements takes one chunk. A step
+may also take its gradient one group of whole blocks at a time, as the caller
+forms it, and update each group before the next is formed, so the whole
+gradient is never held: the fused update of LOMO (Lv et al. 2023).
 """
 
 from __future__ import annotations
@@ -67,21 +70,28 @@ def step_bounds(hyper: AdaBoundHyper, t: int) -> tuple[float, float]:
 CHUNK = 1 << 15
 
 
-def adabound_step(state: AdaBoundState, params: np.ndarray, grads: np.ndarray):
+def group_blocks(params: np.ndarray) -> int:
+    """Blocks per gradient group: as many as fit in ``CHUNK``, at least one."""
+    return max(1, CHUNK // max(1, math.prod(params.shape[1:])))
+
+
+def adabound_step(state: AdaBoundState, params: np.ndarray, grads):
     """Advance a (K, ...) parameter stack in place by one bounded adaptive step.
 
-    Returns ``(params, state)`` for chaining; both are mutated. Raises
+    ``grads`` is the gradient stack, or a function ``grads(lo, hi)`` that
+    forms the gradient of blocks ``lo:hi``. A function is called once per
+    group of :func:`group_blocks` whole blocks, and each group is updated and
+    dropped before the next is formed. ``t`` advances once per step either
+    way. Returns ``(params, state)`` for chaining; both are mutated. Raises
     ShapeMismatch when params/grads/state disagree in shape or params and
-    moments differ in memory layout, and NonFiniteGradient when any gradient
-    entry is NaN or infinite.
+    moments differ in memory layout, and NonFiniteGradient when a gradient
+    entry is NaN or infinite. A gradient stack is checked whole before any
+    parameter moves; a formed group is checked before it moves, after the
+    groups before it.
     """
-    if params.shape != state.m.shape or grads.shape != state.m.shape:
+    if params.shape != state.m.shape:
         raise ShapeMismatch(
-            f"params {params.shape} / grads {grads.shape} vs state "
-            f"{state.m.shape}"
-        )
-    if not np.isfinite(grads).all():
-        raise NonFiniteGradient("gradient contains NaN or Inf")
+            f"params {params.shape} vs state {state.m.shape}")
     h = state.hyper
     t = state.t + 1
     lower, upper = step_bounds(h, t)
@@ -90,17 +100,40 @@ def adabound_step(state: AdaBoundState, params: np.ndarray, grads: np.ndarray):
     # bias corrections folded into scalars: clip(lr / sqrt(v / bias2 + eps),
     # lower, upper) * m / bias1 is clip(scale / sqrt(v + eps * bias2),
     # lower / bias1, upper / bias1) * m
-    scale = h.lr * math.sqrt(bias2) / bias1
-    floor, ceil, eps = lower / bias1, upper / bias1, h.epsilon * bias2
+    scalars = (h.lr * math.sqrt(bias2) / bias1, lower / bias1, upper / bias1,
+               h.epsilon * bias2)
+    if callable(grads):
+        size = group_blocks(params)
+        for lo in range(0, len(params), size):
+            hi = min(lo + size, len(params))
+            group = grads(lo, hi)
+            _update(h, scalars, params[lo:hi], group, state.m[lo:hi],
+                    state.v[lo:hi])
+            # dropped before the next group is formed
+            del group
+    else:
+        _update(h, scalars, params, grads, state.m, state.v)
+    state.t = t
+    return params, state
+
+
+def _update(h: AdaBoundHyper, scalars, params, grads, m, v) -> None:
+    """Check ``grads`` for finiteness, then step ``params`` with moments m, v."""
+    if grads.shape != params.shape:
+        raise ShapeMismatch(f"params {params.shape} / grads {grads.shape}")
+    scale, floor, ceil, eps = scalars
     # flat, in the parameters' memory order; ravel copies what it cannot view
     axes = sorted(range(params.ndim), key=lambda i: -params.strides[i])
-    p, g, m, v = (a.transpose(axes).ravel()
-                  for a in (params, grads, state.m, state.v))
-    if not all(map(np.may_share_memory, (p, m, v), (params, state.m, state.v))):
+    p, g, mf, vf = (a.transpose(axes).ravel() for a in (params, grads, m, v))
+    if not all(map(np.may_share_memory, (p, mf, vf), (params, m, v))):
         raise ShapeMismatch("params and moments must share one layout")
+    # a pass before the update, a chunk at a time: all or nothing
+    for lo in range(0, len(g), CHUNK):
+        if not np.isfinite(g[lo:lo + CHUNK]).all():
+            raise NonFiniteGradient("gradient contains NaN or Inf")
     step = np.empty(min(params.size, CHUNK))  # the one scratch array
     for lo in range(0, len(p), len(step)):
-        pc, gc, mc, vc = (a[lo:lo + len(step)] for a in (p, g, m, v))
+        pc, gc, mc, vc = (a[lo:lo + len(step)] for a in (p, g, mf, vf))
         sc = step[:len(pc)]
         mc *= h.beta1
         mc += np.multiply(1.0 - h.beta1, gc, out=sc)
@@ -109,5 +142,3 @@ def adabound_step(state: AdaBoundState, params: np.ndarray, grads: np.ndarray):
         np.divide(scale, np.sqrt(np.add(vc, eps, out=sc), out=sc), out=sc)
         np.minimum(np.maximum(sc, floor, out=sc), ceil, out=sc)
         pc -= np.multiply(sc, mc, out=sc)
-    state.t = t
-    return params, state

@@ -8,8 +8,10 @@ mixture's support and coefficients, plus the targets, outlive the shard:
 O(N k) numbers for N mixtures at sparsity k, whatever the signal dimension.
 Signals are never held; every batch synthesises its own with the helper
 that ``sample_mixture`` uses, so they equal the sampled signals bit for bit,
-and passes them with the rows of the (N, k) target array to
-``loss_and_gradient``.
+and replays them with the rows of the (N, k) target array through the
+cross-entropy head of ``loss_and_gradient``. The AdaBound step forms that
+gradient one group of whole blocks at a time and updates each group before
+the next is formed, so a step never holds the whole gradient stack.
 The last ``val_fraction`` of the sample index space is held out: it never
 drives a gradient step; it is reported as per-epoch support recovery and
 picks the model that training returns. Validation, too, synthesises and
@@ -30,9 +32,11 @@ from .network import (
     UnfoldedModel,
     batched_infer,
     build_training_batch,
+    cross_entropy_head,
     init_from_dictionary,
-    loss_and_gradient,
+    teacher_replay,
 )
+from .network import loss_and_gradient  # unused; perfbench/tracing.py wraps it here
 from .optim import AdaBoundHyper, adabound_step, init_adabound
 from .seeding import SHUFFLE_STREAM, TRAIN_STREAM, child_seed
 from .solvers import ProjectionMode
@@ -143,17 +147,21 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
             order = base + shuffle.permutation(min(shard_size, num_train - base))
             for lo in range(0, len(order), batch_size):
                 idx = order[lo:lo + batch_size]
-                loss, grads = loss_and_gradient(
-                    model, synthesize(atoms, supports[idx], coeffs[idx]),
-                    targets[idx])
+                batch = targets[idx]
+                loss, gradient = cross_entropy_head(
+                    model.selection_weights,
+                    *teacher_replay(
+                        model, synthesize(atoms, supports[idx], coeffs[idx]),
+                        batch),
+                    batch)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
                         f"non-finite loss at epoch {epoch}, shard {i}"
                     )
-                adabound_step(state, model.selection_weights, grads)
-                # release before the next batch builds its own: two live
-                # gradient sets would set the training memory peak
-                del grads
+                adabound_step(state, model.selection_weights, gradient)
+                # the scores and residuals it holds are released before the
+                # next batch builds its own
+                del gradient
                 loss_total += loss * len(idx)
         val_recovery = _validation_recovery(model, val_supports, val_coeffs,
                                             batch_size)
@@ -166,6 +174,8 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
             best_epoch, best_recovery, best_weights = epoch, val_recovery, None
             if epoch + 1 < epochs:
                 best_weights = model.selection_weights.copy(order="K")
+    # the moments are released before a model is rebuilt or returned
+    del state
 
     if not num_val or best_epoch == epochs - 1:
         return model, log_rows

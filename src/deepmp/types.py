@@ -31,6 +31,9 @@ from .errors import (
 #: validation gate on column norms
 NORM_TOL = 1e-6
 
+#: bytes a binary reader or hasher holds at a time
+READ_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Dictionary:
@@ -67,23 +70,28 @@ class Sample:
 
 
 def validate_dictionary(atoms) -> Dictionary:
-    """Check the dictionary invariants and freeze the atom matrix.
+    """Check the dictionary invariants and freeze a copy of the atom matrix.
 
     Requirements: a non-empty 2-D matrix with strictly more columns (atoms)
     than rows (signal dimensions), non-negative entries, and unit Euclidean
     column norms within ``NORM_TOL``.
     """
-    a = np.array(atoms, dtype=np.float64, order="F")
+    return _own_dictionary(np.array(atoms, dtype=np.float64, order="F"))
+
+
+def _own_dictionary(a: np.ndarray) -> Dictionary:
+    """:func:`validate_dictionary` of a float64 matrix it may keep: the
+    matrix is checked and frozen in place, not copied."""
     if a.ndim != 2 or a.size == 0:
         raise DimensionMismatch(
-            f"expected a non-empty 2-D matrix, got shape {np.shape(atoms)}"
+            f"expected a non-empty 2-D matrix, got shape {a.shape}"
         )
     rows, cols = a.shape
     if rows >= cols:
         raise NotOvercomplete(f"need signal_dim < num_atoms, got {rows}x{cols}")
     if np.any(a < 0.0):
         raise NegativeEntry("dictionary entries must be non-negative")
-    norms = np.linalg.norm(a, axis=0)
+    norms = np.sqrt(np.einsum("mn,mn->n", a, a))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         raise NotNormalized(f"column {bad[0]} has norm {norms[bad[0]]!r}")

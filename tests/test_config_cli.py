@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -5,13 +6,14 @@ import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deepmp import training
+from deepmp import optim, training
 from deepmp.cli import blob_hash, main
 from deepmp.config import _SCHEMA, RunConfig, load_config, parse_k_range
 from deepmp.datagen import (
@@ -344,17 +346,27 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
                          proj=model.proj), rows
 
 
-@pytest.mark.parametrize("depth,batch_size,val_fraction,epochs", [
-    (2, 32, 0.37, 3),   # validation starts inside shard 2 of 5
-    (3, 24, 0.37, 3),   # 24 does not divide the 64-sample shard
-    (3, 24, 0.0, 2),    # no held-out split: the last epoch is returned
-    (2, 32, 0.37, 0),   # no training: the initialization is returned
+@pytest.mark.parametrize("depth,batch_size,val_fraction,epochs,chunk", [
+    # validation starts inside shard 2 of 5
+    pytest.param(2, 32, 0.37, 3, optim.CHUNK, id="2-32-0.37-3"),
+    # 24 does not divide the 64-sample shard
+    pytest.param(3, 24, 0.37, 3, optim.CHUNK, id="3-24-0.37-3"),
+    # no held-out split: the last epoch is returned
+    pytest.param(3, 24, 0.0, 2, optim.CHUNK, id="3-24-0.0-2"),
+    # no training: the initialization is returned
+    pytest.param(2, 32, 0.37, 0, optim.CHUNK, id="2-32-0.37-0"),
+    # the step forms the gradient of one 10x50 block at a time, then two
+    # blocks and one: more than one group, as on blocks larger than CHUNK
+    pytest.param(3, 24, 0.37, 3, 500, id="3-24-0.37-3-groups-of-1"),
+    pytest.param(3, 24, 0.37, 3, 1000, id="3-24-0.37-3-groups-of-2"),
 ])
 def test_training_matches_per_epoch_oracle(tmp_path, small_dictionary, depth,
-                                           batch_size, val_fraction, epochs):
+                                           batch_size, val_fraction, epochs,
+                                           chunk):
     kwargs = dict(epochs=epochs, batch_size=batch_size, seed=13,
                   shard_size=64, val_fraction=val_fraction)
-    model, rows = train_model(small_dictionary, depth, 300, **kwargs)
+    with mock.patch.object(optim, "CHUNK", chunk):
+        model, rows = train_model(small_dictionary, depth, 300, **kwargs)
     oracle, oracle_rows = per_epoch_oracle(small_dictionary, depth, 300,
                                            **kwargs)
     assert [(r.epoch, r.mean_loss.hex(), r.val_recovery.hex())
@@ -398,6 +410,27 @@ def test_validation_memory_grows_only_by_supports_and_targets():
     # of the training half
     support_bytes = 8 * depth * (2 * extra + extra // 2)
     assert peak(large) - peak(small) <= support_bytes + 2**20
+
+
+def test_training_holds_one_gradient_block_not_the_stack():
+    # 200x300 blocks exceed CHUNK, so each step forms and applies the
+    # gradient one block at a time: the peak is the weights and both
+    # AdaBound moments, one gradient block, the head's residual and score
+    # stacks and small change, never the whole gradient stack
+    d = generate_synthetic_dictionary(200, 300, seed=8)
+    depth, batch_size = 4, 128
+    m, n = d.atoms.shape
+    assert m * n > optim.CHUNK
+    tracemalloc.start()
+    try:
+        train_model(d, depth, 512, epochs=1, batch_size=batch_size, seed=3,
+                    val_fraction=0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * m * n
+    head = 8 * depth * batch_size * (m + n)
+    assert peak <= 3 * depth * block + block + head + 2**20
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -454,6 +487,38 @@ def test_cli_eval_manifest_records_solver_seconds(tmp_path):
         assert sorted(by_k) == ["1", "2"]
         assert all(t > 0.0 for t in by_k.values())
     assert "seconds" not in (out / "metrics.json").read_text()
+
+
+def test_cli_manifests_record_wall_seconds_and_peak_rss(tmp_path):
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    for cmd in ("gen-dict", "gen-data", "train", "eval"):
+        assert run_cli(base + [cmd]) == 0
+    assert run_cli(base + ["ecdf", out / "dictionary.csv"]) == 0
+    for name in ("gen_dict", "gen_data", "train", "eval", "ecdf"):
+        manifest = json.loads((out / f"manifest_{name}.json").read_text())
+        assert manifest["wall_seconds"] > 0.0, name
+        assert isinstance(manifest["peak_rss_kib"], int), name
+        assert manifest["peak_rss_kib"] > 0, name
+
+
+def test_blob_hash_streams_the_file(tmp_path):
+    path = tmp_path / "big.bin"
+    data = np.random.default_rng(1).bytes(16 * 2**20 + 12345)
+    path.write_bytes(data)
+    expected = hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+    del data
+    tracemalloc.start()
+    try:
+        digest = blob_hash(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == expected
+    assert peak < 2 * 2**20
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    assert blob_hash(empty) == hashlib.sha1(b"blob 0\0").hexdigest()
 
 
 def test_cli_untrained_models_duplicate_nnmp(tmp_path):

@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepmp.datagen import MixtureConfig, sample_mixture
+from deepmp.datagen import MixtureConfig, generate_raman_surrogate, sample_mixture
 from deepmp.errors import (
     DimensionMismatch,
     MissingModel,
@@ -22,6 +23,7 @@ from deepmp.metrics import (
     hamming_complement,
     nnmp_runner,
     nnomp_runner,
+    pairwise_coherences,
     row_recovery,
     run_sweep,
     write_ecdf_csv,
@@ -227,6 +229,33 @@ def test_ecdf_monotone_and_reaches_one(seed):
     fractions = [f for _, f in points]
     assert all(b >= a for a, b in zip(fractions, fractions[1:]))
     assert fractions[-1] == 1.0
+
+
+@pytest.fixture(scope="module")
+def surrogate_atoms():
+    """The 503x600 surrogate the CLI benchmark evaluates on."""
+    return generate_raman_surrogate(503, 600, 5, seed=20240801).atoms
+
+
+def test_pairwise_coherences_equal_the_triu_indices_oracle(surrogate_atoms):
+    normed = surrogate_atoms / np.linalg.norm(surrogate_atoms, axis=0)
+    gram = normed.T @ normed
+    oracle = np.clip(np.abs(gram[np.triu_indices(len(gram), k=1)]), 0.0, 1.0)
+    assert pairwise_coherences(surrogate_atoms).tobytes() == oracle.tobytes()
+
+
+def test_coherence_ecdf_peaks_at_the_gram_matrix(surrogate_atoms):
+    # the normalised copy and the Gram matrix, then the pairs, the strict
+    # upper-triangle mask and the sort all in one pair array: no (2, P)
+    # int64 index pair and no copy for abs, clip or sort
+    m, n = surrogate_atoms.shape
+    tracemalloc.start()
+    try:
+        coherence_ecdf(surrogate_atoms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (m * n + n * n) + 2**18
 
 
 # -- sweep harness ----------------------------------------------------------------

@@ -37,7 +37,7 @@ from deepmp.network import (
 )
 from deepmp.optim import adabound_step, init_adabound
 from deepmp.solvers import RESIDUAL_FLOOR, ProjectionMode, nnmp_solve, residual_step
-from deepmp.types import validate_dictionary
+from deepmp.types import READ_BYTES, validate_dictionary
 
 from conftest import random_unit_dictionary
 
@@ -302,10 +302,16 @@ def test_loss_and_gradient_is_the_head_of_the_replay(table_dictionary):
     stack, live = teacher_replay(model, samples.signals, targets)
     assert stack.shape == (3, 32, table_dictionary.signal_dim)
     assert live.shape == (3, 32)
-    head_loss, head_grads = cross_entropy_head(model.selection_weights, stack,
-                                               live, targets)
+    head_loss, gradient = cross_entropy_head(model.selection_weights, stack,
+                                             live, targets)
     assert loss == head_loss
-    assert np.array_equal(grads, head_grads)
+    assert np.array_equal(grads, gradient(0, 3))
+    # formed a block or two at a time, the gradient is the same bits
+    for groups in ([(0, 1), (1, 2), (2, 3)], [(0, 2), (2, 3)]):
+        parts = [gradient(lo, hi) for lo, hi in groups]
+        assert all(part.strides == grads[lo:hi].strides
+                   for part, (lo, hi) in zip(parts, groups))
+        assert np.concatenate(parts).tobytes() == grads.tobytes()
 
 
 def test_loss_and_gradient_do_not_depend_on_row_order(table_dictionary):
@@ -621,6 +627,25 @@ def test_model_file_rejects_depth_zero_bad_flag_nan_weight_and_bad_dictionary(
         with pytest.raises(ParseError) as excinfo:
             load_model(bad)
         assert str(bad) in str(excinfo.value), name
+
+
+def test_load_model_reads_into_the_model_without_a_file_copy(tmp_path):
+    # the (depth + 1) blocks the model keeps, one read buffer of at most
+    # READ_BYTES and small change for the file object and array headers;
+    # no bytes object of the file and no second copy of the stack
+    depth = 3
+    d = generate_raman_surrogate(503, 600, peaks_per_atom=5, seed=2)
+    path = tmp_path / "model.dmp"
+    save_model(init_from_dictionary(d, depth), path)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.update_dict.atoms, d.atoms)
+    assert all(np.array_equal(w, d.atoms) for w in loaded.selection_weights)
+    assert peak <= 8 * (depth + 1) * d.atoms.size + READ_BYTES + 2**14
 
 
 def saved_model_bytes(seed, depth, signal_dim, extra_atoms, positive):

@@ -209,3 +209,93 @@ def test_moments_laid_out_unlike_the_params_are_rejected():
     state.m = np.zeros((2, 3, 4))
     with pytest.raises(ShapeMismatch):
         adabound_step(state, params, np.ones((2, 3, 4)))
+
+
+def column_major_stack(rng, shape):
+    return stack_like(rng.standard_normal(shape), column_major=True)
+
+
+def test_finiteness_check_allocates_no_stack_sized_temporary():
+    # a stack 15 chunks long: the check walks it a chunk at a time, so the
+    # step holds its float scratch chunk and one chunk of bools, not a bool
+    # per entry of the stack (480,000 bytes here)
+    rng = np.random.default_rng(5)
+    shape = (4, 300, 400)
+    params, grads = (column_major_stack(rng, shape) for _ in range(2))
+    assert params.size > 10 * optim.CHUNK
+    state = init_adabound(params)
+    tracemalloc.start()
+    try:
+        adabound_step(state, params, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * optim.CHUNK + 16 * 1024
+
+
+@pytest.mark.parametrize("where", [0, optim.CHUNK - 1, -1])
+def test_non_finite_entry_anywhere_moves_nothing(where):
+    # the whole-stack call is all or nothing, even with the bad entry in the
+    # last of many chunks
+    rng = np.random.default_rng(6)
+    shape = (3, 120, 150)
+    params, grads = (column_major_stack(rng, shape) for _ in range(2))
+    state = init_adabound(params)
+    adabound_step(state, params, grads)
+    before = [a.copy() for a in (params, state.m, state.v)]
+    flat = grads.transpose(0, 2, 1).reshape(-1)  # memory order, a view
+    flat[where] = np.nan
+    with pytest.raises(NonFiniteGradient):
+        adabound_step(state, params, grads)
+    assert state.t == 1
+    for a, b in zip((params, state.m, state.v), before):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape,chunk,groups", [
+    ((5, 30, 200), optim.CHUNK, [(0, 5)]),      # 30x200 stacks are one group
+    ((3, 120, 300), optim.CHUNK, [(0, 1), (1, 2), (2, 3)]),  # blocks > CHUNK
+    ((5, 4, 6), 48, [(0, 2), (2, 4), (4, 5)]),  # two blocks per group
+])
+def test_formed_gradient_groups_match_the_whole_stack_step(shape, chunk,
+                                                           groups):
+    rng = np.random.default_rng(7)
+    params = column_major_stack(rng, shape)
+    grads = column_major_stack(rng, shape)
+    whole_params = params.copy(order="K")
+    whole, grouped = init_adabound(params), init_adabound(params)
+    calls = []
+
+    def gradient(lo, hi):
+        # a group is formed only after the one before it was updated
+        if calls:
+            previous = slice(*calls[-1])
+            assert grouped.m[previous].any()
+        assert not grouped.m[lo:hi].any()
+        calls.append((lo, hi))
+        return grads[lo:hi].copy(order="K")
+
+    with mock.patch.object(optim, "CHUNK", chunk):
+        assert optim.group_blocks(params) == groups[0][1]
+        adabound_step(whole, whole_params, grads)
+        adabound_step(grouped, params, gradient)
+    assert calls == groups
+    assert whole.t == grouped.t == 1
+    for a, b in ((params, whole_params), (grouped.m, whole.m),
+                 (grouped.v, whole.v)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_non_finite_group_raises_before_it_moves():
+    rng = np.random.default_rng(8)
+    shape = (3, 120, 300)
+    params = column_major_stack(rng, shape)
+    grads = column_major_stack(rng, shape)
+    grads[1, 5, 7] = np.inf
+    state = init_adabound(params)
+    before = params.copy(order="K")
+    with pytest.raises(NonFiniteGradient):
+        adabound_step(state, params, lambda lo, hi: grads[lo:hi])
+    assert state.t == 0
+    assert not np.array_equal(params[0], before[0])
+    assert params[1:].tobytes() == before[1:].tobytes()
