@@ -4,8 +4,8 @@ Subcommands: gen-dict, gen-data, train, eval, ecdf. Every command reads an
 optional INI config (defaults reproduce the full-scale reference setting),
 applies --seed / --scale / --out overrides, writes its outputs under the run
 directory, and records a manifest with content hashes of everything it read
-and wrote, its wall seconds and the process's peak RSS. Exit codes: 0
-success, 1 numerical failure, 2 bad input or config.
+and wrote, its wall seconds, the process's peak RSS and the Python and numpy
+versions. Exit codes: 0 success, 1 numerical failure, 2 bad input or config.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import resource
 import sys
 import time
@@ -45,7 +46,8 @@ def blob_hash(path) -> str:
 def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs,
                     started: float, **extra) -> None:
     """Hashes of what ``command`` read and wrote, plus its wall seconds since
-    ``started`` (a ``perf_counter`` reading) and the process's peak RSS."""
+    ``started`` (a ``perf_counter`` reading), the process's peak RSS and the
+    Python and numpy versions."""
     manifest = {
         "command": command,
         "config": asdict(config),
@@ -54,6 +56,8 @@ def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs,
         "wall_seconds": time.perf_counter() - started,
         # ru_maxrss is in KiB on Linux
         "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__},
         **extra,
     }
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
@@ -92,7 +96,7 @@ def _build_dictionary(config: RunConfig) -> tuple[Dictionary, dict]:
     return dictionary, meta
 
 
-def cmd_gen_dict(config: RunConfig, started: float) -> None:
+def cmd_gen_dict(config: RunConfig, args, started: float) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     dictionary, meta = _build_dictionary(config)
     csv_path = _dictionary_path(config)
@@ -107,14 +111,14 @@ def cmd_gen_dict(config: RunConfig, started: float) -> None:
     print(f"wrote {csv_path} ({meta['signal_dim']}x{meta['num_atoms']})")
 
 
-def cmd_gen_data(config: RunConfig, started: float) -> None:
+def cmd_gen_data(config: RunConfig, args, started: float) -> None:
     csv_path = _dictionary_path(config)
     dictionary = load_dictionary_csv(csv_path)
     outputs = []
     for k in config.k_range:
         directory = os.path.join(config.out_dir, "data", f"k{k}")
         shards = (shard for _, shard in training.stream_shards(
-            dictionary, k, config.seed, config.shard_size,
+            dictionary, k, config.seed, training.SHARD_SIZE,
             config.num_train_samples))
         outputs.extend(datagen.write_dataset(
             shards, directory, dictionary=dictionary, sparsity=k,
@@ -125,7 +129,7 @@ def cmd_gen_data(config: RunConfig, started: float) -> None:
                     started)
 
 
-def cmd_train(config: RunConfig, started: float) -> None:
+def cmd_train(config: RunConfig, args, started: float) -> None:
     csv_path = _dictionary_path(config)
     dictionary = load_dictionary_csv(csv_path)
     os.makedirs(os.path.join(config.out_dir, "models"), exist_ok=True)
@@ -135,8 +139,7 @@ def cmd_train(config: RunConfig, started: float) -> None:
             dictionary, k, config.num_train_samples,
             epochs=config.resolved_epochs, batch_size=config.batch_size,
             hyper=config.hyper(), proj=ProjectionMode(config.projection),
-            seed=config.seed, shard_size=config.shard_size,
-            val_fraction=config.val_fraction,
+            seed=config.seed, val_fraction=config.val_fraction,
         )
         model_path = _model_path(config, k)
         network.save_model(model, model_path)
@@ -155,7 +158,6 @@ def cmd_train(config: RunConfig, started: float) -> None:
 def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
     """ECDF CSVs of a dictionary's atoms (``ecdf_<base>.csv``) or of each
     block l of a selection stack (``ecdf_<base>_layer<l>.csv``)."""
-    grid = np.linspace(0.0, 1.0, config.ecdf_grid_points)
     if matrices.ndim == 2:
         named = {f"ecdf_{base}.csv": matrices}
     else:
@@ -163,11 +165,11 @@ def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
                  for layer, weights in enumerate(matrices)}
     paths = [os.path.join(config.out_dir, name) for name in named]
     for path, matrix in zip(paths, named.values()):
-        metrics.write_ecdf_csv(metrics.coherence_ecdf(matrix, grid), path)
+        metrics.write_ecdf_csv(metrics.coherence_ecdf(matrix), path)
     return paths
 
 
-def cmd_eval(config: RunConfig, started: float) -> None:
+def cmd_eval(config: RunConfig, args, started: float) -> None:
     csv_path = _dictionary_path(config)
     dictionary = load_dictionary_csv(csv_path)
     proj = ProjectionMode(config.projection)
@@ -222,15 +224,15 @@ def cmd_eval(config: RunConfig, started: float) -> None:
     print(f"wrote {metrics_csv}")
 
 
-def cmd_ecdf(config: RunConfig, source_path: str, started: float) -> None:
+def cmd_ecdf(config: RunConfig, args, started: float) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
-    base = os.path.splitext(os.path.basename(source_path))[0]
-    if source_path.endswith(".dmp"):
-        matrices = network.load_model(source_path).selection_weights
+    base = os.path.splitext(os.path.basename(args.source))[0]
+    if args.source.endswith(".dmp"):
+        matrices = network.load_model(args.source).selection_weights
     else:
-        matrices = load_dictionary_csv(source_path).atoms
+        matrices = load_dictionary_csv(args.source).atoms
     outputs = _write_ecdfs(config, base, matrices)
-    _write_manifest(config.out_dir, "ecdf", config, [source_path], outputs,
+    _write_manifest(config.out_dir, "ecdf", config, [args.source], outputs,
                     started)
     for path in outputs:
         print(f"wrote {path}")
@@ -251,12 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k-range", metavar="SPEC",
                         help="sparsity levels, e.g. 1-5 or 3 or 1,2,4")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-dict", help="generate or load the dictionary")
-    sub.add_parser("gen-data", help="export training mixtures as CSV shards")
-    sub.add_parser("train", help="train one model per sparsity level")
-    sub.add_parser("eval", help="run the metric sweep over all solvers")
+    sub.add_parser("gen-dict", help="generate or load the dictionary"
+                   ).set_defaults(run=cmd_gen_dict)
+    sub.add_parser("gen-data", help="export training mixtures as CSV shards"
+                   ).set_defaults(run=cmd_gen_data)
+    sub.add_parser("train", help="train one model per sparsity level"
+                   ).set_defaults(run=cmd_train)
+    sub.add_parser("eval", help="run the metric sweep over all solvers"
+                   ).set_defaults(run=cmd_eval)
     ecdf = sub.add_parser("ecdf", help="coherence ECDF of a matrix or model")
     ecdf.add_argument("source", help="dictionary CSV or .dmp model file")
+    ecdf.set_defaults(run=cmd_ecdf)
     return parser
 
 
@@ -290,17 +297,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
-        if args.command == "gen-dict":
-            cmd_gen_dict(config, started)
-        elif args.command == "gen-data":
-            cmd_gen_data(config, started)
-        elif args.command == "train":
-            cmd_train(config, started)
-        elif args.command == "eval":
-            cmd_eval(config, started)
-        elif args.command == "ecdf":
-            cmd_ecdf(config, args.source, started)
+        args.run(resolve_config(args), args, started)
     except (InputError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,10 @@
 
 Every default reproduces the reference experimental setting at full scale
 (30x200 synthetic dictionary, 150000 training mixtures per sparsity level,
-AdaBound at lr 1e-3 with final_lr 0.1, 20 epochs synthetic / 30 epochs for a
-spectra library). A ``--scale`` factor shrinks the sample counts for
-desk-scale runs without touching anything else.
+AdaBound at lr 1e-3 with final_lr 0.1 and :class:`AdaBoundHyper`'s other
+constants, 20 epochs synthetic / 30 epochs for a spectra library). A
+``--scale`` factor shrinks the sample counts for desk-scale runs without
+touching anything else.
 """
 
 from __future__ import annotations
@@ -33,18 +34,12 @@ class RunConfig:
     num_train_samples: int = 150000
     epochs: int = -1  # -1: 20 for synthetic/surrogate, 30 for raman
     batch_size: int = 128
-    lr: float = 1e-3
-    final_lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    gamma: float = 1e-3
-    epsilon: float = 1e-8
+    lr: float = AdaBoundHyper.lr
+    final_lr: float = AdaBoundHyper.final_lr
     projection: str = "positive"
-    shard_size: int = 8192
     val_fraction: float = 0.1
     # [evaluation]
     z_test: int = 5000
-    ecdf_grid_points: int = 200
     # [run]
     seed: int = 0
     out_dir: str = "runs/out"
@@ -56,10 +51,7 @@ class RunConfig:
         return 30 if self.source == "raman" else 20
 
     def hyper(self) -> AdaBoundHyper:
-        return AdaBoundHyper(
-            lr=self.lr, final_lr=self.final_lr, beta1=self.beta1,
-            beta2=self.beta2, gamma=self.gamma, epsilon=self.epsilon,
-        )
+        return AdaBoundHyper(lr=self.lr, final_lr=self.final_lr)
 
     def scaled(self, factor: float) -> "RunConfig":
         """Shrink (or grow) sample counts by ``factor``, floored at 1."""
@@ -91,23 +83,15 @@ class RunConfig:
             raise ConfigError("seed must be a non-negative integer")
         if self.epochs < -1:
             raise ConfigError(f"epochs must be >= -1, got {self.epochs}")
-        for name in ("num_train_samples", "batch_size", "z_test",
-                     "shard_size", "ecdf_grid_points"):
+        for name in ("num_train_samples", "batch_size", "z_test"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigError("val_fraction must be in [0, 1)")
-        for name in ("lr", "final_lr", "gamma"):
+        for name in ("lr", "final_lr"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ConfigError(f"{name} must be in [0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ConfigError(
-                f"epsilon must be finite and >= 0, got {self.epsilon}"
-            )
         return self
 
 
@@ -142,9 +126,8 @@ _SCHEMA = {
     "dictionary": ("source", "signal_dim", "num_atoms", "raman_path",
                    "peaks_per_atom"),
     "training": ("k_range", "num_train_samples", "epochs", "batch_size", "lr",
-                 "final_lr", "beta1", "beta2", "gamma", "epsilon",
-                 "projection", "shard_size", "val_fraction"),
-    "evaluation": ("z_test", "ecdf_grid_points"),
+                 "final_lr", "projection", "val_fraction"),
+    "evaluation": ("z_test",),
     "run": ("seed", "out_dir"),
 }
 

@@ -301,8 +301,8 @@ def save_model(model: UnfoldedModel, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(model.selection_weights.astype("<f8", copy=False).tobytes())
-        fh.write(model.update_dict.atoms.astype("<f8", copy=False).tobytes())
+        for block in (*model.selection_weights, model.update_dict.atoms):
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_model(path) -> UnfoldedModel:

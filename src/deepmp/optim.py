@@ -28,6 +28,8 @@ from .errors import NonFiniteGradient, ShapeMismatch
 
 @dataclass(frozen=True)
 class AdaBoundHyper:
+    """AdaBound's published defaults (Luo et al., ICLR 2019)."""
+
     lr: float = 1e-3
     final_lr: float = 0.1
     beta1: float = 0.9

@@ -8,10 +8,10 @@ mixture's support and coefficients, plus the targets, outlive the shard:
 O(N k) numbers for N mixtures at sparsity k, whatever the signal dimension.
 Signals are never held; every batch synthesises its own with the helper
 that ``sample_mixture`` uses, so they equal the sampled signals bit for bit,
-and replays them with the rows of the (N, k) target array through the
-cross-entropy head of ``loss_and_gradient``. The AdaBound step forms that
-gradient one group of whole blocks at a time and updates each group before
-the next is formed, so a step never holds the whole gradient stack.
+replays them along the rows of the (N, k) target array (``teacher_replay``)
+and scores the replay with ``cross_entropy_head``. The AdaBound step forms
+its gradient one group of whole blocks at a time and updates each group
+before the next is formed, so a step never holds the whole gradient stack.
 The last ``val_fraction`` of the sample index space is held out: it never
 drives a gradient step; it is reported as per-epoch support recovery and
 picks the model that training returns. Validation, too, synthesises and
@@ -41,6 +41,10 @@ from .optim import AdaBoundHyper, adabound_step, init_adabound
 from .seeding import SHUFFLE_STREAM, TRAIN_STREAM, child_seed
 from .solvers import ProjectionMode
 from .types import Dictionary
+
+
+#: mixtures per shard of the training stream, which ``gen-data`` exports
+SHARD_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
                 epochs: int, batch_size: int = 128,
                 hyper: AdaBoundHyper | None = None,
                 proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT,
-                seed: int = 0, shard_size: int = 8192,
+                seed: int = 0, shard_size: int = SHARD_SIZE,
                 val_fraction: float = 0.1
                 ) -> tuple[UnfoldedModel, list[TrainLogRow]]:
     """Train the selection matrices of a depth-``depth`` model.

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import re
 import shutil
 import tempfile
@@ -33,7 +34,7 @@ from deepmp.network import (
     loss_and_gradient,
     save_model,
 )
-from deepmp.optim import adabound_step, init_adabound
+from deepmp.optim import AdaBoundHyper, adabound_step, init_adabound
 from deepmp.seeding import SHUFFLE_STREAM, child_seed
 from deepmp.training import stream_shards, train_model
 from deepmp.types import load_dictionary_csv
@@ -49,6 +50,8 @@ def test_defaults_match_reference_table():
     assert (cfg.signal_dim, cfg.num_atoms) == (30, 200)
     assert cfg.lr == 1e-3
     assert cfg.final_lr == 0.1
+    # the CLI trains with exactly the library's AdaBound defaults
+    assert cfg.hyper() == AdaBoundHyper()
     assert cfg.num_train_samples == 150000
     assert cfg.resolved_epochs == 20
     assert cfg.k_range == (1, 2, 3, 4, 5)
@@ -116,11 +119,19 @@ def test_config_naming_every_key_at_its_default_loads_the_defaults(tmp_path):
     assert load_config(path) == defaults
 
 
+#: settings a run does not vary: AdaBound's other constants, the shard size
+#: and the ECDF grid
+REMOVED_KEYS = {"beta1": "training", "beta2": "training", "gamma": "training",
+                "epsilon": "training", "shard_size": "training",
+                "ecdf_grid_points": "evaluation"}
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[training]\nlearning_rate = 0.1\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for key, section in {"learning_rate": "training", **REMOVED_KEYS}.items():
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(path)
 
 
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
@@ -473,6 +484,10 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert manifest["config"]["seed"] == 5
     for rel, digest in manifest["outputs"].items():
         assert blob_hash(out / rel) == digest
+    for name in ("gen_dict", "gen_data", "train", "eval", "ecdf"):
+        manifest = json.loads((out / f"manifest_{name}.json").read_text())
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__}, name
 
 
 def test_cli_eval_manifest_records_solver_seconds(tmp_path):
@@ -570,9 +585,7 @@ def test_cli_eval_without_models_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "lr = nan", "lr = 0", "final_lr = -0.1", "final_lr = inf", "gamma = 0",
-    "gamma = nan", "beta1 = 1.0", "beta1 = -0.1", "beta2 = nan",
-    "epsilon = -1e-8", "epsilon = inf", "lr = 5%",
+    "lr = nan", "lr = 0", "final_lr = -0.1", "final_lr = inf", "lr = 5%",
 ])
 def test_cli_bad_optimizer_value_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.ini"
@@ -580,6 +593,21 @@ def test_cli_bad_optimizer_value_exits_2(tmp_path, capsys, line):
     assert run_cli(["--config", cfg, "--out", tmp_path / "r", "gen-dict"]) == 2
     errors = cli_error_lines(capsys)
     assert len(errors) == 1 and "ConfigError" in errors[0]
+
+
+# AdaBound's other constants are no longer settings, whatever their value
+@pytest.mark.parametrize("line", [
+    "gamma = 0", "gamma = nan", "beta1 = 1.0", "beta1 = -0.1", "beta2 = nan",
+    "epsilon = -1e-8", "epsilon = inf",
+])
+def test_cli_removed_optimizer_key_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[training]\n{line}\n")
+    assert run_cli(["--config", cfg, "--out", tmp_path / "r", "gen-dict"]) == 2
+    errors = cli_error_lines(capsys)
+    key = line.split(" = ")[0]
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert f"unknown key '{key}'" in errors[0]
 
 
 # 1e305 is finite but scales the default 150000 mixtures past the floats
@@ -804,11 +832,11 @@ def test_gen_data_shards_match_training_stream(tmp_path, small_dictionary):
                           np.concatenate([s.supports for s in regenerated]))
 
 
-def test_cli_gen_data_rerun_replaces_the_earlier_shards(tmp_path):
-    cfg = tmp_path / "shards.ini"
-    cfg.write_text("[training]\nshard_size = 40\n")
+def test_cli_gen_data_rerun_replaces_the_earlier_shards(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(training, "SHARD_SIZE", 40)
     out = tmp_path / "run"
-    base = ["--config", cfg, "--seed", 5, "--out", out, "--k-range", "1"]
+    base = ["--seed", 5, "--out", out, "--k-range", "1"]
     assert run_cli(base + ["--scale", 0.001, "gen-dict"]) == 0
     assert run_cli(base + ["--scale", 0.001, "gen-data"]) == 0  # 150 rows
     data = out / "data" / "k1"

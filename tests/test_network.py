@@ -648,6 +648,24 @@ def test_load_model_reads_into_the_model_without_a_file_copy(tmp_path):
     assert peak <= 8 * (depth + 1) * d.atoms.size + READ_BYTES + 2**14
 
 
+def test_save_model_holds_one_block_at_a_time(tmp_path):
+    # a row-major copy of one column-major block and small change for the
+    # file object; no bytes object of the whole stack
+    d = generate_raman_surrogate(503, 600, peaks_per_atom=5, seed=2)
+    model = init_from_dictionary(d, 5)
+    path = tmp_path / "model.dmp"
+    tracemalloc.start()
+    try:
+        save_model(model, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    loaded = load_model(path)
+    assert np.array_equal(loaded.update_dict.atoms, d.atoms)
+    assert all(np.array_equal(w, d.atoms) for w in loaded.selection_weights)
+    assert peak <= 8 * d.atoms.size + 2**14
+
+
 def saved_model_bytes(seed, depth, signal_dim, extra_atoms, positive):
     """A random model with its file bytes, written and read back in a temp dir."""
     rng = np.random.default_rng(seed)

@@ -1,7 +1,9 @@
+import configparser
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from deepmp.config import RunConfig, load_config
+from deepmp.config import _SCHEMA, RunConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +24,11 @@ def test_readme_config_block_loads_as_the_defaults(tmp_path):
     path = tmp_path / "config.ini"
     path.write_text(block, encoding="utf-8")
     assert load_config(path) == RunConfig()
+    # a key left out would load as its default too, so each of the block
+    # and the schema must name exactly the config's fields
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    names = sorted(field.name for field in fields(RunConfig))
+    assert sorted(key for section in parser.sections()
+                  for key in parser[section]) == names
+    assert sorted(key for keys in _SCHEMA.values() for key in keys) == names
