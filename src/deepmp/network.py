@@ -26,6 +26,11 @@ scores by their row maxima only when some score lies far enough out that
 ``exp`` could overflow or underflow, and it forms the gradient on demand, a
 group of blocks at a time, so training can update each group before the next
 is formed; :func:`loss_and_gradient` forms the whole stack.
+
+Weights, inference, model files and the teacher's residual path are float64.
+The replay stack may be of another dtype, and the head computes in it: training
+replays in float32 (mixed precision, Micikevicius et al. 2018), while
+:func:`loss_and_gradient` replays in float64.
 """
 
 from __future__ import annotations
@@ -60,8 +65,6 @@ from .solvers import (
 from .types import READ_BYTES, Dictionary, _own_dictionary
 
 _MAGIC = b"DMP1"
-#: log of the smallest normal float64, about -708.4
-_LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -192,21 +195,28 @@ def _check_atom_indices(indices: np.ndarray, num_atoms: int, what: str) -> None:
 
 
 def teacher_replay(model: UnfoldedModel, signals: np.ndarray,
-                   targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   targets: np.ndarray, dtype=np.float64
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Teacher residuals of every layer, replayed from the targets.
 
-    Returns the (K, B, M) stack, layer k after the first k targets, and the
-    (K, B) live mask: a row lives while every residual so far has norm >=
-    ``RESIDUAL_FLOOR``. Dead rows are zeroed in the stack.
+    Returns the (K, B, M) stack of ``dtype``, layer k after the first k
+    targets, and the (K, B) live mask: a row lives while every residual so
+    far has norm >= ``RESIDUAL_FLOOR``. Dead rows are zeroed in the stack.
+    The running residual and its norms stay float64 whatever ``dtype``, so
+    the teacher path and the live mask do not depend on it.
     """
     atoms = model.update_dict.atoms
-    stack = np.empty((model.depth, *signals.shape))
-    stack[0] = signals
-    for k in range(model.depth - 1):
-        _, stack[k + 1] = residual_step(atoms, stack[k], targets[:, k],
-                                        model.proj)
-    live = np.logical_and.accumulate(
-        np.einsum("kbm,kbm->kb", stack, stack) >= RESIDUAL_FLOOR ** 2, axis=0)
+    stack = np.empty((model.depth, *signals.shape), dtype=dtype)
+    live = np.empty(stack.shape[:2], dtype=bool)
+    residuals = signals
+    for k in range(model.depth):
+        if k:
+            _, residuals = residual_step(atoms, residuals, targets[:, k - 1],
+                                         model.proj)
+        stack[k] = residuals
+        live[k] = (np.einsum("bm,bm->b", residuals, residuals)
+                   >= RESIDUAL_FLOOR ** 2)
+    np.logical_and.accumulate(live, axis=0, out=live)
     stack[~live] = 0.0
     return stack, live
 
@@ -216,25 +226,33 @@ def cross_entropy_head(weights: np.ndarray, stack: np.ndarray,
                        ) -> tuple[float, Callable[[int, int], np.ndarray]]:
     """Loss and weight gradient of :func:`teacher_replay`'s output.
 
-    All layers go in one score product, and dead rows' loss terms are masked.
-    The scores are one (K, N, B) array whose normalisation is folded into the
-    gradient product: target entries take ``-= z`` and the rows of ``stack``
-    (overwritten) ``/= z * B``. The gradient is returned as a function
-    ``gradient(lo, hi)`` that forms blocks ``lo:hi`` with one product, the
-    (hi - lo, N, M) product as (hi - lo, M, N), with column-major blocks like
-    the weights; it holds the scores and the stack while it lives.
+    All layers go in one score stack, and dead rows' loss terms are masked.
+    The head computes in the stack's dtype, casting each weight block to it
+    for that block's score product only. The scores are one (K, N, B) array
+    whose normalisation is folded into the gradient product: target entries
+    take ``-= z`` and the rows of ``stack`` (overwritten) ``/= z * B``. The
+    gradient is returned as a function ``gradient(lo, hi)`` that forms
+    blocks ``lo:hi`` with one product, the (hi - lo, N, M) product as
+    (hi - lo, M, N), with column-major blocks like the weights; it holds the
+    scores and the stack while it lives.
 
     The per-row max-shift runs only when a score leaves the open interval
-    ``±(-log(tiny) - log(N * B))``, about ±698 at N = 200, B = 128. Inside
-    it every ``exp``, normaliser ``z`` and ``z * B`` is a finite normal
-    float, so skipping the shift changes the loss and gradient by rounding
-    only: about ``eps * max|score|`` in a row's loss term, which the score
-    product carries anyway, and at most ``eps / 2`` in a gradient entry
-    where ``/= z * B`` takes residual entries below the normal range.
+    ``±(-log(tiny) - log(N * B))``, with ``tiny`` the smallest normal number
+    of the stack's dtype: about ±698 in float64 and ±77 in float32 at
+    N = 200, B = 128. Inside it every ``exp``, normaliser ``z`` and
+    ``z * B`` is a finite normal number, so skipping the shift changes the
+    loss and gradient by rounding only: about ``eps * max|score|`` in a
+    row's loss term, which the score product carries anyway, and at most
+    ``eps / 2`` in a gradient entry where ``/= z * B`` takes residual entries
+    below the normal range.
     """
     depth, batch_size, _ = stack.shape
-    p = np.matmul(weights.transpose(0, 2, 1), stack.transpose(0, 2, 1))
-    limit = -_LOG_TINY - math.log(p.shape[1] * batch_size)
+    p = np.empty((depth, weights.shape[2], batch_size), dtype=stack.dtype)
+    for k in range(depth):
+        np.matmul(weights[k].T.astype(stack.dtype, copy=False), stack[k].T,
+                  out=p[k])
+    limit = (-math.log(np.finfo(stack.dtype).tiny)
+             - math.log(p.shape[1] * batch_size))
     if not (-limit < p.min() and p.max() < limit):
         p -= p.max(axis=1, keepdims=True)
     hit = (np.arange(depth)[:, None], targets.T, np.arange(batch_size))

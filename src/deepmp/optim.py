@@ -14,6 +14,10 @@ several blocks: a stack of at most ``CHUNK`` elements takes one chunk. A step
 may also take its gradient one group of whole blocks at a time, as the caller
 forms it, and update each group before the next is formed, so the whole
 gradient is never held: the fused update of LOMO (Lv et al. 2023).
+
+A step computes in the moments' dtype and updates the parameters in theirs:
+training keeps float32 moments beside float64 weights (mixed precision,
+Micikevicius et al. 2018); :func:`init_adabound` makes float64 by default.
 """
 
 from __future__ import annotations
@@ -52,11 +56,13 @@ class AdaBoundState:
     hyper: AdaBoundHyper = field(default_factory=AdaBoundHyper)
 
 
-def init_adabound(params, hyper: AdaBoundHyper | None = None) -> AdaBoundState:
+def init_adabound(params, hyper: AdaBoundHyper | None = None,
+                  dtype=np.float64) -> AdaBoundState:
+    """Zero moments of ``dtype``, laid out like ``params``, at step 0."""
     hyper = hyper or AdaBoundHyper()
     return AdaBoundState(
-        m=np.zeros_like(params),
-        v=np.zeros_like(params),
+        m=np.zeros_like(params, dtype=dtype),
+        v=np.zeros_like(params, dtype=dtype),
         hyper=hyper,
     )
 
@@ -133,7 +139,7 @@ def _update(h: AdaBoundHyper, scalars, params, grads, m, v) -> None:
     for lo in range(0, len(g), CHUNK):
         if not np.isfinite(g[lo:lo + CHUNK]).all():
             raise NonFiniteGradient("gradient contains NaN or Inf")
-    step = np.empty(min(params.size, CHUNK))  # the one scratch array
+    step = np.empty(min(params.size, CHUNK), m.dtype)  # the one scratch array
     for lo in range(0, len(p), len(step)):
         pc, gc, mc, vc = (a[lo:lo + len(step)] for a in (p, g, mf, vf))
         sc = step[:len(pc)]

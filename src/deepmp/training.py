@@ -12,6 +12,10 @@ replays them along the rows of the (N, k) target array (``teacher_replay``)
 and scores the replay with ``cross_entropy_head``. The AdaBound step forms
 its gradient one group of whole blocks at a time and updates each group
 before the next is formed, so a step never holds the whole gradient stack.
+Training alone chooses mixed precision: the replay stack, the scores, the
+gradient and AdaBound's moments are float32, while the weights that each
+step updates, the teacher path, validation and the returned model stay
+float64.
 The last ``val_fraction`` of the sample index space is held out: it never
 drives a gradient step; it is reported as per-epoch support recovery and
 picks the model that training returns. Validation, too, synthesises and
@@ -141,7 +145,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
                                          batch_size)
     best_weights: np.ndarray | None = None
 
-    state = init_adabound(model.selection_weights, hyper)
+    state = init_adabound(model.selection_weights, hyper, dtype=np.float32)
     log_rows: list[TrainLogRow] = []
     for epoch in range(epochs):
         loss_total = 0.0
@@ -156,7 +160,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
                     model.selection_weights,
                     *teacher_replay(
                         model, synthesize(atoms, supports[idx], coeffs[idx]),
-                        batch),
+                        batch, dtype=np.float32),
                     batch)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(

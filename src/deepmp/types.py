@@ -1,6 +1,7 @@
 """Shared mathematical objects: dictionaries, signals, codes, supports, samples.
 
-All numerics are float64. Atom matrices are kept column-contiguous (Fortran
+All numerics are float64; only training's working arrays are float32 (see
+:mod:`deepmp.training`). Atom matrices are kept column-contiguous (Fortran
 order) because the hot kernel everywhere is the correlation ``atoms.T @ r``,
 one dot product per atom, which walks columns.
 

@@ -28,11 +28,12 @@ from deepmp.network import (
     UnfoldedModel,
     batched_infer,
     build_training_batch,
+    cross_entropy_head,
     forward_infer,
     init_from_dictionary,
     load_model,
-    loss_and_gradient,
     save_model,
+    teacher_replay,
 )
 from deepmp.optim import AdaBoundHyper, adabound_step, init_adabound
 from deepmp.seeding import SHUFFLE_STREAM, child_seed
@@ -298,7 +299,9 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
     """train_model written as a loop that redraws its data every epoch.
 
     Each epoch draws the shards of the stream again, shuffles the training
-    rows of each shard, and builds teacher targets per shuffled chunk;
+    rows of each shard, builds teacher targets per shuffled chunk, and steps
+    in the training precision: a float32 replay stack, head and gradient
+    stack, and float32 AdaBound moments beside the float64 weights;
     validation scores the held-out samples one row at a time with
     hamming_complement. Returns
     the validation-best of the initialization and each epoch (ties to the
@@ -320,7 +323,7 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
         ]))
 
     model = init_from_dictionary(dictionary, depth)
-    state = init_adabound(model.selection_weights)
+    state = init_adabound(model.selection_weights, dtype=np.float32)
     candidates = [(model.selection_weights.copy(), recovery(model))]
     rows = []
     for epoch in range(epochs):
@@ -338,8 +341,12 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
                 signals = shard.signals[chunk]
                 targets = build_training_batch(model, signals,
                                                shard.supports[chunk])
-                loss, grads = loss_and_gradient(model, signals, targets)
-                adabound_step(state, model.selection_weights, grads)
+                loss, gradient = cross_entropy_head(
+                    model.selection_weights,
+                    *teacher_replay(model, signals, targets, np.float32),
+                    targets)
+                adabound_step(state, model.selection_weights,
+                              gradient(0, depth))
                 loss_total += loss * len(chunk)
         val_recovery = recovery(model)
         rows.append((epoch, (loss_total / num_train).hex(),
@@ -442,6 +449,28 @@ def test_training_holds_one_gradient_block_not_the_stack():
     block = 8 * m * n
     head = 8 * depth * batch_size * (m + n)
     assert peak <= 3 * depth * block + block + head + 2**20
+
+
+def test_training_keeps_float32_moments_beside_float64_weights():
+    # the recipe above, at training's precision: the float64 weights, both
+    # AdaBound moments at 4 bytes an entry, one float32 gradient block, one
+    # weight block cast to float32 for its score product, the float32
+    # residual and score stacks and small change
+    d = generate_synthetic_dictionary(200, 300, seed=8)
+    depth, batch_size = 4, 128
+    m, n = d.atoms.shape
+    tracemalloc.start()
+    try:
+        train_model(d, depth, 512, epochs=1, batch_size=batch_size, seed=3,
+                    val_fraction=0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = 8 * depth * m * n
+    moments = 2 * 4 * depth * m * n
+    blocks = 2 * 4 * m * n
+    head = 4 * depth * batch_size * (m + n)
+    assert peak <= weights + moments + blocks + head + 2**20
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -499,6 +499,62 @@ def test_large_scores_match_per_layer_oracle(seed, depth, signal_dim,
     assert_close(grads, ref_grads, scale=np.abs(stack).max())
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5),
+       signal_dim=st.integers(3, 8), extra_atoms=st.integers(2, 10),
+       batch_size=st.integers(1, 24), positive=st.booleans(),
+       scale=st.sampled_from(["inside", "edge", "outside"]))
+def test_float32_head_matches_float64_head_on_the_same_values(
+        seed, depth, signal_dim, extra_atoms, batch_size, positive, scale):
+    # the float32 head shifts by its own limit, -log(tiny) - log(N * B) with
+    # float32's tiny: the scores are scaled to a tenth of it, to 0.9999 of it
+    # (no shift), and to four times it, which float64's limit of about 700
+    # would let into exp unshifted
+    rng = np.random.default_rng(seed)
+    d = validate_dictionary(
+        random_unit_dictionary(rng, signal_dim, signal_dim + extra_atoms))
+    model = random_model(rng, d, depth)
+    if not positive:
+        model.proj = ProjectionMode.IDENTITY
+    samples = sample_mixture(
+        d, MixtureConfig(sparsity=depth, num_samples=batch_size, seed=seed))
+    signals = samples.signals / np.linalg.norm(samples.signals, axis=1,
+                                               keepdims=True)
+    targets = build_training_batch(model, signals, samples.supports)
+    stack, live = teacher_replay(model, signals, targets, np.float32)
+    assert stack.dtype == np.float32
+    limit = -np.log(np.finfo(np.float32).tiny) - np.log(
+        d.num_atoms * batch_size)
+
+    def scores():
+        weights = model.selection_weights.astype(np.float32)
+        return np.matmul(weights.transpose(0, 2, 1).astype(np.float64),
+                         stack.transpose(0, 2, 1).astype(np.float64))
+
+    factor = {"inside": 0.1, "edge": 0.9999, "outside": 4.0}[scale]
+    model.selection_weights *= factor * limit / np.abs(scores()).max()
+    # weights the float32 cast keeps exactly, so both heads see one set of
+    # values
+    model.selection_weights[...] = model.selection_weights.astype(np.float32)
+    p = scores()
+    assert (np.abs(p).max() < limit) == (scale != "outside")
+    loss, gradient = cross_entropy_head(model.selection_weights, stack.copy(),
+                                        live, targets)
+    grads = gradient(0, depth)
+    ref_loss, ref_gradient = cross_entropy_head(
+        model.selection_weights, stack.astype(np.float64), live, targets)
+    ref_grads = ref_gradient(0, depth)
+    assert grads.dtype == np.float32
+    assert np.isfinite(loss) and np.isfinite(grads).all()
+    # a float32 score is off by a few eps * max|score|, and the softmax moves
+    # by as much: the loss compares at the scale of the scores, the gradient
+    # at that of the residual entries times that of the scores
+    rtol = 16 * np.finfo(np.float32).eps
+    top = max(1.0, np.abs(p).max())
+    assert_close(loss, ref_loss, rtol=rtol, scale=top)
+    assert_close(grads, ref_grads, rtol=rtol, scale=top * np.abs(stack).max())
+
+
 def test_dead_rows_add_nothing_to_loss_or_gradient():
     # atoms 0..3 are the identity basis: the teacher removes one coordinate
     # per step exactly, so a signal with a 1e-14 fourth coordinate has a

@@ -203,6 +203,77 @@ def test_step_matches_scalar_oracle(seed, shape, chunk, column_major,
         assert state.v[i] == pytest.approx(v, rel=1e-12, abs=0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 9)),
+       chunk=st.sampled_from([1, 5, 16, 100, optim.CHUNK]),
+       column_major=st.booleans(), t=st.integers(0, 5000),
+       lr=st.floats(1e-5, 1.0), final_lr=st.floats(1e-3, 1.0),
+       beta1=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+       beta2=st.floats(0.0, 0.9999), gamma=st.floats(1e-4, 1.0),
+       epsilon=st.one_of(st.just(0.0), st.floats(1e-12, 1e-3)))
+def test_float32_moments_match_scalar_oracle(seed, shape, chunk, column_major,
+                                             t, lr, final_lr, beta1, beta2,
+                                             gamma, epsilon):
+    # training's split: float64 parameters, float32 moments and gradient.
+    # The step is computed in float32, so it matches the float64 oracle to
+    # a few float32 roundings of the terms it sums, and it is added into the
+    # parameters in float64: a float32 parameter would round away most of
+    # an update this small against entries of order one
+    hyper = AdaBoundHyper(lr=lr, final_lr=final_lr, beta1=beta1, beta2=beta2,
+                          gamma=gamma, epsilon=epsilon)
+    rng = np.random.default_rng(seed)
+    params = stack_like(rng.standard_normal(shape), column_major)
+    state = init_adabound(params, hyper, dtype=np.float32)
+    state.m[...] = rng.standard_normal(shape)
+    state.v[...] = rng.random(shape) * 10.0 ** rng.integers(-6, 2, shape)
+    state.t = t
+    grads = stack_like(rng.standard_normal(shape), column_major
+                       ).astype(np.float32)
+    p0, m0, v0 = params.copy(), state.m.copy(), state.v.copy()
+    with mock.patch.object(optim, "CHUNK", chunk):
+        adabound_step(state, params, grads)
+    assert params.dtype == np.float64
+    assert state.m.dtype == state.v.dtype == np.float32
+    assert state.t == t + 1
+    tol = 16 * np.finfo(np.float32).eps
+    for i in np.ndindex(shape):
+        g = float(grads[i])
+        p, m, v = scalar_step(p0[i], float(m0[i]), float(v0[i]), g, t + 1,
+                              hyper)
+        # m sums two terms that may nearly cancel; v's terms never do
+        terms = abs(beta1 * float(m0[i])) + abs((1 - beta1) * g)
+        assert abs(state.m[i] - m) <= tol * terms
+        assert abs(state.v[i] - v) <= tol * v
+        # the update is rate * m / bias1: off by m's error and the rate's
+        update, ref_update = params[i] - p0[i], p - p0[i]
+        assert (abs(update - ref_update) * abs(m)
+                <= tol * abs(ref_update) * (abs(m) + terms))
+
+
+@pytest.mark.parametrize("formed", [False, True])
+def test_float32_moments_non_finite_gradient_moves_nothing(formed):
+    # a float32 gradient with an infinity in block 1: the whole stack moves
+    # nothing, and formed groups move block 0 only
+    rng = np.random.default_rng(9)
+    shape = (3, 120, 300)
+    params = column_major_stack(rng, shape)
+    grads = column_major_stack(rng, shape).astype(np.float32)
+    grads[1, 5, 7] = np.inf
+    state = init_adabound(params, dtype=np.float32)
+    before = [a.copy(order="K") for a in (params, state.m, state.v)]
+    with pytest.raises(NonFiniteGradient):
+        adabound_step(state, params,
+                      (lambda lo, hi: grads[lo:hi]) if formed else grads)
+    assert state.t == 0
+    assert params.dtype == np.float64
+    assert state.m.dtype == state.v.dtype == np.float32
+    moved = 1 if formed else 0
+    for a, b in zip((params, state.m, state.v), before):
+        assert a[moved:].tobytes() == b[moved:].tobytes()
+        assert np.array_equal(a[:moved], b[:moved]) == (not formed)
+
+
 def test_moments_laid_out_unlike_the_params_are_rejected():
     params = stack_like(np.zeros((2, 3, 4)), column_major=True)
     state = init_adabound(params)
