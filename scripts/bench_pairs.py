@@ -7,8 +7,10 @@ alternating which side runs first. Each run's last output line is
 perfbench's JSON summary. The script prints every end-to-end metric per pair
 and per side, then each side's median and quartiles, the number of pairs the
 working tree wins (by the direction ``BENCHMARK.json`` gives), whether the
-gap between the medians exceeds REF's interquartile range, and REF's commit
-and tree hashes.
+gap between the medians exceeds REF's interquartile range, whether the
+working tree's median is worse than REF's by more than the metric's
+``BENCHMARK.json`` bound (a share of REF's median), and REF's commit and
+tree hashes.
 
 Usage (from anywhere inside the repository):
   python3 scripts/bench_pairs.py --ref HEAD --workload train-synth \\
@@ -69,16 +71,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, mid, high
 
 
-def summarise(pairs: list[dict], better: dict) -> dict:
-    """Per metric: each side's quartiles, the working tree's wins, the verdict.
+def summarise(pairs: list[dict], better: dict, bound: dict) -> dict:
+    """Per metric: each side's quartiles, the working tree's wins, the verdicts.
 
-    ``pairs`` holds one ``{"ref": metrics, "work": metrics}`` per pair and
-    ``better`` maps a metric's bare name to "lower" or "higher". A pair with
-    a null value on either side neither wins nor counts.
+    ``pairs`` holds one ``{"ref": metrics, "work": metrics}`` per pair,
+    ``better`` maps a metric's bare name to "lower" or "higher" and ``bound``
+    to the share of REF's median by which it may worsen. A pair with a null
+    value on either side neither wins nor counts. ``regressed`` is None for
+    a metric without a bound.
     """
     out = {}
     for name in pairs[0]["ref"]:
-        sign = -1.0 if better.get(name.rsplit("/", 1)[-1]) == "lower" else 1.0
+        bare = name.rsplit("/", 1)[-1]
+        sign = -1.0 if better.get(bare) == "lower" else 1.0
         both = [(p["ref"][name], p["work"][name]) for p in pairs
                 if p["ref"].get(name) is not None
                 and p["work"].get(name) is not None]
@@ -93,6 +98,8 @@ def summarise(pairs: list[dict], better: dict) -> dict:
             "wins": sum(sign * (w - r) > 0.0 for r, w in both),
             "pairs": len(both),
             "gap_exceeds_ref_iqr": gap > ref_q[2] - ref_q[0],
+            "regressed": (-gap > bound[bare] * abs(ref_q[1])
+                          if bare in bound else None),
         }
     return out
 
@@ -111,7 +118,9 @@ def main(argv=None) -> int:
     commit = git("rev-parse", "--verify", f"{args.ref}^{{commit}}").decode().strip()
     tree = git("rev-parse", f"{commit}^{{tree}}").decode().strip()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bound = {m["name"]: m["bound"] for m in end_to_end}
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -130,11 +139,13 @@ def main(argv=None) -> int:
     print(f"\nref {args.ref}: commit {commit}, tree {tree}")
     print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s, "
           f"{args.pairs} pairs; quartiles are 25% / median / 75%")
-    for name, s in summarise(pairs, better).items():
+    verdicts = {True: "REGRESSED", False: "within bound", None: "no bound"}
+    for name, s in summarise(pairs, better, bound).items():
         ref, work = (" / ".join(f"{v:.6g}" for v in s[side]) for side in SIDES)
         print(f"{name:36s} ref {ref}  work {work}  work wins "
               f"{s['wins']}/{s['pairs']}  median gap > ref IQR: "
-              f"{'yes' if s['gap_exceeds_ref_iqr'] else 'no'}")
+              f"{'yes' if s['gap_exceeds_ref_iqr'] else 'no'}  "
+              f"{verdicts[s['regressed']]}")
     return 0
 
 

@@ -173,12 +173,20 @@ def cmd_eval(config: RunConfig, args, started: float) -> None:
     csv_path = _dictionary_path(config)
     dictionary = load_dictionary_csv(csv_path)
     proj = ProjectionMode(config.projection)
-    models = {}
     for k in config.k_range:
         path = _model_path(config, k)
         if not os.path.exists(path):
             raise MissingModel(f"no trained model for sparsity {k} at {path}")
-        model = models[k] = network.load_model(path)
+    baselines = {
+        "nnmp": metrics.nnmp_runner(dictionary, proj),
+        "nnomp": metrics.nnomp_runner(dictionary),
+    }
+
+    def level_solvers(k: int) -> dict:
+        # each model is loaded and checked when its level runs, and the
+        # sweep releases it before the next one loads
+        path = _model_path(config, k)
+        model = network.load_model(path)
         # NNMP and NNOMP run on dictionary.csv with the config's projection,
         # so a model trained for another of either is not comparable
         if not np.array_equal(model.update_dict.atoms.view(np.uint64),
@@ -187,15 +195,12 @@ def cmd_eval(config: RunConfig, args, started: float) -> None:
         if model.proj is not proj:
             raise ConfigError(f"{path}: projection {model.proj.value!r}, "
                               f"config has {proj.value!r}")
-        # bit-equal, so every model shares the one copy
+        # bit-equal, so the model shares the one copy
         model.update_dict = dictionary
-    solvers = {
-        "nnmp": metrics.nnmp_runner(dictionary, proj),
-        "nnomp": metrics.nnomp_runner(dictionary),
-        "deepmp": metrics.deepmp_runner(models),
-    }
+        return {**baselines, "deepmp": metrics.deepmp_runner({k: model})}
+
     reports = metrics.run_sweep(
-        dictionary, solvers, config.k_range, config.z_test, config.seed,
+        dictionary, level_solvers, config.k_range, config.z_test, config.seed,
     )
     outputs = []
     metrics_csv = os.path.join(config.out_dir, "metrics.csv")
@@ -205,8 +210,9 @@ def cmd_eval(config: RunConfig, args, started: float) -> None:
     outputs.extend([metrics_csv, metrics_json])
     outputs.extend(_write_ecdfs(config, "dictionary", dictionary.atoms))
     deepest = max(config.k_range)
-    outputs.extend(_write_ecdfs(config, f"model_k{deepest}",
-                                models[deepest].selection_weights))
+    outputs.extend(_write_ecdfs(
+        config, f"model_k{deepest}",
+        network.load_model(_model_path(config, deepest)).selection_weights))
     inputs = [csv_path] + [_model_path(config, k) for k in config.k_range]
     # timings vary between runs, so they go here and not in the metrics files
     solver_seconds = {

@@ -8,8 +8,12 @@
   coherences on a grid over [0, 1].
 
 ``run_sweep`` draws fresh test mixtures per sparsity level (stream disjoint
-from training by construction), hands each solver the whole stack of test
-signals at once and aggregates both metrics per solver.
+from training by construction), hands each solver the level's test signals
+one block of at most ``SWEEP_BLOCK`` rows at a time, keeps both metrics per
+row and averages them per solver and level. Pursuit rows are independent,
+so the blocks give the numbers one whole-stack call would, bit for bit,
+while the solvers' (rows, atoms) codes and scores stay block-sized whatever
+the number of test mixtures.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .types import Dictionary
 
 #: default ECDF grid resolution over [0, 1]
 ECDF_GRID_POINTS = 200
+#: test rows per solver call in :func:`run_sweep`
+SWEEP_BLOCK = 256
 
 #: (signals (B, M), sparsity k) -> (supports (B, k) padded with -1, codes (B, N))
 SweepSolver = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
@@ -73,10 +79,10 @@ def row_recovery(supports: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return hits.sum(axis=1) / k
 
 
-def epsilon_error(dictionary: Dictionary, signals, codes) -> float:
-    """Mean relative residual norm ||y - atoms @ x|| / ||y|| over aligned rows.
+def row_epsilon(dictionary: Dictionary, signals, codes) -> np.ndarray:
+    """Relative residual norm ||y - atoms @ x|| / ||y|| of every aligned row.
 
-    ``signals`` is (B, signal_dim) and ``codes`` (B, num_atoms).
+    ``signals`` is (B, signal_dim) and ``codes`` (B, num_atoms); returns (B,).
     """
     signals = np.asarray(signals, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
@@ -90,7 +96,12 @@ def epsilon_error(dictionary: Dictionary, signals, codes) -> float:
     norms = np.linalg.norm(signals, axis=1)
     if np.any(norms == 0.0):
         raise ZeroSignal("relative error undefined for a zero signal")
-    return float(np.mean(np.linalg.norm(signals - codes @ atoms.T, axis=1) / norms))
+    return np.linalg.norm(signals - codes @ atoms.T, axis=1) / norms
+
+
+def epsilon_error(dictionary: Dictionary, signals, codes) -> float:
+    """Mean of :func:`row_epsilon` over aligned rows."""
+    return float(np.mean(row_epsilon(dictionary, signals, codes)))
 
 
 def _normalized_columns(matrix) -> np.ndarray:
@@ -142,8 +153,9 @@ def coherence_ecdf(matrix, grid=None) -> list[tuple[float, float]]:
 class MetricsReport:
     """Per-sparsity recovery, reconstruction error and solver wall time.
 
-    ``seconds`` is the wall time of the solver's call on each sparsity level's
-    stack; it varies between runs, so the metrics files leave it out.
+    ``seconds`` is the solver's wall time at each sparsity level, summed over
+    its calls on that level's row blocks; it varies between runs, so the
+    metrics files leave it out.
     """
 
     solver: str
@@ -197,34 +209,53 @@ def deepmp_runner(models: Mapping[int, UnfoldedModel]) -> SweepSolver:
     return run
 
 
-def run_sweep(dictionary: Dictionary, solvers: Mapping[str, SweepSolver],
-              k_range, num_test: int, seed: int) -> dict[str, MetricsReport]:
+def run_sweep(dictionary: Dictionary, solvers, k_range, num_test: int,
+              seed: int) -> dict[str, MetricsReport]:
     """Evaluate every solver on fresh test mixtures at each sparsity level.
 
-    Each solver runs with budget equal to the mixture sparsity on the stack
-    of that level's test signals; all solvers see identical test sets. The
-    wall time of each solver call goes to its report's ``seconds``.
+    ``solvers`` maps labels to :data:`SweepSolver` functions, or is a
+    function of k that returns that level's mapping; a function is called
+    once per level, after the previous level's mapping is released. Each
+    solver runs with budget equal to the mixture sparsity, on one block of
+    at most ``SWEEP_BLOCK`` of the level's test signals at a time; all
+    solvers see identical test sets. Recovery and epsilon are means over
+    every test row, and the wall time of a level's solver calls goes to its
+    report's ``seconds``.
     """
-    reports = {
-        label: MetricsReport(solver=label, num_test=num_test) for label in solvers
-    }
+    reports: dict[str, MetricsReport] = {}
     for k in k_range:
         test = sample_mixture(
             dictionary,
             MixtureConfig(sparsity=k, num_samples=num_test,
                           seed=child_seed(seed, TEST_STREAM, k)),
         )
-        signals, truth = test.signals, test.supports
-        for label, solve in solvers.items():
-            start = time.perf_counter()
-            supports, codes = solve(signals, k)
-            reports[label].seconds[k] = time.perf_counter() - start
-            reports[label].recovery[k] = float(
-                np.mean(row_recovery(supports, truth))
-            )
-            reports[label].epsilon[k] = epsilon_error(dictionary, signals, codes)
-            # released before the next solver builds its own
-            del supports, codes
+        level = solvers(k) if callable(solvers) else solvers
+        # the fewest blocks of at most SWEEP_BLOCK rows, of near-equal size:
+        # a lone trailing row would take numpy's matrix-vector product, which
+        # rounds differently from the matrix product the other rows take
+        blocks = -(-num_test // SWEEP_BLOCK)
+        edges = [num_test * i // blocks for i in range(blocks + 1)]
+        recovery, epsilon = np.empty(num_test), np.empty(num_test)
+        for label in level:
+            seconds = 0.0
+            for lo, hi in zip(edges, edges[1:]):
+                rows = slice(lo, hi)
+                start = time.perf_counter()
+                supports, codes = level[label](test.signals[rows], k)
+                seconds += time.perf_counter() - start
+                recovery[rows] = row_recovery(supports, test.supports[rows])
+                epsilon[rows] = row_epsilon(dictionary, test.signals[rows],
+                                            codes)
+                # released before the next block builds its own
+                del supports, codes
+            report = reports.setdefault(
+                label, MetricsReport(solver=label, num_test=num_test))
+            report.seconds[k] = seconds
+            report.recovery[k] = float(np.mean(recovery))
+            report.epsilon[k] = float(np.mean(epsilon))
+        # released before the next level's mixtures are drawn and its mapping
+        # built, so a function that loads a model per level holds one at a time
+        del level, test
     return reports
 
 

@@ -696,6 +696,52 @@ def test_cli_eval_model_of_another_projection_exits_2(tmp_path, capsys):
     assert "identity" in errors[0]
 
 
+def test_cli_eval_model_of_another_dictionary_at_the_last_level_exits_2(
+        tmp_path, capsys):
+    # the models are checked as their levels run, so the fault shows after
+    # k=1 has been scored, and still before any output is written
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    assert run_cli(base + ["gen-dict"]) == 0
+    assert run_cli(base + ["train"]) == 0
+    other = generate_synthetic_dictionary(30, 200, seed=7)
+    save_model(init_from_dictionary(other, 2), out / "models" / "model_k2.dmp")
+    capsys.readouterr()
+    assert run_cli(base + ["eval"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert str(out / "models" / "model_k2.dmp") in errors[0]
+    assert not list(out.glob("metrics.*")) and not list(out.glob("ecdf_*"))
+
+
+def test_cli_eval_holds_one_model_at_a_time(tmp_path):
+    # each model is loaded when its level runs and released before the next
+    # one loads: the peak is the dictionary, the deepest model's stack, its
+    # file's own dictionary block and the ECDF's normalised copy and Gram
+    # matrix, never the stacks of every level together
+    m, n, depths = 400, 500, (1, 2, 3)
+    out = tmp_path / "run"
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(f"[dictionary]\nsignal_dim = {m}\nnum_atoms = {n}\n")
+    base = ["--config", cfg, "--out", out, "--seed", 3, "--scale", 0.002,
+            "--k-range", "1-3"]
+    assert run_cli(base + ["gen-dict"]) == 0
+    d = load_dictionary_csv(out / "dictionary.csv")
+    (out / "models").mkdir()
+    for k in depths:
+        save_model(init_from_dictionary(d, k), out / "models" / f"model_k{k}.dmp")
+    del d
+    tracemalloc.start()
+    try:
+        assert run_cli(base + ["eval"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * m * n
+    ecdf = 8 * (m * n + n * n)
+    assert peak <= block + (max(depths) + 1) * block + ecdf + 2**20
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[nope]\nx = 1\n")

@@ -16,6 +16,7 @@ from deepmp.errors import (
     ZeroSparsity,
 )
 from deepmp.metrics import (
+    SWEEP_BLOCK,
     coherence,
     coherence_ecdf,
     deepmp_runner,
@@ -31,6 +32,7 @@ from deepmp.metrics import (
     write_metrics_json,
 )
 from deepmp.network import init_from_dictionary
+from deepmp.seeding import TEST_STREAM, child_seed
 from deepmp.types import validate_dictionary
 
 from conftest import random_unit_dictionary
@@ -297,6 +299,82 @@ def test_deepmp_runner_rejects_model_of_another_depth(small_dictionary):
     with pytest.raises(SparsityMismatch):
         deepmp_runner({1: init_from_dictionary(small_dictionary, 1),
                        3: init_from_dictionary(small_dictionary, 2)})
+
+
+def perturbed_models(dictionary, depths, seed):
+    """Dictionary-initialised models with nudged weights, so DeepMP's picks
+    differ from NNMP's."""
+    rng = np.random.default_rng(seed)
+    models = {}
+    for k in depths:
+        models[k] = init_from_dictionary(dictionary, k)
+        models[k].selection_weights += 0.05 * rng.random(
+            models[k].selection_weights.shape)
+    return models
+
+
+# three blocks, the last one short; and one row past a block, which must not
+# leave a lone row to numpy's matrix-vector product
+@pytest.mark.parametrize("num_test", [2 * SWEEP_BLOCK + 3, SWEEP_BLOCK + 1])
+def test_sweep_blocks_equal_the_whole_stack_oracle(table_dictionary, num_test):
+    # every solver's recovery and epsilon equal one whole-stack call scored
+    # by row_recovery and epsilon_error; at seed 3 a lone row would change
+    # NNOMP's k=2 epsilon in its last bits
+    d, depths, seed = table_dictionary, (1, 2, 3), 3
+    solvers = {
+        "nnmp": nnmp_runner(d),
+        "nnomp": nnomp_runner(d),
+        "deepmp": deepmp_runner(perturbed_models(d, depths, seed)),
+    }
+    reports = run_sweep(d, solvers, depths, num_test, seed)
+    for k in depths:
+        test = make_samples(d, k, num_test, child_seed(seed, TEST_STREAM, k))
+        for label, solve in solvers.items():
+            supports, codes = solve(test.signals, k)
+            assert reports[label].recovery[k] == float(
+                np.mean(row_recovery(supports, test.supports))), (label, k)
+            assert reports[label].epsilon[k] == epsilon_error(
+                d, test.signals, codes), (label, k)
+
+    # a recording solver: no call gets more than a block, and the blocks
+    # concatenate to the level's test stack
+    calls = []
+
+    def record(signals, k):
+        calls.append(signals.copy())
+        return solvers["nnmp"](signals, k)
+
+    run_sweep(d, lambda k: {"nnmp": record}, [2], num_test, seed)
+    assert len(calls) == -(-num_test // SWEEP_BLOCK)
+    assert all(len(block) <= SWEEP_BLOCK for block in calls)
+    test = make_samples(d, 2, num_test, child_seed(seed, TEST_STREAM, 2))
+    assert np.concatenate(calls).tobytes() == test.signals.tobytes()
+
+
+def test_sweep_memory_grows_only_by_the_test_stack():
+    # with many more atoms than rows, the solvers' (rows, atoms) codes and
+    # scores would dwarf the signals: eight times the test mixtures may add
+    # only each row's signal, support, coefficients and two metric values
+    d = validate_dictionary(random_unit_dictionary(
+        np.random.default_rng(5), 20, 400))
+    k = 3
+    solvers = {
+        "nnmp": nnmp_runner(d),
+        "nnomp": nnomp_runner(d),
+        "deepmp": deepmp_runner({k: init_from_dictionary(d, k)}),
+    }
+
+    def peak(num_test):
+        tracemalloc.start()
+        try:
+            run_sweep(d, solvers, [k], num_test, seed=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = SWEEP_BLOCK, 8 * SWEEP_BLOCK
+    extra = large - small
+    assert peak(large) - peak(small) <= 8 * extra * (d.signal_dim + 2 * k + 2) + 2**18
 
 
 def test_nnomp_perfect_recovery_implies_tiny_epsilon(table_dictionary):
