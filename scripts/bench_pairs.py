@@ -7,10 +7,12 @@ alternating which side runs first. Each run's last output line is
 perfbench's JSON summary. The script prints every end-to-end metric per pair
 and per side, then each side's median and quartiles, the number of pairs the
 working tree wins (by the direction ``BENCHMARK.json`` gives), whether the
-gap between the medians exceeds REF's interquartile range, whether the
-working tree's median is worse than REF's by more than the metric's
-``BENCHMARK.json`` bound (a share of REF's median), and REF's commit and
-tree hashes.
+gap between the medians exceeds REF's interquartile range, whether that makes
+a gain (wins in at least 9 of 10 counted pairs and a gap beyond REF's
+interquartile range), whether the working tree's median is worse than REF's
+by more than the metric's ``BENCHMARK.json`` bound (a share of REF's median),
+each side's share of failed operations per pair and over all pairs, and REF's
+commit and tree hashes.
 
 Usage (from anywhere inside the repository):
   python3 scripts/bench_pairs.py --ref HEAD --workload train-synth \\
@@ -46,7 +48,8 @@ def export(commit: str, directory: str) -> None:
 
 
 def run_bench(checkout: str, args) -> dict:
-    """The metrics of one perfbench run in ``checkout``, by name."""
+    """One perfbench run in ``checkout``: its metrics by name, and its
+    ``failed`` and ``attempted`` operation counts."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds)],
@@ -57,10 +60,9 @@ def run_bench(checkout: str, args) -> dict:
     except (IndexError, ValueError):
         raise SystemExit(f"bench_pairs: no summary from {checkout} "
                          f"(exit {proc.returncode}):\n{proc.stderr}") from None
-    if not summary["correct"]:
-        print(f"  {checkout}: {summary['failed']} of {summary['attempted']} "
-              f"operations failed", file=sys.stderr)
-    return {name: entry["value"] for name, entry in summary["metrics"].items()}
+    return {"metrics": {name: entry["value"]
+                        for name, entry in summary["metrics"].items()},
+            "failed": summary["failed"], "attempted": summary["attempted"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -77,8 +79,10 @@ def summarise(pairs: list[dict], better: dict, bound: dict) -> dict:
     ``pairs`` holds one ``{"ref": metrics, "work": metrics}`` per pair,
     ``better`` maps a metric's bare name to "lower" or "higher" and ``bound``
     to the share of REF's median by which it may worsen. A pair with a null
-    value on either side neither wins nor counts. ``regressed`` is None for
-    a metric without a bound.
+    value on either side neither wins nor counts. ``gain`` holds when the
+    working tree wins at least 9 of 10 counted pairs and the median gap
+    exceeds REF's interquartile range. ``regressed`` is None for a metric
+    without a bound.
     """
     out = {}
     for name in pairs[0]["ref"]:
@@ -92,16 +96,27 @@ def summarise(pairs: list[dict], better: dict, bound: dict) -> dict:
         ref_q = quartiles([r for r, _ in both])
         work_q = quartiles([w for _, w in both])
         gap = sign * (work_q[1] - ref_q[1])
+        wins = sum(sign * (w - r) > 0.0 for r, w in both)
+        beyond_iqr = gap > ref_q[2] - ref_q[0]
         out[name] = {
             "ref": ref_q,
             "work": work_q,
-            "wins": sum(sign * (w - r) > 0.0 for r, w in both),
+            "wins": wins,
             "pairs": len(both),
-            "gap_exceeds_ref_iqr": gap > ref_q[2] - ref_q[0],
+            "gap_exceeds_ref_iqr": beyond_iqr,
+            "gain": 10 * wins >= 9 * len(both) and beyond_iqr,
             "regressed": (-gap > bound[bare] * abs(ref_q[1])
                           if bare in bound else None),
         }
     return out
+
+
+def failure_share(runs: list[dict]) -> str:
+    """Failed of attempted operations over ``runs``, with the share."""
+    failed = sum(run["failed"] for run in runs)
+    attempted = sum(run["attempted"] for run in runs)
+    share = failed / attempted if attempted else float("nan")
+    return f"{failed}/{attempted} ({share:.2%})"
 
 
 def main(argv=None) -> int:
@@ -122,30 +137,39 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in end_to_end}
     bound = {m["name"]: m["bound"] for m in end_to_end}
 
-    pairs = []
+    runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         export(commit, tmp)
         checkouts = {"ref": tmp, "work": ROOT}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {side: run_bench(checkouts[side], args) for side in order}
-            pairs.append(pair)
+            run = {side: run_bench(checkouts[side], args) for side in order}
+            runs.append(run)
+            ref, work = run["ref"]["metrics"], run["work"]["metrics"]
             print(f"pair {i + 1} ({order[0]} first)")
-            for name in sorted(pair["ref"]):
-                print(f"  {name:36s} ref {pair['ref'][name]!s:>22} "
-                      f"work {pair['work'].get(name)!s:>22}")
+            for name in sorted(ref):
+                print(f"  {name:36s} ref {ref[name]!s:>22} "
+                      f"work {work.get(name)!s:>22}")
+            print(f"  {'failed operations':36s} ref "
+                  f"{failure_share([run['ref']]):>22} work "
+                  f"{failure_share([run['work']]):>22}")
             sys.stdout.flush()
 
     print(f"\nref {args.ref}: commit {commit}, tree {tree}")
     print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s, "
           f"{args.pairs} pairs; quartiles are 25% / median / 75%")
     verdicts = {True: "REGRESSED", False: "within bound", None: "no bound"}
+    pairs = [{side: run[side]["metrics"] for side in SIDES} for run in runs]
     for name, s in summarise(pairs, better, bound).items():
         ref, work = (" / ".join(f"{v:.6g}" for v in s[side]) for side in SIDES)
         print(f"{name:36s} ref {ref}  work {work}  work wins "
               f"{s['wins']}/{s['pairs']}  median gap > ref IQR: "
               f"{'yes' if s['gap_exceeds_ref_iqr'] else 'no'}  "
+              f"{'GAIN' if s['gain'] else 'no gain'}  "
               f"{verdicts[s['regressed']]}")
+    print(f"{'failed operations':36s} "
+          + "  ".join(f"{side} {failure_share([run[side] for run in runs])}"
+                      for side in SIDES))
     return 0
 
 

@@ -57,3 +57,47 @@ def test_summary_flags_a_median_worse_by_more_than_the_bound():
     better_pairs = [{"ref": {"rss": 100.0}, "work": {"rss": 50.0}}]
     assert bench_pairs.summarise(better_pairs, better,
                                  {"rss": 0.05})["rss"]["regressed"] is False
+
+
+def test_summary_claims_a_gain_only_from_nine_of_ten_wins_beyond_ref_iqr():
+    better, bound = {"cost": "lower"}, {"cost": 0.25}
+    ref = [10.0, 10.5, 11.0, 11.5, 12.0, 10.0, 10.5, 11.0, 11.5, 12.0]
+
+    def gain(work):
+        pairs = [{"ref": {"cost": r}, "work": {"cost": w}}
+                 for r, w in zip(ref, work)]
+        return bench_pairs.summarise(pairs, better, bound)["cost"]
+
+    # ref's quartiles are 10.5 / 11.0 / 11.5, so the gap must exceed 1.0
+    nine = gain([8.0] * 9 + [12.5])
+    assert (nine["wins"], nine["gap_exceeds_ref_iqr"], nine["gain"]) == \
+        (9, True, True)
+    eight = gain([8.0] * 8 + [12.5, 12.5])
+    assert (eight["wins"], eight["gap_exceeds_ref_iqr"], eight["gain"]) == \
+        (8, True, False)
+    # every pair won, by too little to clear ref's spread
+    close = gain([r - 0.1 for r in ref])
+    assert (close["wins"], close["gap_exceeds_ref_iqr"], close["gain"]) == \
+        (10, False, False)
+
+
+def test_run_bench_keeps_each_runs_failed_and_attempted(tmp_path):
+    # a stand-in perfbench whose last line is the summary run.py prints
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\nprint('progress')\n"
+        "print(json.dumps({'correct': False, 'attempted': 40, 'failed': 3,\n"
+        "                  'metrics': {'w/op_cost_ref': {'value': 2.5}}}))\n",
+        encoding="utf-8")
+    args = bench_pairs.argparse.Namespace(workload="w", seed=1, seconds=1.0)
+    run = bench_pairs.run_bench(str(tmp_path), args)
+    assert run == {"metrics": {"w/op_cost_ref": 2.5}, "failed": 3,
+                   "attempted": 40}
+
+
+def test_failure_share_pools_failed_over_attempted():
+    runs = [{"failed": 1, "attempted": 100}, {"failed": 2, "attempted": 200}]
+    assert bench_pairs.failure_share(runs) == "3/300 (1.00%)"
+    assert bench_pairs.failure_share(runs[:1]) == "1/100 (1.00%)"
+    assert bench_pairs.failure_share([{"failed": 0, "attempted": 0}]) == \
+        "0/0 (nan%)"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deepmp import solvers
 from deepmp.datagen import (
     MixtureConfig,
     generate_raman_surrogate,
@@ -526,11 +527,11 @@ def test_nnomp_kernel_properties(seed):
 # -- warm-started refits ----------------------------------------------------------
 
 
-def cold_refits(atoms, signals, supports):
-    """Each row's NNLS on its support, from x = 0, on the kernel's Gram system.
+def gram_systems(atoms, signals, supports):
+    """Each row's Gram matrix and right-hand side on its support.
 
-    The Gram entries and right-hand sides are built with the kernel's own
-    ``einsum`` calls, entry (j, i) for j <= i as the product with atom i.
+    Built one entry at a time with ``einsum``, entry (j, i) for j <= i as
+    the product with atom i, which is how the kernel's products round.
     """
     atoms_t = np.ascontiguousarray(atoms.T)
     rows, n = supports.shape
@@ -542,7 +543,14 @@ def cold_refits(atoms, signals, supports):
         for j in range(i + 1):
             grams[:, j, i] = grams[:, i, j] = np.einsum(
                 "bm,bm->b", atoms_t[supports[:, j]], new)
-    return _nnls_gram(grams, rhs, np.zeros((rows, n)), 3 * n)
+    return grams, rhs
+
+
+def cold_refits(atoms, signals, supports):
+    """Each row's NNLS on its support, from x = 0, on the kernel's Gram system."""
+    grams, rhs = gram_systems(atoms, signals, supports)
+    n = supports.shape[1]
+    return _nnls_gram(grams, rhs, np.zeros((supports.shape[0], n)), 3 * n)
 
 
 def assert_warm_equals_cold(atoms, signals, budget):
@@ -619,3 +627,134 @@ def test_warm_start_counts_only_its_own_iterations():
     # started at its solution, a refit has nothing left to do
     warm = _nnls_gram(grams, rhs, solution[None].copy(), 0)
     assert warm[0].tobytes() == solution.tobytes()
+
+
+def spy_nnls_gram(monkeypatch):
+    """Record every call the kernel makes to ``_nnls_gram``.
+
+    Each entry holds copies of the call's Gram stack, right-hand sides and
+    warm start, and its result.
+    """
+    calls = []
+
+    def spy(grams, rhs, x, max_iter):
+        start = x.copy()
+        out = _nnls_gram(grams, rhs, x, max_iter)
+        calls.append((grams.copy(), rhs.copy(), start, out.copy()))
+        return out
+
+    monkeypatch.setattr(solvers, "_nnls_gram", spy)
+    return calls
+
+
+def test_positive_refits_never_enter_lawson_hanson(monkeypatch):
+    # orthonormal atoms and positive codes: every refit is exact and positive
+    rng = np.random.default_rng(5)
+    atoms = np.linalg.qr(rng.standard_normal((12, 12)))[0][:, :8]
+    codes = rng.uniform(0.5, 2.0, size=(20, 8))
+    codes[rng.random((20, 8)) < 0.3] = 0.0
+    calls = spy_nnls_gram(monkeypatch)
+    supports, _, _, _ = nnomp_pursuit(atoms, codes @ atoms.T, 5)
+    assert calls == []
+    assert np.all(supports[:, 0] >= 0)
+
+
+def assert_only_failing_rows_enter_lawson_hanson(calls, atoms, signals, k):
+    """``calls`` holds exactly the refits the full-support solve cannot take.
+
+    For each step n, rebuilds every row's Gram system and warm start (the
+    previous level's cold refit, 0 at the new column) and checks that
+    ``_nnls_gram`` received exactly the rows whose warm start holds a zero,
+    whose new column's gradient is within the tolerance, or whose full
+    solve has a non-positive entry, and returned their cold refits bit for
+    bit. Returns how many rows had each of those, and how many had a zero
+    in the warm start but a positive full solve.
+    """
+    supports, _, _, _ = nnomp_pursuit(atoms, signals, k)
+    by_columns = {call[1].shape[1]: call for call in calls}
+    assert len(by_columns) == len(calls)  # at most one call per step
+    seen = dict.fromkeys(["zero", "flat", "non_positive", "zero_positive"], 0)
+    for n in range(1, k + 1):
+        rows = np.flatnonzero(supports[:, n - 1] >= 0)
+        support = supports[rows, :n]
+        grams, rhs = gram_systems(atoms, signals[rows], support)
+        start = np.zeros((rows.size, n))
+        if n > 1:
+            start[:, :-1] = cold_refits(atoms, signals[rows], support[:, :-1])
+        # the new column's gradient and tolerance as _nnls_gram forms them
+        gradient = (rhs - (grams * start[:, None, :]).sum(axis=2))[:, -1]
+        tol = 1e-12 * np.maximum(1.0, np.abs(rhs).max(axis=1))
+        zero = (start[:, :-1] == 0.0).any(axis=1)
+        steep = gradient > tol
+        solved = np.linalg.solve(grams[steep], rhs[steep, :, None])[:, :, 0]
+        positive = np.zeros(rows.size, dtype=bool)
+        positive[steep] = (solved > 0.0).all(axis=1)
+        fails = zero | ~steep | ~positive
+        seen["zero"] += int(zero.sum())
+        seen["flat"] += int((~steep).sum())
+        seen["non_positive"] += int((steep & ~positive).sum())
+        seen["zero_positive"] += int((zero & positive).sum())
+        if not fails.any():
+            assert n not in by_columns
+            continue
+        got_grams, got_rhs, got_start, out = by_columns[n]
+        assert got_grams.tobytes() == grams[fails].tobytes()
+        assert got_rhs.tobytes() == rhs[fails].tobytes()
+        assert got_start.tobytes() == start[fails].tobytes()
+        assert out.tobytes() == cold_refits(
+            atoms, signals[rows[fails]], support[fails]).tobytes()
+    return seen
+
+
+@pytest.mark.parametrize("dictionary, k, num", [
+    ("table", 7, 400),
+    ("surrogate", 6, 150),
+])
+def test_lawson_hanson_gets_only_rows_the_full_solve_cannot_take(
+        monkeypatch, table_dictionary, dictionary, k, num):
+    # the signals of test_warm_refits_equal_cold_refits
+    d = table_dictionary if dictionary == "table" else surrogate_dictionary()
+    signals = sample_mixture(
+        d, MixtureConfig(sparsity=k, num_samples=num, seed=k)).signals
+    rng = np.random.default_rng(k)
+    signals = np.vstack([signals, rng.standard_normal((num, d.atoms.shape[0]))])
+    calls = spy_nnls_gram(monkeypatch)
+    seen = assert_only_failing_rows_enter_lawson_hanson(calls, d.atoms,
+                                                        signals, k)
+    assert seen["zero"] > 0 and seen["non_positive"] > 0
+    refits = sum(call[1].shape[0] for call in calls)
+    assert refits < 0.1 * (nnomp_pursuit(d.atoms, signals, k)[0] >= 0).sum()
+
+
+def test_lawson_hanson_gets_rows_with_a_flat_gradient(monkeypatch,
+                                                      table_dictionary):
+    # exact 3-atom mixtures, scaled up: after three steps the residual is
+    # rounding noise above the floor, and the fourth atom's gradient is
+    # below the tolerance, which scales with the right-hand side
+    signals = 1e4 * sample_mixture(
+        table_dictionary, MixtureConfig(sparsity=3, num_samples=300, seed=3)
+    ).signals
+    calls = spy_nnls_gram(monkeypatch)
+    seen = assert_only_failing_rows_enter_lawson_hanson(
+        calls, table_dictionary.atoms, signals, 5)
+    assert seen["flat"] > 0
+
+
+def test_lawson_hanson_gets_rows_with_a_zero_even_if_the_full_solve_is_positive(
+        monkeypatch):
+    # from a zero in the warm start, Lawson-Hanson may stop before the full
+    # support, so such a row never takes the full solve; this small random
+    # problem has one at its fourth step
+    rng = np.random.default_rng(31)
+    rows = int(rng.integers(3, 8))
+    cols = int(rng.integers(rows + 1, 3 * rows))
+    atoms = random_unit_dictionary(rng, rows, cols)
+    mixtures = atoms[:, rng.integers(0, cols, size=(3, 20))]  # (M, 3, 20)
+    signals = np.vstack([
+        np.einsum("mjb,jb->bm", mixtures, rng.random((3, 20))),
+        rng.standard_normal((20, rows)),
+    ])
+    calls = spy_nnls_gram(monkeypatch)
+    seen = assert_only_failing_rows_enter_lawson_hanson(
+        calls, atoms, signals, min(rows, 4))
+    assert seen["zero_positive"] > 0
