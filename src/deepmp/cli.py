@@ -117,9 +117,9 @@ def cmd_gen_data(config: RunConfig, args, started: float) -> None:
     outputs = []
     for k in config.k_range:
         directory = os.path.join(config.out_dir, "data", f"k{k}")
-        shards = (shard for _, shard in training.stream_shards(
+        shards = training.stream_shards(
             dictionary, k, config.seed, training.SHARD_SIZE,
-            config.num_train_samples))
+            config.num_train_samples)
         outputs.extend(datagen.write_dataset(
             shards, directory, dictionary=dictionary, sparsity=k,
             seed=config.seed))

@@ -82,17 +82,22 @@ def generate_synthetic_dictionary(signal_dim: int, num_atoms: int,
 
 @dataclass(frozen=True)
 class Mixtures:
-    """A stack of noiseless mixtures with their ground truth, one row each.
+    """Noiseless mixtures as their ground truth, one row each.
 
-    ``signals`` is (n, signal_dim); ``supports`` (n, k) holds each row's k
-    distinct atom indices and ``coeffs`` (n, k) their weights, so row b's
-    signal is ``synthesize(atoms, supports, coeffs)[b]``. Iterating yields
-    one :class:`Sample` per row.
+    ``supports`` (n, k) holds each row's k distinct atom indices into
+    ``atoms`` and ``coeffs`` (n, k) their weights. ``signals`` synthesises
+    the (n, signal_dim) stack on every read; a consumer of some rows calls
+    :func:`synthesize` on theirs and gets the same rows bit for bit.
+    Iterating yields one :class:`Sample` per row.
     """
 
-    signals: np.ndarray
+    atoms: np.ndarray
     supports: np.ndarray
     coeffs: np.ndarray
+
+    @property
+    def signals(self) -> np.ndarray:
+        return synthesize(self.atoms, self.supports, self.coeffs)
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -103,7 +108,7 @@ class Mixtures:
 
 
 def sample_mixture(dictionary: Dictionary, config: MixtureConfig) -> Mixtures:
-    """Draw noiseless non-negative mixtures with recorded ground truth."""
+    """Draw noiseless non-negative mixtures as supports and coefficients."""
     k, n = config.sparsity, config.num_samples
     if k < 1:
         raise ZeroSparsity("sparsity must be >= 1")
@@ -123,8 +128,7 @@ def sample_mixture(dictionary: Dictionary, config: MixtureConfig) -> Mixtures:
         supports[:, c] = np.where(taken, j, v)
     supports = rng.permuted(supports, axis=1)
     coeffs = 1.0 - rng.random((n, k))  # uniform on (0, 1]
-    return Mixtures(synthesize(dictionary.atoms, supports, coeffs),
-                    supports, coeffs)
+    return Mixtures(dictionary.atoms, supports, coeffs)
 
 
 def synthesize(atoms: np.ndarray, supports: np.ndarray,

@@ -8,12 +8,12 @@
   coherences on a grid over [0, 1].
 
 ``run_sweep`` draws fresh test mixtures per sparsity level (stream disjoint
-from training by construction), hands each solver the level's test signals
-one block of at most ``SWEEP_BLOCK`` rows at a time, keeps both metrics per
-row and averages them per solver and level. Pursuit rows are independent,
-so the blocks give the numbers one whole-stack call would, bit for bit,
-while the solvers' (rows, atoms) codes and scores stay block-sized whatever
-the number of test mixtures.
+from training by construction), synthesises their signals one block of at
+most ``SWEEP_BLOCK`` rows at a time and hands each block to every solver,
+keeps both metrics per row and averages them per solver and level. Pursuit
+rows are independent, so the blocks give the numbers one whole-stack call
+would, bit for bit, while the signals and the solvers' (rows, atoms) codes
+and scores stay block-sized whatever the number of test mixtures.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .datagen import MixtureConfig, sample_mixture
+from .datagen import MixtureConfig, sample_mixture, synthesize
 from .errors import (
     DimensionMismatch,
     MissingModel,
@@ -217,10 +217,11 @@ def run_sweep(dictionary: Dictionary, solvers, k_range, num_test: int,
     function of k that returns that level's mapping; a function is called
     once per level, after the previous level's mapping is released. Each
     solver runs with budget equal to the mixture sparsity, on one block of
-    at most ``SWEEP_BLOCK`` of the level's test signals at a time; all
-    solvers see identical test sets. Recovery and epsilon are means over
-    every test row, and the wall time of a level's solver calls goes to its
-    report's ``seconds``.
+    at most ``SWEEP_BLOCK`` of the level's test signals at a time; each
+    block is synthesised once and handed to every solver, so all solvers see
+    identical test sets. Recovery and epsilon are means over every test
+    row, and the wall time of a level's solver calls goes to its report's
+    ``seconds``.
     """
     reports: dict[str, MetricsReport] = {}
     for k in k_range:
@@ -235,24 +236,26 @@ def run_sweep(dictionary: Dictionary, solvers, k_range, num_test: int,
         # rounds differently from the matrix product the other rows take
         blocks = -(-num_test // SWEEP_BLOCK)
         edges = [num_test * i // blocks for i in range(blocks + 1)]
-        recovery, epsilon = np.empty(num_test), np.empty(num_test)
+        # one row per solver
+        recovery, epsilon = np.empty((2, len(level), num_test))
         for label in level:
-            seconds = 0.0
-            for lo, hi in zip(edges, edges[1:]):
-                rows = slice(lo, hi)
+            reports.setdefault(label, MetricsReport(
+                solver=label, num_test=num_test)).seconds[k] = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            rows = slice(lo, hi)
+            signals = synthesize(dictionary.atoms, test.supports[rows],
+                                 test.coeffs[rows])
+            for j, label in enumerate(level):
                 start = time.perf_counter()
-                supports, codes = level[label](test.signals[rows], k)
-                seconds += time.perf_counter() - start
-                recovery[rows] = row_recovery(supports, test.supports[rows])
-                epsilon[rows] = row_epsilon(dictionary, test.signals[rows],
-                                            codes)
-                # released before the next block builds its own
+                supports, codes = level[label](signals, k)
+                reports[label].seconds[k] += time.perf_counter() - start
+                recovery[j, rows] = row_recovery(supports, test.supports[rows])
+                epsilon[j, rows] = row_epsilon(dictionary, signals, codes)
+                # released before the next solver builds its own
                 del supports, codes
-            report = reports.setdefault(
-                label, MetricsReport(solver=label, num_test=num_test))
-            report.seconds[k] = seconds
-            report.recovery[k] = float(np.mean(recovery))
-            report.epsilon[k] = float(np.mean(epsilon))
+        for j, label in enumerate(level):
+            reports[label].recovery[k] = float(np.mean(recovery[j]))
+            reports[label].epsilon[k] = float(np.mean(epsilon[j]))
         # released before the next level's mixtures are drawn and its mapping
         # built, so a function that loads a model per level holds one at a time
         del level, test

@@ -26,11 +26,6 @@ scores by their row maxima only when some score lies far enough out that
 ``exp`` could overflow or underflow, and it forms the gradient on demand, a
 group of blocks at a time, so training can update each group before the next
 is formed; :func:`loss_and_gradient` forms the whole stack.
-
-Weights, inference, model files and the teacher's residual path are float64.
-The replay stack may be of another dtype, and the head computes in it: training
-replays in float32 (mixed precision, Micikevicius et al. 2018), while
-:func:`loss_and_gradient` replays in float64.
 """
 
 from __future__ import annotations
@@ -238,8 +233,7 @@ def cross_entropy_head(weights: np.ndarray, stack: np.ndarray,
 
     The per-row max-shift runs only when a score leaves the open interval
     ``±(-log(tiny) - log(N * B))``, with ``tiny`` the smallest normal number
-    of the stack's dtype: about ±698 in float64 and ±77 in float32 at
-    N = 200, B = 128. Inside it every ``exp``, normaliser ``z`` and
+    of the stack's dtype. Inside it every ``exp``, normaliser ``z`` and
     ``z * B`` is a finite normal number, so skipping the shift changes the
     loss and gradient by rounding only: about ``eps * max|score|`` in a
     row's loss term, which the score product carries anyway, and at most
@@ -329,9 +323,10 @@ def load_model(path) -> UnfoldedModel:
     The file is read ``READ_BYTES`` at a time, straight into the
     column-major selection stack and dictionary, so loading holds no copy
     of the file. Raises ParseError naming the file when the header is
-    malformed (bad magic, depth 0, a projection flag other than 0 or 1), the
-    size does not match the header, a selection weight is not finite, or the
-    dictionary block fails :func:`~deepmp.types.validate_dictionary`.
+    malformed (bad magic, depth 0, a projection flag other than 0 or 1, or
+    dimensions that no dictionary has: not ``0 < signal_dim < num_atoms``),
+    the size does not match the header, a selection weight is not finite,
+    or the dictionary block fails :func:`~deepmp.types.validate_dictionary`.
     """
     head = struct.calcsize("<4sIIII")
     with open(path, "rb") as fh:
@@ -348,6 +343,11 @@ def load_model(path) -> UnfoldedModel:
         if proj_flag not in (0, 1):
             raise ParseError(
                 f"{path}: projection flag {proj_flag} is not 0 or 1")
+        # checked before anything is allocated or read: with a zero
+        # dimension the size check passes at any depth
+        if not 0 < signal_dim < num_atoms:
+            raise ParseError(f"{path}: a {signal_dim}x{num_atoms} dictionary "
+                             f"is not overcomplete")
         expected = head + 8 * (depth + 1) * signal_dim * num_atoms
         if size != expected:
             raise ParseError(

@@ -15,9 +15,8 @@ may also take its gradient one group of whole blocks at a time, as the caller
 forms it, and update each group before the next is formed, so the whole
 gradient is never held: the fused update of LOMO (Lv et al. 2023).
 
-A step computes in the moments' dtype and updates the parameters in theirs:
-training keeps float32 moments beside float64 weights (mixed precision,
-Micikevicius et al. 2018); :func:`init_adabound` makes float64 by default.
+A step computes in the moments' dtype and updates the parameters in theirs;
+:func:`init_adabound` makes float64 moments by default.
 """
 
 from __future__ import annotations

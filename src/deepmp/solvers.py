@@ -19,9 +19,8 @@ selection matrix. NNOMP is :func:`nnomp_pursuit`, which refits every row on
 its own small Gram system: one batched unconstrained solve on the full
 support for the rows whose refit stays positive, which is exactly the solve
 Lawson-Hanson would make there, and the one Lawson-Hanson solver,
-:func:`_nnls_gram`, for the few rows that lose positivity (under 1 in 1,000
-refits on the synthetic and surrogate sweeps). ``nnomp_solve`` and
-``nnls_active_set`` are one-row calls of the kernel and of that solver.
+:func:`_nnls_gram`, for the few rows that lose positivity. ``nnomp_solve``
+and ``nnls_active_set`` are one-row calls of the kernel and of that solver.
 """
 
 from __future__ import annotations
@@ -298,11 +297,9 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
     tolerance and the solution is strictly positive: from that start
     Lawson-Hanson inserts the new column, makes exactly this solve on
     exactly this matrix and stops, so the result is its result bit for bit.
-    The other rows, about 0.05% of refits in k = 1..5 sweeps on the 30x200
-    synthetic dictionary and 0.02% on the 503x600 surrogate, run
-    :func:`_nnls_gram` from the same start. The residual ``y - sum_j x_j
-    d_{S_j}`` is rebuilt from the step's gathered support columns, one
-    subtraction per column.
+    The other rows run :func:`_nnls_gram` from the same start. The residual
+    ``y - sum_j x_j d_{S_j}`` is rebuilt from the step's gathered support
+    columns, one subtraction per column.
 
     Returns ``(supports, codes, residuals, norm_paths)`` in the layout of
     :func:`hard_max_pursuit`. Raises MaxIterationsExceeded when a refit

@@ -2,24 +2,24 @@
 
 Training mixtures come from shards seeded from the master seed, so
 identical seeds reproduce identical batches (and therefore bit-identical
-models). Each shard is drawn once per training run, and the teacher targets
-of its training mixtures are computed while it is alive. Only each
-mixture's support and coefficients, plus the targets, outlive the shard:
-O(N k) numbers for N mixtures at sparsity k, whatever the signal dimension.
-Signals are never held; every batch synthesises its own with the helper
-that ``sample_mixture`` uses, so they equal the sampled signals bit for bit,
-replays them along the rows of the (N, k) target array (``teacher_replay``)
-and scores the replay with ``cross_entropy_head``. The AdaBound step forms
-its gradient one group of whole blocks at a time and updates each group
-before the next is formed, so a step never holds the whole gradient stack.
-Training alone chooses mixed precision: the replay stack, the scores, the
-gradient and AdaBound's moments are float32, while the weights that each
-step updates, the teacher path, validation and the returned model stay
-float64.
+models). Each shard is drawn once per training run. Training keeps each
+mixture's support and coefficients and the (N, k) teacher targets: O(N k)
+numbers for N mixtures at sparsity k, whatever the signal dimension. The
+target pass, every training batch and every validation batch synthesise
+their own signals with :func:`~deepmp.datagen.synthesize`, equal to the
+sampled signals bit for bit. A batch replays its rows along their targets
+(``teacher_replay``) and scores the replay with ``cross_entropy_head``. The
+AdaBound step forms its gradient one group of whole blocks at a time and
+updates each group before the next is formed, so a step never holds the
+whole gradient stack.
+
+Training alone chooses mixed precision (Micikevicius et al. 2018): the
+replay stack, the scores, the gradient and AdaBound's moments are float32,
+while the weights, updated in place, the teacher path, validation, the
+returned model, inference and model files stay float64.
 The last ``val_fraction`` of the sample index space is held out: it never
 drives a gradient step; it is reported as per-epoch support recovery and
-picks the model that training returns. Validation, too, synthesises and
-scores one batch of rows at a time.
+picks the model that training returns.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ class TrainLogRow:
 
 def stream_shards(dictionary: Dictionary, depth: int, seed: int,
                   shard_size: int, total: int):
-    """Yield (shard_index, mixtures) covering sample indices 0..total-1.
+    """Yield the mixtures of sample indices 0..total-1, one shard at a time.
 
     Shard i holds indices ``i * shard_size`` onwards and is drawn from its
     own seed, so every shard is reproducible on its own.
     """
     for i, start in enumerate(range(0, total, shard_size)):
-        yield i, sample_mixture(
+        yield sample_mixture(
             dictionary,
             MixtureConfig(sparsity=depth,
                           num_samples=min(shard_size, total - start),
@@ -118,23 +118,17 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     model = init_from_dictionary(dictionary, depth, proj)
     atoms = dictionary.atoms
 
-    # one walk of the stream; training rows also get their teacher targets,
-    # computed while the shard's signals are alive
-    supports = np.empty((num_samples, depth), dtype=np.int64)
-    coeffs = np.empty((num_samples, depth))
+    shards = list(stream_shards(dictionary, depth, seed, shard_size,
+                                num_samples))
+    supports = np.concatenate([shard.supports for shard in shards])
+    coeffs = np.concatenate([shard.coeffs for shard in shards])
+    del shards
     targets = np.empty((num_train, depth), dtype=np.int64)
-    for i, shard in stream_shards(dictionary, depth, seed, shard_size,
-                                  num_samples):
-        base = i * shard_size
-        supports[base:base + len(shard)] = shard.supports
-        coeffs[base:base + len(shard)] = shard.coeffs
-        shard_train = min(len(shard), num_train - base)
-        for lo in range(0, shard_train, batch_size):
-            hi = min(lo + batch_size, shard_train)
-            targets[base + lo:base + hi] = build_training_batch(
-                model, shard.signals[lo:hi], shard.supports[lo:hi])
-        # released before the next shard is drawn
-        del shard
+    for lo in range(0, num_train, batch_size):
+        rows = slice(lo, min(lo + batch_size, num_train))
+        targets[rows] = build_training_batch(
+            model, synthesize(atoms, supports[rows], coeffs[rows]),
+            supports[rows])
     val_supports, val_coeffs = supports[num_train:], coeffs[num_train:]
 
     # best candidate so far: -1 is the initialization, which is rebuilt from

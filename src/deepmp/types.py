@@ -1,6 +1,6 @@
 """Shared mathematical objects: dictionaries, signals, codes, supports, samples.
 
-All numerics are float64; only training's working arrays are float32 (see
+All numerics are float64, apart from training's working arrays (see
 :mod:`deepmp.training`). Atom matrices are kept column-contiguous (Fortran
 order) because the hot kernel everywhere is the correlation ``atoms.T @ r``,
 one dot product per atom, which walks columns.

@@ -1,10 +1,11 @@
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deepmp.datagen import Mixtures, generate_synthetic_dictionary
+from deepmp.datagen import generate_synthetic_dictionary
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -40,8 +41,20 @@ def random_unit_dictionary(rng: np.random.Generator, rows: int, cols: int):
     return atoms
 
 
+@dataclass(frozen=True)
+class ShardRows:
+    """Every row of a dataset's shards, as read back from the files."""
+
+    signals: np.ndarray
+    supports: np.ndarray
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.supports)
+
+
 def read_shards(directory):
-    """Oracle for write_dataset: the sidecar, and every shard row as Mixtures."""
+    """Oracle for write_dataset: the sidecar, and every shard row as read."""
     directory = Path(directory)
     meta = json.loads((directory / "dataset.json").read_text(encoding="utf-8"))
     k = meta["k"]
@@ -50,5 +63,5 @@ def read_shards(directory):
     supports = [[int(cell.split(":")[0]) for cell in row[:k]] for row in rows]
     coeffs = [[float(cell.split(":")[1]) for cell in row[:k]] for row in rows]
     signals = [[float(v) for v in row[k:]] for row in rows]
-    return meta, Mixtures(np.array(signals), np.array(supports, dtype=np.int64),
-                          np.array(coeffs))
+    return meta, ShardRows(np.array(signals),
+                           np.array(supports, dtype=np.int64), np.array(coeffs))

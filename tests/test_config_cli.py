@@ -4,6 +4,7 @@ import os
 import platform
 import re
 import shutil
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -233,8 +234,8 @@ def test_training_log_rows(small_dictionary):
 
 def held_out(dictionary, depth, seed, shard_size, num_samples, num_train):
     """Signals and supports of the stream's rows from ``num_train`` on."""
-    shards = [m for _, m in stream_shards(dictionary, depth, seed, shard_size,
-                                          num_samples)]
+    shards = list(stream_shards(dictionary, depth, seed, shard_size,
+                                num_samples))
     return (np.concatenate([m.signals for m in shards])[num_train:],
             np.concatenate([m.supports for m in shards])[num_train:])
 
@@ -328,17 +329,18 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
     rows = []
     for epoch in range(epochs):
         loss_total = 0.0
-        for i, shard in stream_shards(dictionary, depth, seed, shard_size,
-                                      num_samples):
+        for i, shard in enumerate(stream_shards(dictionary, depth, seed,
+                                                shard_size, num_samples)):
             shard_train = num_train - i * shard_size
             if shard_train <= 0:
                 break
             order = np.random.default_rng(
                 child_seed(seed, SHUFFLE_STREAM, depth, epoch, i)
             ).permutation(min(len(shard), shard_train))
+            shard_signals = shard.signals
             for lo in range(0, len(order), batch_size):
                 chunk = order[lo:lo + batch_size]
-                signals = shard.signals[chunk]
+                signals = shard_signals[chunk]
                 targets = build_training_batch(model, signals,
                                                shard.supports[chunk])
                 loss, gradient = cross_entropy_head(
@@ -773,6 +775,16 @@ def cli_error_lines(capsys):
             if line.startswith("error:")]
 
 
+def test_cli_ecdf_of_a_model_of_zero_dimensions_exits_2(tmp_path, capsys):
+    # 20 bytes: depth 2**32 - 1, both dimensions 0, so the size check passes
+    model = tmp_path / "empty.dmp"
+    model.write_bytes(struct.pack("<4sIIII", b"DMP1", 2**32 - 1, 0, 0, 1))
+    assert run_cli(["--out", tmp_path / "run", "ecdf", model]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ParseError" in errors[0]
+    assert str(model) in errors[0]
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "ecdf",
                                      "config"])
 def test_cli_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):
@@ -894,11 +906,9 @@ def test_cli_empty_training_split_exits_2(tmp_path, capsys):
 def test_gen_data_shards_match_training_stream(tmp_path, small_dictionary):
     # the exported dataset is the same deterministic stream train_model reads
     out = tmp_path / "data"
-    shards = (shard for _, shard in stream_shards(small_dictionary, 2, 17, 64,
-                                                  150))
+    shards = stream_shards(small_dictionary, 2, 17, 64, 150)
     write_dataset(shards, out, dictionary=small_dictionary, sparsity=2, seed=17)
-    regenerated = [shard for _, shard in stream_shards(small_dictionary, 2, 17,
-                                                       64, 150)]
+    regenerated = list(stream_shards(small_dictionary, 2, 17, 64, 150))
     _, loaded = read_shards(out)
     assert len(loaded) == sum(map(len, regenerated)) == 150
     assert np.array_equal(loaded.signals,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -173,6 +175,23 @@ def test_mixture_rejects_bad_sizes(small_dictionary, sparsity, count, error):
     with pytest.raises(error):
         sample_mixture(small_dictionary, MixtureConfig(sparsity=sparsity,
                                                        num_samples=count))
+
+
+def test_mixture_draw_holds_no_signals():
+    # 20,000 signals at 503x600 would be an 80 MB stack; the draw holds a
+    # few (n, k) arrays: the supports, their shuffled copy, and the
+    # coefficients with the draw they are made from
+    d = generate_synthetic_dictionary(503, 600, seed=3)
+    n, k = 20000, 5
+    tracemalloc.start()
+    try:
+        drawn = sample_mixture(d, MixtureConfig(sparsity=k, num_samples=n,
+                                                seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(drawn) == n
+    assert peak <= 4 * 8 * n * k + 2**18
 
 
 # -- spectra library loading -------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -375,6 +376,41 @@ def test_sweep_memory_grows_only_by_the_test_stack():
     small, large = SWEEP_BLOCK, 8 * SWEEP_BLOCK
     extra = large - small
     assert peak(large) - peak(small) <= 8 * extra * (d.signal_dim + 2 * k + 2) + 2**18
+
+
+def test_sweep_releases_each_levels_solvers_before_the_next(small_dictionary):
+    # a function of k that loads a model per level must hold one at a time:
+    # nothing of a level's mapping may outlive it into the next level
+    models = []
+
+    def level(k):
+        assert all(model() is None for model in models)
+        model = init_from_dictionary(small_dictionary, k)
+        models.append(weakref.ref(model))
+        return {"nnmp": nnmp_runner(small_dictionary),
+                "deepmp": deepmp_runner({k: model})}
+
+    run_sweep(small_dictionary, level, [1, 2, 3], num_test=20, seed=6)
+    assert len(models) == 3
+
+
+def test_sweep_holds_one_block_of_signals_at_a_time(surrogate_atoms):
+    # 5000 test signals at 503x600 are a 20 MB stack; the sweep synthesises
+    # one block of them at a time, and the solvers hold that block's
+    # signals, codes and scores with working copies of the same sizes
+    # (residuals, NNOMP's row-major atoms): at most three blocks' worth
+    d = validate_dictionary(surrogate_atoms)
+    m, n = surrogate_atoms.shape
+    solvers = {"nnmp": nnmp_runner(d), "nnomp": nnomp_runner(d)}
+    num_test = 5000
+    tracemalloc.start()
+    try:
+        run_sweep(d, solvers, [3], num_test, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * SWEEP_BLOCK * (m + 2 * n)
+    assert peak <= 3 * block < 8 * num_test * m
 
 
 def test_nnomp_perfect_recovery_implies_tiny_epsilon(table_dictionary):

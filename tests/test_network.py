@@ -685,6 +685,29 @@ def test_model_file_rejects_depth_zero_bad_flag_nan_weight_and_bad_dictionary(
         assert str(bad) in str(excinfo.value), name
 
 
+@pytest.mark.parametrize("depth, signal_dim, num_atoms", [
+    # 20 bytes pass the size check at any depth with a zero dimension
+    (2**32 - 1, 0, 0),
+    (2**32 - 1, 0, 7),
+    (2**32 - 1, 7, 0),
+    (1, 3, 3),
+    (1, 4, 3),
+])
+def test_load_model_rejects_dimensions_of_no_dictionary_before_reading(
+        tmp_path, monkeypatch, depth, signal_dim, num_atoms):
+    def spy(*args):
+        raise AssertionError("_read_rows entered")
+
+    monkeypatch.setattr("deepmp.network._read_rows", spy)
+    path = tmp_path / "model.dmp"
+    path.write_bytes(struct.pack("<4sIIII", b"DMP1", depth, signal_dim,
+                                 num_atoms, 1)
+                     + bytes(8 * (depth + 1) * signal_dim * num_atoms))
+    with pytest.raises(ParseError, match="not overcomplete") as excinfo:
+        load_model(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_load_model_reads_into_the_model_without_a_file_copy(tmp_path):
     # the (depth + 1) blocks the model keeps, one read buffer of at most
     # READ_BYTES and small change for the file object and array headers;
