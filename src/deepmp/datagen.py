@@ -206,7 +206,9 @@ def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
 
     Replaces the ``shard_*.csv`` files of an earlier call, so the shards in
     ``directory`` are exactly the sidecar's; other files stay. Returns the
-    paths written: the shards in order, then the sidecar.
+    paths written: the shards in order, then the sidecar. A shard's signals
+    are synthesised ``SYNTH_BLOCK`` rows at a time, the same bytes as its
+    ``signals``, so its whole signal stack is never held.
     """
     os.makedirs(directory, exist_ok=True)
     for name in os.listdir(directory):
@@ -217,15 +219,19 @@ def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
     for index, shard in enumerate(shards):
         path = os.path.join(directory, f"shard_{index:05d}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            # one row's signal at a time: a whole shard as Python floats
-            # would be 4 times its array's size
-            for signal, support, coeffs in zip(shard.signals,
-                                               shard.supports.tolist(),
-                                               shard.coeffs.tolist()):
-                cells = [f"{i}:{c!r}" for i, c in zip(support, coeffs)]
-                cells.extend(repr(v) for v in signal.tolist())
-                fh.write(",".join(cells))
-                fh.write("\n")
+            # the signals of one block of rows at a time, in the blocks
+            # Mixtures.signals would synthesise, and one row's as Python
+            # floats, which take 4 times its array's size
+            for lo in range(0, len(shard), SYNTH_BLOCK):
+                rows = slice(lo, lo + SYNTH_BLOCK)
+                supports, coeffs = shard.supports[rows], shard.coeffs[rows]
+                for signal, support, weights in zip(
+                        synthesize(shard.atoms, supports, coeffs),
+                        supports.tolist(), coeffs.tolist()):
+                    cells = [f"{i}:{c!r}" for i, c in zip(support, weights)]
+                    cells.extend(repr(v) for v in signal.tolist())
+                    fh.write(",".join(cells))
+                    fh.write("\n")
         paths.append(path)
         count += len(shard)
     sidecar = {

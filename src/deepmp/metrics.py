@@ -37,7 +37,12 @@ from .errors import (
 from .network import UnfoldedModel, batched_infer
 from .network import forward_infer  # unused here; perfbench/tracing.py wraps it here
 from .seeding import TEST_STREAM, child_seed
-from .solvers import ProjectionMode, hard_max_pursuit, nnomp_pursuit
+from .solvers import (
+    ProjectionMode,
+    hard_max_pursuit,
+    nnomp_pursuit,
+    row_norms,
+)
 from .solvers import nnmp_solve  # unused here; perfbench/tracing.py wraps it here
 from .solvers import nnomp_solve  # unused here; perfbench/tracing.py wraps it here
 from .types import Dictionary
@@ -93,10 +98,10 @@ def row_epsilon(dictionary: Dictionary, signals, codes) -> np.ndarray:
             f"signals {signals.shape} and codes {codes.shape} do not pair "
             f"with a {atoms.shape} dictionary"
         )
-    norms = np.linalg.norm(signals, axis=1)
+    norms = row_norms(signals)
     if np.any(norms == 0.0):
         raise ZeroSignal("relative error undefined for a zero signal")
-    return np.linalg.norm(signals - codes @ atoms.T, axis=1) / norms
+    return row_norms(signals - codes @ atoms.T) / norms
 
 
 def epsilon_error(dictionary: Dictionary, signals, codes) -> float:
@@ -253,9 +258,10 @@ def run_sweep(dictionary: Dictionary, solvers, k_range, num_test: int,
                 epsilon[j, rows] = row_epsilon(dictionary, signals, codes)
                 # released before the next solver builds its own
                 del supports, codes
-        for j, label in enumerate(level):
-            reports[label].recovery[k] = float(np.mean(recovery[j]))
-            reports[label].epsilon[k] = float(np.mean(epsilon[j]))
+        for label, rec, eps in zip(level, recovery.mean(axis=1),
+                                   epsilon.mean(axis=1)):
+            reports[label].recovery[k] = float(rec)
+            reports[label].epsilon[k] = float(eps)
         # released before the next level's mixtures are drawn and its mapping
         # built, so a function that loads a model per level holds one at a time
         del level, test

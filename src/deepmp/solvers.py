@@ -21,6 +21,8 @@ support for the rows whose refit stays positive, which is exactly the solve
 Lawson-Hanson would make there, and the one Lawson-Hanson solver,
 :func:`_nnls_gram`, for the few rows that lose positivity. ``nnomp_solve``
 and ``nnls_active_set`` are one-row calls of the kernel and of that solver.
+Both kernels keep each row's coefficients per step, scatter them into the
+codes once, after the loop, and leave the loop as soon as no row is live.
 """
 
 from __future__ import annotations
@@ -104,6 +106,15 @@ def residual_step(atoms: np.ndarray, residuals: np.ndarray, index: np.ndarray,
     return coeff, update
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a real (batch, dim) array.
+
+    The expression ``np.linalg.norm(rows, axis=1)`` evaluates for real
+    input, without its dispatch, so the result is the same bit for bit.
+    """
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
 def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
                      proj: ProjectionMode
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -117,7 +128,10 @@ def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
     coefficient is the winner's dictionary correlation whatever drove the
     selection. A row stops for good once its residual norm is below
     ``RESIDUAL_FLOOR``, its best score is not strictly positive, or the
-    winner's correlation is not strictly positive.
+    winner's correlation is not strictly positive. The loop ends once no row
+    is live. Each step's coefficient is kept per row and step, and all are
+    added into ``codes`` once, at the end, in step order within a row, so an
+    atom picked twice sums its coefficients in the order it was picked.
 
     Returns ``(supports, codes, residuals, norm_paths)``: supports is
     (batch, depth) in selection order with -1 after a row's stop, codes is
@@ -128,28 +142,36 @@ def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
     residuals = check_signals(signals, atoms.shape[0]).copy()
     batch, depth = residuals.shape[0], len(selection_mats)
     supports = np.full((batch, depth), -1, dtype=np.int64)
-    codes = np.zeros((batch, atoms.shape[1]))
+    coeffs = np.zeros((batch, depth))  # aligned with supports
     norm_paths = np.empty((batch, depth + 1))
-    norm_paths[:, 0] = np.linalg.norm(residuals, axis=1)
-    live = np.ones(batch, dtype=bool)
+    norm_paths[:, 0] = row_norms(residuals)
+    live = norm_paths[:, 0] >= RESIDUAL_FLOOR
     rows = np.arange(batch)
+    steps = 0
     for k, weights in enumerate(selection_mats):
-        live &= norm_paths[:, k] >= RESIDUAL_FLOOR
-        if live.any():
-            scores = residuals @ weights  # (B, N)
-            picked = np.argmax(scores, axis=1)
-            best = scores[rows, picked]
-            # the next step's scores must not be built while these are alive
-            del scores
-            coeff, updated = residual_step(atoms, residuals, picked, proj)
-            # score and correlation can straddle zero only at float-noise level
-            live &= (best > 0.0) & (coeff > 0.0)
-            # stopped rows keep -1, add 0.0 to a code entry that is +0.0 or
-            # positive, and keep their residual
-            supports[:, k] = np.where(live, picked, -1)
-            codes[rows, picked] += np.where(live, coeff, 0.0)
-            np.copyto(residuals, updated, where=live[:, None])
-        norm_paths[:, k + 1] = np.linalg.norm(residuals, axis=1)
+        if not live.any():
+            break
+        scores = residuals @ weights  # (B, N)
+        picked = scores.argmax(axis=1)
+        best = scores[rows, picked]
+        # the next step's scores must not be built while these are alive
+        del scores
+        coeff, updated = residual_step(atoms, residuals, picked, proj)
+        # score and correlation can straddle zero only at float-noise level
+        live &= (best > 0.0) & (coeff > 0.0)
+        # stopped rows keep -1, a 0.0 coefficient and their residual
+        np.copyto(supports[:, k], picked, where=live)
+        np.copyto(coeffs[:, k], coeff, where=live)
+        np.copyto(residuals, updated, where=live[:, None])
+        norm_paths[:, k + 1] = row_norms(residuals)
+        live &= norm_paths[:, k + 1] >= RESIDUAL_FLOOR
+        steps = k + 1
+    # no row moves after the last step taken
+    norm_paths[:, steps + 1:] = norm_paths[:, steps, None]
+    codes = np.zeros((batch, atoms.shape[1]))
+    # in (row, step) order; a stopped step's -1 adds its 0.0 to the last
+    # atom, which leaves a code entry that is +0.0 or positive as it is
+    np.add.at(codes, (rows[:, None], supports), coeffs)
     return supports, codes, residuals, norm_paths
 
 
@@ -288,7 +310,9 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
     per row and grown by one row and column ``<d_j, d_new>`` per step; the
     right-hand side ``<d_j, y>`` is computed for the new column only. A
     row's coefficients live in a (batch, budget) array aligned with its
-    support and are scattered into ``codes`` once, at the end.
+    support and are scattered into ``codes`` once, at the end. The loop ends
+    once no row is live. Rows are independent: a row's outputs are the same
+    bit for bit whether the step works on every row or on the live ones.
 
     The refit starts from the row's previous coefficients, the new column at
     0. A row takes the solution of its full s x s system, from one batched
@@ -297,7 +321,8 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
     tolerance and the solution is strictly positive: from that start
     Lawson-Hanson inserts the new column, makes exactly this solve on
     exactly this matrix and stops, so the result is its result bit for bit.
-    The other rows run :func:`_nnls_gram` from the same start. The residual
+    The other rows run :func:`_nnls_gram` from the same start; when every
+    row takes the full solve, no row is gathered for it. The residual
     ``y - sum_j x_j d_{S_j}`` is rebuilt from the step's gathered support
     columns, one subtraction per column.
 
@@ -314,47 +339,62 @@ def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
     rhs = np.zeros((batch, budget))
     residuals = signals.copy()
     norm_paths = np.empty((batch, budget + 1))
-    norm_paths[:, 0] = np.linalg.norm(residuals, axis=1)
-    live = np.ones(batch, dtype=bool)
+    norm_paths[:, 0] = row_norms(residuals)
+    live = norm_paths[:, 0] >= RESIDUAL_FLOOR
+    steps = 0
     for k in range(budget):
-        live &= norm_paths[:, k] >= RESIDUAL_FLOOR
-        rows = np.flatnonzero(live)
-        if rows.size:
-            scores = residuals[rows] @ atoms  # (L, N)
-            scores[np.arange(rows.size)[:, None], supports[rows, :k]] = -np.inf
-            picked = np.argmax(scores, axis=1)
-            positive = scores[np.arange(rows.size), picked] > 0.0
-            del scores
+        rows = live.nonzero()[0]
+        if not rows.size:
+            break
+        # while every row is live, slices index views in place of gathers
+        at = slice(None) if rows.size == batch else rows
+        scores = residuals[at] @ atoms  # (L, N)
+        ids = np.arange(rows.size)
+        scores[ids[:, None], supports[at, :k]] = -np.inf
+        picked = scores.argmax(axis=1)
+        positive = scores[ids, picked] > 0.0
+        del scores
+        if not positive.all():
             live[rows[~positive]] = False
-            rows, picked = rows[positive], picked[positive]
-            supports[rows, k] = picked
-            columns = atoms_t[supports[rows, :k + 1]]  # (L, k + 1, M)
-            refit = signals[rows]
-            rhs[rows, k] = np.einsum("bm,bm->b", refit, columns[:, k])
-            grams[rows, :k + 1, k] = grams[rows, k, :k + 1] = np.einsum(
-                "bjm,bm->bj", columns, columns[:, k])
-            g, b = grams[rows, :k + 1, :k + 1], rhs[rows, :k + 1]
-            # warm start: the previous refit, 0 at the new column
-            x = coeffs[rows, :k + 1]
-            # _nnls_gram's gradient and tolerance: rows where its run would
-            # be one insertion and one full, positive solve skip it
-            w = b[:, k] - (g[:, k] * x).sum(axis=1)
-            full = (x[:, :k] > 0.0).all(axis=1) & (w > _gradient_tolerance(b))
-            if full.any():
-                z = np.linalg.solve(g[full], b[full, :, None])[:, :, 0]
-                taken = (z > 0.0).all(axis=1)
-                full[full] = taken
-                x[full] = z[taken]
-            if not full.all():
-                rest = ~full
-                x[rest] = _nnls_gram(g[rest], b[rest], x[rest], 3 * (k + 1))
-            coeffs[rows, :k + 1] = x
-            for j in range(k + 1):
-                refit -= x[:, j, None] * columns[:, j]
-            residuals[rows] = refit
-            # released before the next step builds its scores
-            del refit, columns
-        norm_paths[:, k + 1] = np.linalg.norm(residuals, axis=1)
+            at, picked = rows[positive], picked[positive]
+        supports[at, k] = picked
+        columns = atoms_t[supports[at, :k + 1]]  # (L, k + 1, M)
+        refit = signals[at]
+        rhs[at, k] = np.einsum("bm,bm->b", refit, columns[:, k])
+        # the new Gram row and column <d_j, d_new>, formed once
+        new = np.einsum("bjm,bm->bj", columns, columns[:, k])
+        grams[at, :k + 1, k] = grams[at, k, :k + 1] = new
+        g, b = grams[at, :k + 1, :k + 1], rhs[at, :k + 1]
+        # warm start: the previous refit, 0 at the new column
+        x = coeffs[at, :k + 1]
+        # _nnls_gram's gradient and tolerance: rows where its run would
+        # be one insertion and one full, positive solve skip it
+        w = b[:, k] - (new * x).sum(axis=1)
+        full = (x[:, :k] > 0.0).all(axis=1) & (w > _gradient_tolerance(b))
+        if full.all():
+            z = np.linalg.solve(g, b[:, :, None])[:, :, 0]
+            full = (z > 0.0).all(axis=1)
+            np.copyto(x, z, where=full[:, None])
+        elif full.any():
+            z = np.linalg.solve(g[full], b[full, :, None])[:, :, 0]
+            taken = (z > 0.0).all(axis=1)
+            full[full] = taken
+            x[full] = z[taken]
+        if not full.all():
+            rest = ~full
+            x[rest] = _nnls_gram(g[rest], b[rest], x[rest], 3 * (k + 1))
+        coeffs[at, :k + 1] = x
+        residual = refit - x[:, 0, None] * columns[:, 0]
+        for j in range(1, k + 1):
+            residual -= x[:, j, None] * columns[:, j]
+        residuals[at] = residual
+        # released before the next step builds its scores
+        del residual, refit, columns
+        norm_paths[:, k + 1] = row_norms(residuals)
+        live &= norm_paths[:, k + 1] >= RESIDUAL_FLOOR
+        steps = k + 1
+    # no row moves after the last step taken
+    norm_paths[:, steps + 1:] = norm_paths[:, steps, None]
     codes = np.zeros((batch, atoms.shape[1]))
     picked = supports >= 0
     codes[np.nonzero(picked)[0], supports[picked]] = coeffs[picked]

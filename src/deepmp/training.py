@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import MixtureConfig, sample_mixture, synthesize
-from .errors import EmptyInput, NonFiniteLoss
+from .errors import EmptyInput, NonFiniteLoss, OutOfRange
 from .metrics import hamming_complement  # unused; perfbench/tracing.py wraps it here
 from .metrics import row_recovery
 from .network import (
@@ -104,10 +104,21 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     the earlier candidate, so a trained model never scores below its NNMP
     start on the held-out split. With no validation samples the last epoch
     is returned. The log holds one row per trained epoch. ``epochs == 0``
-    returns the dictionary-initialized model untouched. Raises EmptyInput
-    when the split leaves no training samples and NonFiniteLoss if a batch
-    loss leaves the reals.
+    returns the dictionary-initialized model untouched. Raises OutOfRange,
+    before anything is drawn, when ``batch_size`` or ``shard_size`` is below
+    1, ``epochs`` is negative or ``val_fraction`` is not in [0, 1); raises
+    EmptyInput when the split leaves no training samples and NonFiniteLoss
+    if a batch loss leaves the reals.
     """
+    for name, value in (("batch_size", batch_size),
+                        ("shard_size", shard_size)):
+        if value < 1:
+            raise OutOfRange(f"{name} must be >= 1, got {value}")
+    if epochs < 0:
+        raise OutOfRange(f"epochs must be >= 0, got {epochs}")
+    # written so that NaN fails it too
+    if not 0.0 <= val_fraction < 1.0:
+        raise OutOfRange(f"val_fraction must be in [0, 1), got {val_fraction}")
     num_val = int(round(num_samples * val_fraction))
     num_train = num_samples - num_val
     if num_train < 1:

@@ -23,7 +23,7 @@ from deepmp.datagen import (
     sample_mixture,
     write_dataset,
 )
-from deepmp.errors import ConfigError, EmptyInput
+from deepmp.errors import ConfigError, EmptyInput, OutOfRange
 from deepmp.metrics import hamming_complement
 from deepmp.network import (
     UnfoldedModel,
@@ -222,6 +222,22 @@ def test_training_is_seed_deterministic(tmp_path, small_dictionary):
 def test_training_rejects_empty_training_split(small_dictionary):
     with pytest.raises(EmptyInput, match="no training samples"):
         train_model(small_dictionary, 2, 2, epochs=1, val_fraction=0.9)
+
+
+@pytest.mark.parametrize("bad", [
+    {"batch_size": 0}, {"batch_size": -5}, {"shard_size": 0},
+    {"shard_size": -3}, {"epochs": -1}, {"val_fraction": -0.1},
+    {"val_fraction": 1.0}, {"val_fraction": float("nan")},
+])
+def test_training_rejects_out_of_range_arguments_before_drawing(
+        monkeypatch, small_dictionary, bad):
+    # RunConfig guards the CLI; the library entry point checks on its own
+    drawn = []
+    monkeypatch.setattr(training, "sample_mixture",
+                        lambda *args: drawn.append(args))
+    with pytest.raises(OutOfRange, match=next(iter(bad))):
+        train_model(small_dictionary, 2, 300, **{"epochs": 1, **bad})
+    assert drawn == []
 
 
 def test_training_log_rows(small_dictionary):

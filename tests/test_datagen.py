@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deepmp import datagen
 from deepmp.datagen import (
+    SYNTH_BLOCK,
     MixtureConfig,
     _draw_nonneg_column,
     generate_raman_surrogate,
@@ -192,6 +194,45 @@ def test_mixture_draw_holds_no_signals():
         tracemalloc.stop()
     assert len(drawn) == n
     assert peak <= 4 * 8 * n * k + 2**18
+
+
+def test_write_dataset_holds_one_block_of_signals(tmp_path, monkeypatch):
+    # one full-size shard at the surrogate width: its signal stack alone is
+    # 8192 x 503 floats, 33 MB. The file stops the write at the first row of
+    # the third block, since writing every value's repr would take seconds.
+    d = generate_raman_surrogate(503, 600, 5, seed=3)
+    shard = sample_mixture(d, MixtureConfig(sparsity=5, num_samples=8192,
+                                            seed=5))
+
+    class Written(Exception):
+        pass
+
+    class File:
+        lines = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            self.lines += text.count("\n")
+            if self.lines > 2 * SYNTH_BLOCK:
+                raise Written
+
+    monkeypatch.setattr(datagen, "open", lambda *args, **kwargs: File(),
+                        raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Written):
+            write_dataset([shard], tmp_path, dictionary=d, sparsity=5, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's signals, its k gathered atoms and their product, 7.2 MB,
+    # and no shard stack
+    assert peak <= 8 * 503 * SYNTH_BLOCK * (5 + 2) + 2**21
 
 
 # -- spectra library loading -------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deepmp import solvers
@@ -20,6 +20,7 @@ from deepmp.errors import (
 from deepmp.solvers import (
     RESIDUAL_FLOOR,
     ProjectionMode,
+    _gradient_tolerance,
     _nnls_gram,
     hard_max_pursuit,
     nnls_active_set,
@@ -522,6 +523,99 @@ def test_nnomp_kernel_properties(seed):
         grad = a.T @ (a @ x - y)
         assert np.all(grad[x == 0.0] >= -1e-8)
         assert np.all(np.abs(grad[x > 0.0]) <= 1e-8)
+
+
+def gathered_nnomp(atoms, signals, budget):
+    """:func:`nnomp_pursuit` as it read with every live row gathered."""
+    signals = np.array(signals, dtype=np.float64)
+    batch = signals.shape[0]
+    atoms_t = np.ascontiguousarray(atoms.T)  # row j is atom j
+    supports = np.full((batch, budget), -1, dtype=np.int64)
+    coeffs = np.zeros((batch, budget))  # aligned with supports
+    grams = np.zeros((batch, budget, budget))
+    rhs = np.zeros((batch, budget))
+    residuals = signals.copy()
+    norm_paths = np.empty((batch, budget + 1))
+    norm_paths[:, 0] = np.linalg.norm(residuals, axis=1)
+    live = np.ones(batch, dtype=bool)
+    for k in range(budget):
+        live &= norm_paths[:, k] >= RESIDUAL_FLOOR
+        rows = np.flatnonzero(live)
+        if rows.size:
+            scores = residuals[rows] @ atoms  # (L, N)
+            scores[np.arange(rows.size)[:, None], supports[rows, :k]] = -np.inf
+            picked = np.argmax(scores, axis=1)
+            positive = scores[np.arange(rows.size), picked] > 0.0
+            del scores
+            live[rows[~positive]] = False
+            rows, picked = rows[positive], picked[positive]
+            supports[rows, k] = picked
+            columns = atoms_t[supports[rows, :k + 1]]  # (L, k + 1, M)
+            refit = signals[rows]
+            rhs[rows, k] = np.einsum("bm,bm->b", refit, columns[:, k])
+            grams[rows, :k + 1, k] = grams[rows, k, :k + 1] = np.einsum(
+                "bjm,bm->bj", columns, columns[:, k])
+            g, b = grams[rows, :k + 1, :k + 1], rhs[rows, :k + 1]
+            # warm start: the previous refit, 0 at the new column
+            x = coeffs[rows, :k + 1]
+            # _nnls_gram's gradient and tolerance: rows where its run would
+            # be one insertion and one full, positive solve skip it
+            w = b[:, k] - (g[:, k] * x).sum(axis=1)
+            full = (x[:, :k] > 0.0).all(axis=1) & (w > _gradient_tolerance(b))
+            if full.any():
+                z = np.linalg.solve(g[full], b[full, :, None])[:, :, 0]
+                taken = (z > 0.0).all(axis=1)
+                full[full] = taken
+                x[full] = z[taken]
+            if not full.all():
+                rest = ~full
+                x[rest] = _nnls_gram(g[rest], b[rest], x[rest], 3 * (k + 1))
+            coeffs[rows, :k + 1] = x
+            for j in range(k + 1):
+                refit -= x[:, j, None] * columns[:, j]
+            residuals[rows] = refit
+            # released before the next step builds its scores
+            del refit, columns
+        norm_paths[:, k + 1] = np.linalg.norm(residuals, axis=1)
+    codes = np.zeros((batch, atoms.shape[1]))
+    picked = supports >= 0
+    codes[np.nonzero(picked)[0], supports[picked]] = coeffs[picked]
+    return supports, codes, residuals, norm_paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), budget=st.integers(1, 5),
+       signal_dim=st.integers(3, 10), extra_atoms=st.integers(2, 12),
+       batch_size=st.integers(0, 12), take=st.integers(0, 80))
+@example(seed=31, budget=4, signal_dim=5, extra_atoms=6, batch_size=10, take=0)
+@example(seed=31, budget=4, signal_dim=5, extra_atoms=6, batch_size=10, take=1)
+def test_nnomp_pursuit_matches_gathered_rows_bit_for_bit(
+        seed, budget, signal_dim, extra_atoms, batch_size, take):
+    # the rows of the Lawson-Hanson tests, shuffled, then the first ``take``:
+    # non-negative mixtures (mostly full solves, some with a zero or a
+    # non-positive solution), the same scaled by 1e4 (a flat gradient once
+    # the mixture is found), signed noise (non-positive scores and refits),
+    # exact atom multiples (residual floor mid-run), zero rows (floor at
+    # step 0) and negative rows (non-positive score at step 0)
+    rng = np.random.default_rng(seed)
+    atoms = np.hstack([np.eye(signal_dim),
+                       random_unit_dictionary(rng, signal_dim, extra_atoms)])
+    cols = atoms.shape[1]
+    mixtures = np.einsum("mjb,jb->bm",
+                         atoms[:, rng.integers(0, cols, (3, batch_size))],
+                         rng.random((3, batch_size)))
+    signals = np.vstack([
+        mixtures, 1e4 * mixtures,
+        rng.standard_normal((batch_size, signal_dim)),
+        rng.random((batch_size, 1)) * atoms[:, rng.integers(0, cols,
+                                                            batch_size)].T,
+        np.zeros((1, signal_dim)), -(rng.random((1, signal_dim)) + 0.1)])
+    signals = rng.permutation(signals)[:take]
+    got = nnomp_pursuit(atoms, signals, budget)
+    expected = gathered_nnomp(atoms, signals, budget)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        assert g.tobytes() == e.tobytes()
 
 
 # -- warm-started refits ----------------------------------------------------------
