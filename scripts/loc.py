@@ -7,19 +7,28 @@ comment or a docstring, so blank, comment-only and docstring lines are left
 out. Docstrings are the leading string statements of the module, its classes
 and its functions, found with ``ast``.
 
+With ``--ref REV`` it prints REV's counts beside the working tree's, reading
+REV's files with ``git show``, so no checkout is needed; a module that one
+side lacks reads ``-`` there.
+
 Usage (from anywhere):
-  python3 scripts/loc.py
+  python3 scripts/loc.py [--ref REV]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import os
+import subprocess
+import sys
 import tokenize
+from collections.abc import Sequence
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "deepmp")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: the package's directory below the repository root
+PACKAGE_DIR = "src/deepmp"
 
 #: tokens that hold no code
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -52,19 +61,57 @@ def count(text: str) -> tuple[int, int]:
     return text.count("\n"), len(code)
 
 
-def main() -> None:
-    totals = [0, 0]
-    print(f"{'module':<16}{'wc -l':>8}{'code':>8}")
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-            lines, code = count(fh.read())
-        totals[0] += lines
-        totals[1] += code
-        print(f"{name:<16}{lines:>8}{code:>8}")
-    print(f"{'total':<16}{totals[0]:>8}{totals[1]:>8}")
+def working_tree(root: str = ROOT) -> dict[str, str]:
+    """Source text of each module of the package in the working tree."""
+    package = os.path.join(root, PACKAGE_DIR)
+    texts = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                texts[name] = fh.read()
+    return texts
+
+
+def revision(rev: str, root: str = ROOT) -> dict[str, str]:
+    """Source text of each module of the package at git revision ``rev``."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", root, *args], check=True,
+                              capture_output=True, encoding="utf-8").stdout
+
+    names = git("ls-tree", "--name-only", f"{rev}:{PACKAGE_DIR}").split()
+    return {name: git("show", f"{rev}:{PACKAGE_DIR}/{name}")
+            for name in names if name.endswith(".py")}
+
+
+def main(argv: Sequence[str] = (), root: str = ROOT) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", help="git revision to count beside the "
+                                      "working tree")
+    args = parser.parse_args(argv)
+    sides = [working_tree(root)]
+    if args.ref is not None:
+        try:
+            sides.insert(0, revision(args.ref, root))
+        except subprocess.CalledProcessError as error:
+            sys.exit(f"loc.py: {error.stderr.strip()}")
+        print(f"{'':<16}" + "".join(f"{label:>16}"
+                                    for label in (args.ref, "working tree")))
+    totals = [[0, 0] for _ in sides]
+    print(f"{'module':<16}" + f"{'wc -l':>8}{'code':>8}" * len(sides))
+    for name in sorted(set().union(*sides)):
+        row = f"{name:<16}"
+        for side, total in zip(sides, totals):
+            if name not in side:
+                row += f"{'-':>8}{'-':>8}"
+                continue
+            lines, code = count(side[name])
+            total[0] += lines
+            total[1] += code
+            row += f"{lines:>8}{code:>8}"
+        print(row)
+    print(f"{'total':<16}" + "".join(f"{lines:>8}{code:>8}"
+                                     for lines, code in totals))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -4,13 +4,14 @@ Subcommands: gen-dict, gen-data, train, eval, ecdf. Every command reads an
 optional INI config (defaults reproduce the full-scale reference setting),
 applies --seed / --scale / --out overrides, writes its outputs under the run
 directory, and records a manifest with content hashes of everything it read
-and wrote, its wall seconds, the process's peak RSS and the Python and numpy
+and wrote, its wall seconds and peak RSS, and the Python, numpy and BLAS
 versions. Exit codes: 0 success, 1 numerical failure, 2 bad input or config.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -43,11 +44,33 @@ def blob_hash(path) -> str:
     return digest.hexdigest()
 
 
+#: OpenBLAS's thread-count getter, as plain and numpy's wheel builds name it
+_OPENBLAS_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads64_")
+
+
+def _blas() -> dict:
+    """numpy's BLAS as built, and the thread count its loaded OpenBLAS reports
+    (None when ``/proc/self/maps`` is unreadable or maps no such getter)."""
+    built = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line and ".so" in line}
+        libraries = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        libraries = []
+    getters = [getattr(library, name) for library in libraries
+               for name in _OPENBLAS_THREADS if hasattr(library, name)]
+    return {"name": built.get("name"), "version": built.get("version"),
+            "threads": int(getters[0]()) if getters else None}
+
+
 def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs,
                     started: float, **extra) -> None:
     """Hashes of what ``command`` read and wrote, plus its wall seconds since
-    ``started`` (a ``perf_counter`` reading), the process's peak RSS and the
-    Python and numpy versions."""
+    ``started`` (a ``perf_counter`` reading), the process's peak RSS, the
+    Python and numpy versions and numpy's BLAS with its thread count."""
     manifest = {
         "command": command,
         "config": asdict(config),
@@ -58,6 +81,7 @@ def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs,
         "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__},
+        "blas": _blas(),
         **extra,
     }
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
@@ -117,9 +141,8 @@ def cmd_gen_data(config: RunConfig, args, started: float) -> None:
     outputs = []
     for k in config.k_range:
         directory = os.path.join(config.out_dir, "data", f"k{k}")
-        shards = training.stream_shards(
-            dictionary, k, config.seed, training.SHARD_SIZE,
-            config.num_train_samples)
+        shards = training.stream_shards(dictionary, k, config.seed,
+                                        config.num_train_samples)
         outputs.extend(datagen.write_dataset(
             shards, directory, dictionary=dictionary, sparsity=k,
             seed=config.seed))

@@ -47,7 +47,7 @@ from .solvers import ProjectionMode
 from .types import Dictionary
 
 
-#: mixtures per shard of the training stream, which ``gen-data`` exports
+#: mixtures per shard of the stream ``gen-data`` exports, read at each call
 SHARD_SIZE = 8192
 
 
@@ -58,18 +58,17 @@ class TrainLogRow:
     val_recovery: float
 
 
-def stream_shards(dictionary: Dictionary, depth: int, seed: int,
-                  shard_size: int, total: int):
+def stream_shards(dictionary: Dictionary, depth: int, seed: int, total: int):
     """Yield the mixtures of sample indices 0..total-1, one shard at a time.
 
-    Shard i holds indices ``i * shard_size`` onwards and is drawn from its
+    Shard i holds indices ``i * SHARD_SIZE`` onwards and is drawn from its
     own seed, so every shard is reproducible on its own.
     """
-    for i, start in enumerate(range(0, total, shard_size)):
+    for i, start in enumerate(range(0, total, SHARD_SIZE)):
         yield sample_mixture(
             dictionary,
             MixtureConfig(sparsity=depth,
-                          num_samples=min(shard_size, total - start),
+                          num_samples=min(SHARD_SIZE, total - start),
                           seed=child_seed(seed, TRAIN_STREAM, depth, i)),
         )
 
@@ -93,27 +92,25 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
                 epochs: int, batch_size: int = 128,
                 hyper: AdaBoundHyper | None = None,
                 proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT,
-                seed: int = 0, shard_size: int = SHARD_SIZE,
-                val_fraction: float = 0.1
+                seed: int = 0, val_fraction: float = 0.1
                 ) -> tuple[UnfoldedModel, list[TrainLogRow]]:
     """Train the selection matrices of a depth-``depth`` model.
 
     The first ``1 - val_fraction`` of the sample stream is training data,
-    the rest validation. The returned model is the validation-best of the
-    dictionary initialization and the weights after each epoch; ties go to
-    the earlier candidate, so a trained model never scores below its NNMP
-    start on the held-out split. With no validation samples the last epoch
-    is returned. The log holds one row per trained epoch. ``epochs == 0``
-    returns the dictionary-initialized model untouched. Raises OutOfRange,
-    before anything is drawn, when ``batch_size`` or ``shard_size`` is below
+    the rest validation; the stream is drawn, and each epoch shuffled, one
+    ``SHARD_SIZE`` shard at a time. The returned model is the validation-best
+    of the dictionary initialization and the weights after each epoch; ties
+    go to the earlier candidate, so a trained model never scores below its
+    NNMP start on the held-out split. With no validation samples the last
+    epoch is returned. The log holds one row per trained epoch.
+    ``epochs == 0`` returns the dictionary-initialized model untouched.
+    Raises OutOfRange, before anything is drawn, when ``batch_size`` is below
     1, ``epochs`` is negative or ``val_fraction`` is not in [0, 1); raises
     EmptyInput when the split leaves no training samples and NonFiniteLoss
     if a batch loss leaves the reals.
     """
-    for name, value in (("batch_size", batch_size),
-                        ("shard_size", shard_size)):
-        if value < 1:
-            raise OutOfRange(f"{name} must be >= 1, got {value}")
+    if batch_size < 1:
+        raise OutOfRange(f"batch_size must be >= 1, got {batch_size}")
     if epochs < 0:
         raise OutOfRange(f"epochs must be >= 0, got {epochs}")
     # written so that NaN fails it too
@@ -129,8 +126,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     model = init_from_dictionary(dictionary, depth, proj)
     atoms = dictionary.atoms
 
-    shards = list(stream_shards(dictionary, depth, seed, shard_size,
-                                num_samples))
+    shards = list(stream_shards(dictionary, depth, seed, num_samples))
     supports = np.concatenate([shard.supports for shard in shards])
     coeffs = np.concatenate([shard.coeffs for shard in shards])
     del shards
@@ -154,10 +150,10 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     log_rows: list[TrainLogRow] = []
     for epoch in range(epochs):
         loss_total = 0.0
-        for i, base in enumerate(range(0, num_train, shard_size)):
+        for i, base in enumerate(range(0, num_train, SHARD_SIZE)):
             shuffle = np.random.default_rng(
                 child_seed(seed, SHUFFLE_STREAM, depth, epoch, i))
-            order = base + shuffle.permutation(min(shard_size, num_train - base))
+            order = base + shuffle.permutation(min(SHARD_SIZE, num_train - base))
             for lo in range(0, len(order), batch_size):
                 idx = order[lo:lo + batch_size]
                 batch = targets[idx]

@@ -5,6 +5,7 @@ import platform
 import re
 import shutil
 import struct
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deepmp import optim, training
+from deepmp import cli, optim, training
 from deepmp.cli import blob_hash, main
 from deepmp.config import _SCHEMA, RunConfig, load_config, parse_k_range
 from deepmp.datagen import (
@@ -225,8 +226,8 @@ def test_training_rejects_empty_training_split(small_dictionary):
 
 
 @pytest.mark.parametrize("bad", [
-    {"batch_size": 0}, {"batch_size": -5}, {"shard_size": 0},
-    {"shard_size": -3}, {"epochs": -1}, {"val_fraction": -0.1},
+    {"batch_size": 0}, {"batch_size": -5}, {"epochs": -1},
+    {"val_fraction": -0.1},
     {"val_fraction": 1.0}, {"val_fraction": float("nan")},
 ])
 def test_training_rejects_out_of_range_arguments_before_drawing(
@@ -248,10 +249,9 @@ def test_training_log_rows(small_dictionary):
     assert all(0.0 <= r.val_recovery <= 1.0 for r in rows)
 
 
-def held_out(dictionary, depth, seed, shard_size, num_samples, num_train):
+def held_out(dictionary, depth, seed, num_samples, num_train):
     """Signals and supports of the stream's rows from ``num_train`` on."""
-    shards = list(stream_shards(dictionary, depth, seed, shard_size,
-                                num_samples))
+    shards = list(stream_shards(dictionary, depth, seed, num_samples))
     return (np.concatenate([m.signals for m in shards])[num_train:],
             np.concatenate([m.supports for m in shards])[num_train:])
 
@@ -259,7 +259,7 @@ def held_out(dictionary, depth, seed, shard_size, num_samples, num_train):
 def held_out_recovery(model, dictionary, depth, seed, num_samples):
     """Per-sample NNMP-style recovery on train_model's default held-out split."""
     num_val = int(round(num_samples * 0.1))
-    signals, truth = held_out(dictionary, depth, seed, 8192, num_samples,
+    signals, truth = held_out(dictionary, depth, seed, num_samples,
                               num_samples - num_val)
     return float(np.mean([
         hamming_complement(forward_infer(model, y).support, t, depth)
@@ -312,7 +312,7 @@ def test_training_returns_validation_best_epoch(tmp_path, small_dictionary):
 
 
 def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
-                     seed, shard_size, val_fraction):
+                     seed, val_fraction):
     """train_model written as a loop that redraws its data every epoch.
 
     Each epoch draws the shards of the stream again, shuffles the training
@@ -327,8 +327,8 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
     """
     num_val = int(round(num_samples * val_fraction))
     num_train = num_samples - num_val
-    val_signals, val_truth = held_out(dictionary, depth, seed, shard_size,
-                                      num_samples, num_train)
+    val_signals, val_truth = held_out(dictionary, depth, seed, num_samples,
+                                      num_train)
 
     def recovery(model):
         if not len(val_truth):
@@ -346,8 +346,8 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
     for epoch in range(epochs):
         loss_total = 0.0
         for i, shard in enumerate(stream_shards(dictionary, depth, seed,
-                                                shard_size, num_samples)):
-            shard_train = num_train - i * shard_size
+                                                num_samples)):
+            shard_train = num_train - i * training.SHARD_SIZE
             if shard_train <= 0:
                 break
             order = np.random.default_rng(
@@ -396,11 +396,13 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
     pytest.param(3, 24, 0.37, 3, 500, id="3-24-0.37-3-groups-of-1"),
     pytest.param(3, 24, 0.37, 3, 1000, id="3-24-0.37-3-groups-of-2"),
 ])
-def test_training_matches_per_epoch_oracle(tmp_path, small_dictionary, depth,
+def test_training_matches_per_epoch_oracle(monkeypatch, tmp_path,
+                                           small_dictionary, depth,
                                            batch_size, val_fraction, epochs,
                                            chunk):
+    monkeypatch.setattr(training, "SHARD_SIZE", 64)
     kwargs = dict(epochs=epochs, batch_size=batch_size, seed=13,
-                  shard_size=64, val_fraction=val_fraction)
+                  val_fraction=val_fraction)
     with mock.patch.object(optim, "CHUNK", chunk):
         model, rows = train_model(small_dictionary, depth, 300, **kwargs)
     oracle, oracle_rows = per_epoch_oracle(small_dictionary, depth, 300,
@@ -419,15 +421,16 @@ def test_training_draws_each_shard_once(monkeypatch, small_dictionary):
         return sample_mixture(dictionary, config)
 
     monkeypatch.setattr(training, "sample_mixture", counting)
-    train_model(small_dictionary, 2, 300, epochs=3, batch_size=32, seed=9,
-                shard_size=64)
+    monkeypatch.setattr(training, "SHARD_SIZE", 64)
+    train_model(small_dictionary, 2, 300, epochs=3, batch_size=32, seed=9)
     assert sum(count for _, count in drawn) == 300
     assert len(drawn) == len(set(drawn)) == 5
 
 
-def test_validation_memory_grows_only_by_supports_and_targets():
+def test_validation_memory_grows_only_by_supports_and_targets(monkeypatch):
     # the held-out half is scored a batch at a time: ten times the mixtures
     # may add their supports, coefficients and targets, but no signals
+    monkeypatch.setattr(training, "SHARD_SIZE", 2000)
     d = generate_synthetic_dictionary(200, 400, seed=8)
     depth = 3
 
@@ -435,7 +438,7 @@ def test_validation_memory_grows_only_by_supports_and_targets():
         tracemalloc.start()
         try:
             train_model(d, depth, num_samples, epochs=0, seed=2,
-                        shard_size=2000, val_fraction=0.5)
+                        val_fraction=0.5)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -531,10 +534,31 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert manifest["config"]["seed"] == 5
     for rel, digest in manifest["outputs"].items():
         assert blob_hash(out / rel) == digest
+    built = np.__config__.CONFIG["Build Dependencies"]["blas"]
     for name in ("gen_dict", "gen_data", "train", "eval", "ecdf"):
         manifest = json.loads((out / f"manifest_{name}.json").read_text())
         assert manifest["versions"] == {"python": platform.python_version(),
                                         "numpy": np.__version__}, name
+        blas = manifest["blas"]
+        assert (blas["name"], blas["version"]) == (built["name"],
+                                                   built["version"]), name
+        assert blas["threads"] is None or blas["threads"] >= 1, name
+        if "openblas" in built["name"] and sys.platform == "linux":
+            assert isinstance(blas["threads"], int), name
+
+
+def _unreadable(*args, **kwargs):
+    raise PermissionError("no /proc here")
+
+
+@pytest.mark.parametrize("name,value", [
+    ("_OPENBLAS_THREADS", ("no_such_symbol",)),
+    ("open", _unreadable),
+], ids=["no-getter", "no-proc"])
+def test_manifest_blas_threads_is_null_when_it_cannot_be_asked(
+        monkeypatch, name, value):
+    monkeypatch.setattr(cli, name, value, raising=False)
+    assert cli._blas()["threads"] is None
 
 
 def test_cli_eval_manifest_records_solver_seconds(tmp_path):
@@ -919,12 +943,14 @@ def test_cli_empty_training_split_exits_2(tmp_path, capsys):
     assert len(errors) == 1 and "EmptyInput" in errors[0]
 
 
-def test_gen_data_shards_match_training_stream(tmp_path, small_dictionary):
+def test_gen_data_shards_match_training_stream(monkeypatch, tmp_path,
+                                              small_dictionary):
     # the exported dataset is the same deterministic stream train_model reads
+    monkeypatch.setattr(training, "SHARD_SIZE", 64)
     out = tmp_path / "data"
-    shards = stream_shards(small_dictionary, 2, 17, 64, 150)
+    shards = stream_shards(small_dictionary, 2, 17, 150)
     write_dataset(shards, out, dictionary=small_dictionary, sparsity=2, seed=17)
-    regenerated = list(stream_shards(small_dictionary, 2, 17, 64, 150))
+    regenerated = list(stream_shards(small_dictionary, 2, 17, 150))
     _, loaded = read_shards(out)
     assert len(loaded) == sum(map(len, regenerated)) == 150
     assert np.array_equal(loaded.signals,
