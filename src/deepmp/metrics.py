@@ -40,7 +40,6 @@ from .seeding import TEST_STREAM, child_seed
 from .solvers import (
     ProjectionMode,
     hard_max_pursuit,
-    nnomp_pursuit,
     row_norms,
 )
 from .solvers import nnmp_solve  # unused here; perfbench/tracing.py wraps it here
@@ -170,9 +169,9 @@ class MetricsReport:
     seconds: dict[int, float] = field(default_factory=dict)
 
 
-def nnmp_runner(dictionary: Dictionary,
-                proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT) -> SweepSolver:
-    """NNMP on every signal with one call of the batched pursuit kernel."""
+def _dictionary_runner(dictionary: Dictionary,
+                       proj: ProjectionMode | None) -> SweepSolver:
+    """One :func:`hard_max_pursuit` call per block, the atoms at every step."""
     atoms = dictionary.atoms
 
     def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,15 +182,19 @@ def nnmp_runner(dictionary: Dictionary,
     return run
 
 
+def nnmp_runner(dictionary: Dictionary,
+                proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT) -> SweepSolver:
+    """NNMP on every signal: the pursuit kernel with the MP update."""
+    return _dictionary_runner(dictionary, proj)
+
+
 def nnomp_runner(dictionary: Dictionary) -> SweepSolver:
-    """NNOMP on every signal with one call of the batched NNOMP kernel."""
-    atoms = dictionary.atoms
+    """NNOMP on every signal: the pursuit kernel with the refit update.
 
-    def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        supports, codes, _, _ = nnomp_pursuit(atoms, signals, k)
-        return supports, codes
-
-    return run
+    The refit update accepts any selection stack; with the atoms at every
+    step, as here, it is NNOMP.
+    """
+    return _dictionary_runner(dictionary, None)
 
 
 def deepmp_runner(models: Mapping[int, UnfoldedModel]) -> SweepSolver:

@@ -2,13 +2,14 @@
 
 The model unrolls ``depth`` pursuit steps. Step k owns block ``W_k`` of one
 trainable (K, M, N) stack, each block of the dictionary's shape; inference is
-the kernel :func:`~deepmp.solvers.hard_max_pursuit` driven by the ``W_k``: it
-scores the residual with ``W_k.T @ r`` and hard-max picks the atom, while the
-residual update stays the fixed-dictionary rule of
-:func:`~deepmp.solvers.residual_step`. With every ``W_k`` initialized to the
-dictionary the network runs exactly the computation of plain matching
-pursuit, so it reproduces it bit for bit and training can only move it away
-from that baseline.
+the one pursuit kernel :func:`~deepmp.solvers.hard_max_pursuit` driven by the
+``W_k``: it scores the residual with ``W_k.T @ r`` and hard-max picks the
+atom, while the residual update stays the kernel's MP rule, the
+fixed-dictionary :func:`~deepmp.solvers.residual_step`. With every ``W_k``
+initialized to the dictionary the network runs exactly the computation of
+plain matching pursuit, so it reproduces it bit for bit and training can only
+move it away from that baseline. The kernel's other rule, the NNOMP refit
+(``proj=None``), accepts any selection stack too; at ``W = D`` it is NNOMP.
 
 Training treats each step as an atom classification problem: the hard-max is
 relaxed to a softmax over the selection scores and each layer is penalized

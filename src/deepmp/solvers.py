@@ -9,20 +9,18 @@ Two reference algorithms operate on a fixed dictionary:
   refits all selected coefficients with active-set non-negative least squares
   and recomputes the residual from the refit. Never re-selects an atom.
 
-Each runs as one batched kernel over a stack of signals. Plain MP and trained
-models share :func:`hard_max_pursuit`: the selection score comes from a
-per-step selection matrix, while the residual update is always the
-fixed-dictionary rule of :func:`residual_step`, so swapping the selection
-matrices changes which atom is picked but never how the residual evolves.
-``nnmp_solve`` is a one-row call of that kernel with the dictionary as every
-selection matrix. NNOMP is :func:`nnomp_pursuit`, which refits every row on
-its own small Gram system: one batched unconstrained solve on the full
-support for the rows whose refit stays positive, which is exactly the solve
-Lawson-Hanson would make there, and the one Lawson-Hanson solver,
-:func:`_nnls_gram`, for the few rows that lose positivity. ``nnomp_solve``
-and ``nnls_active_set`` are one-row calls of the kernel and of that solver.
-Both kernels keep each row's coefficients per step, scatter them into the
-codes once, after the loop, and leave the loop as soon as no row is live.
+Both, and trained models, are calls of one batched kernel over a stack of
+signals, :func:`hard_max_pursuit`: a per-step selection matrix scores the
+residuals, hard-max picks an atom, and one of two update rules moves the
+residual. The MP rule is the fixed-dictionary :func:`residual_step`, so
+swapping the selection matrices changes which atom is picked but never how
+the residual evolves. The refit rule, :func:`_refit`, solves each row's own
+small Gram system: by one batched full-support solve where Lawson-Hanson
+would make exactly that solve, and by the Lawson-Hanson solver
+:func:`_nnls_gram` for the few rows that lose positivity. Either rule takes
+any selection stack; with the dictionary at every step they are NNMP and
+NNOMP, of which ``nnmp_solve`` and ``nnomp_solve`` are one-row calls.
+``nnls_active_set`` is a one-row call of the Lawson-Hanson solver.
 """
 
 from __future__ import annotations
@@ -116,53 +114,85 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
-                     proj: ProjectionMode
+                     proj: ProjectionMode | None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run ``len(selection_mats)`` pursuit steps on every row of a signal stack.
 
     ``selection_mats`` is a (depth, signal_dim, num_atoms) stack (the atoms
-    broadcast to every step for NNMP); step k scores each residual with
-    ``selection_mats[k].T @ r`` and hard-max
-    picks the winner (ties go to the lowest index); the row then takes the
-    fixed-dictionary update of :func:`residual_step`, so the subtracted
-    coefficient is the winner's dictionary correlation whatever drove the
-    selection. A row stops for good once its residual norm is below
-    ``RESIDUAL_FLOOR``, its best score is not strictly positive, or the
-    winner's correlation is not strictly positive. The loop ends once no row
-    is live. Each step's coefficient is kept per row and step, and all are
-    added into ``codes`` once, at the end, in step order within a row, so an
-    atom picked twice sums its coefficients in the order it was picked.
+    broadcast to every step for NNMP and NNOMP); step k scores each residual
+    with ``selection_mats[k].T @ r`` and hard-max picks the winner (ties go
+    to the lowest index). A row stops for good once its residual norm is
+    below ``RESIDUAL_FLOOR`` or its best score is not strictly positive;
+    every other row takes one of two updates:
+
+    * ``proj`` a ProjectionMode: the MP update of :func:`residual_step`, so
+      the subtracted coefficient is the winner's dictionary correlation
+      whatever drove the selection, and a row whose correlation is not
+      strictly positive stops instead. An atom may be picked again.
+    * ``proj=None``: the refit of :func:`_refit`. The row's picked atoms are
+      masked from its scores, every picked coefficient is refit by NNLS
+      against the signal and the residual is rebuilt from the refit. With
+      the dictionary as every selection matrix this is NNOMP.
+
+    Steps work on slices while every row is live and on gathers of the live
+    rows after that; rows are independent, so a row's outputs do not depend
+    on which other rows are live. The loop ends once no row is live. Each
+    step's coefficients are kept per row and step, and all are added into
+    ``codes`` once, at the end, in step order within a row, so an atom
+    picked twice sums its coefficients in the order it was picked.
 
     Returns ``(supports, codes, residuals, norm_paths)``: supports is
     (batch, depth) in selection order with -1 after a row's stop, codes is
     (batch, num_atoms), residuals the final (batch, signal_dim) residuals, and
     norm_paths (batch, depth + 1) holds each row's residual norm before the
-    first step and after every step, constant after its stop.
+    first step and after every step, constant after its stop. Raises
+    MaxIterationsExceeded when a refit passes three times its column count
+    in iterations from its warm start.
     """
-    residuals = check_signals(signals, atoms.shape[0]).copy()
-    batch, depth = residuals.shape[0], len(selection_mats)
+    signals = check_signals(signals, atoms.shape[0])
+    batch, depth = signals.shape[0], len(selection_mats)
     supports = np.full((batch, depth), -1, dtype=np.int64)
     coeffs = np.zeros((batch, depth))  # aligned with supports
+    residuals = signals.copy()
     norm_paths = np.empty((batch, depth + 1))
     norm_paths[:, 0] = row_norms(residuals)
     live = norm_paths[:, 0] >= RESIDUAL_FLOOR
-    rows = np.arange(batch)
+    if proj is None:
+        # row j is atom j; each row's Gram system on its support
+        refit = (np.ascontiguousarray(atoms.T), np.zeros((batch, depth, depth)),
+                 np.zeros((batch, depth)))
     steps = 0
     for k, weights in enumerate(selection_mats):
-        if not live.any():
+        rows = live.nonzero()[0]
+        if not rows.size:
             break
-        scores = residuals @ weights  # (B, N)
+        # while every row is live, slices index views in place of gathers
+        at = slice(None) if rows.size == batch else rows
+        scores = residuals[at] @ weights  # (L, N)
+        ids = np.arange(rows.size)
+        if proj is None:
+            scores[ids[:, None], supports[at, :k]] = -np.inf
         picked = scores.argmax(axis=1)
-        best = scores[rows, picked]
+        keep = scores[ids, picked] > 0.0
         # the next step's scores must not be built while these are alive
         del scores
-        coeff, updated = residual_step(atoms, residuals, picked, proj)
-        # score and correlation can straddle zero only at float-noise level
-        live &= (best > 0.0) & (coeff > 0.0)
-        # stopped rows keep -1, a 0.0 coefficient and their residual
-        np.copyto(supports[:, k], picked, where=live)
-        np.copyto(coeffs[:, k], coeff, where=live)
-        np.copyto(residuals, updated, where=live[:, None])
+        if proj is not None:
+            coeff, updated = residual_step(atoms, residuals[at], picked, proj)
+            # score and correlation can straddle zero only at float-noise level
+            keep &= coeff > 0.0
+        if not keep.all():
+            live[rows[~keep]] = False
+            at, picked = rows[keep], picked[keep]
+            if proj is not None:
+                coeff, updated = coeff[keep], updated[keep]
+        supports[at, k] = picked
+        if proj is None:
+            updated = _refit(*refit, signals, supports, coeffs, at, k)
+        else:
+            coeffs[at, k] = coeff
+        residuals[at] = updated
+        # released before the next step builds its scores
+        del updated
         norm_paths[:, k + 1] = row_norms(residuals)
         live &= norm_paths[:, k + 1] >= RESIDUAL_FLOOR
         steps = k + 1
@@ -171,7 +201,7 @@ def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
     codes = np.zeros((batch, atoms.shape[1]))
     # in (row, step) order; a stopped step's -1 adds its 0.0 to the last
     # atom, which leaves a code entry that is +0.0 or positive as it is
-    np.add.at(codes, (rows[:, None], supports), coeffs)
+    np.add.at(codes, (np.arange(batch)[:, None], supports), coeffs)
     return supports, codes, residuals, norm_paths
 
 
@@ -185,22 +215,6 @@ def _one_row(supports, codes, residuals, norm_paths) -> PursuitResult:
         steps_taken=support.size,
         residual_norm_path=norm_paths[0, :support.size + 1],
     )
-
-
-def nnmp_solve(dictionary: Dictionary, y, budget: int,
-               proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT) -> PursuitResult:
-    """Non-negative matching pursuit.
-
-    Repeats up to ``budget`` times: pick the atom with the largest correlation
-    against the current residual (must be strictly positive to continue),
-    accumulate that correlation as its coefficient, subtract the contribution
-    and project the residual.
-    """
-    if budget < 1:
-        raise ZeroSparsity("budget must be >= 1")
-    atoms = dictionary.atoms
-    stack = np.broadcast_to(atoms, (budget, *atoms.shape))
-    return _one_row(*hard_max_pursuit(stack, atoms, [y], proj))
 
 
 def _gradient_tolerance(rhs: np.ndarray) -> np.ndarray:
@@ -222,7 +236,7 @@ def _nnls_gram(grams: np.ndarray, rhs: np.ndarray, x: np.ndarray,
     right-hand side) so every system keeps shape (n, n). The solutions
     overwrite ``x``, which is returned.
 
-    :func:`nnomp_pursuit` itself solves the rows for which this would be one
+    :func:`_refit` itself solves the rows for which this would be one
     insertion and one unpadded, strictly positive solve (first n - 1 columns
     positive, the last at 0 with a gradient above the tolerance), with the
     same expressions, and passes only the other rows here.
@@ -280,125 +294,102 @@ def nnls_active_set(columns, target, max_iter: int | None = None) -> np.ndarray:
     column rank; callers restrict to at most ``signal_dim`` columns. At the
     solution the KKT conditions hold: the gradient is ~0 on positive
     coordinates and non-negative on zero coordinates. A one-row call of the
-    Gram-form solver that :func:`nnomp_pursuit` runs on every row.
+    Gram-form solver that the refit update of :func:`hard_max_pursuit` runs.
 
-    Starts from x = 0. Raises MaxIterationsExceeded past the iteration cap
-    (default three times the number of columns, counting both insertions and
-    backtracks).
+    Starts from x = 0. Raises DimensionMismatch for shapes that do not match
+    or no columns, NonFiniteSignal for NaN or infinite entries, and
+    MaxIterationsExceeded past the iteration cap (default three times the
+    number of columns, counting both insertions and backtracks).
     """
     a = np.asarray(columns, dtype=np.float64)
     b = np.asarray(target, dtype=np.float64)
-    if a.ndim != 2 or b.shape != (a.shape[0],):
+    if a.ndim != 2 or b.shape != (a.shape[0],) or a.shape[1] == 0:
         raise DimensionMismatch(
             f"incompatible shapes {a.shape} and {b.shape} for NNLS"
         )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NonFiniteSignal("NNLS input contains NaN or infinite entries")
     cap = 3 * a.shape[1] if max_iter is None else max_iter
     x = np.zeros((1, a.shape[1]))
     return _nnls_gram((a.T @ a)[None], (a.T @ b)[None], x, cap)[0]
 
 
-def nnomp_pursuit(atoms: np.ndarray, signals, budget: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run up to ``budget`` NNOMP steps on every row of a signal stack.
+def _refit(atoms_t: np.ndarray, grams: np.ndarray, rhs: np.ndarray,
+           signals: np.ndarray, supports: np.ndarray, coeffs: np.ndarray,
+           at, k: int) -> np.ndarray:
+    """NNOMP's update of rows ``at`` after their step-k pick; their residuals.
 
-    Each step scores every residual with ``atoms.T @ r``, masks the atoms the
-    row has already selected and hard-max picks the winner (ties go to the
-    lowest index). A row stops for good once its residual norm is below
-    ``RESIDUAL_FLOOR`` or its best score is not strictly positive. Every row
-    that picked then refits all its selected coefficients against its signal
-    by Lawson-Hanson NNLS on its own s x s Gram system (s <= budget), kept
-    per row and grown by one row and column ``<d_j, d_new>`` per step; the
-    right-hand side ``<d_j, y>`` is computed for the new column only. A
-    row's coefficients live in a (batch, budget) array aligned with its
-    support and are scattered into ``codes`` once, at the end. The loop ends
-    once no row is live. Rows are independent: a row's outputs are the same
-    bit for bit whether the step works on every row or on the live ones.
+    Every row refits all its picked coefficients against its signal by
+    Lawson-Hanson NNLS on its own s x s Gram system (s <= depth), kept per
+    row in ``grams`` and ``rhs`` and grown by one row and column
+    ``<d_j, d_new>`` per step; the right-hand side ``<d_j, y>`` is computed
+    for the new column only. ``atoms_t`` holds atom j in row j.
 
-    The refit starts from the row's previous coefficients, the new column at
-    0. A row takes the solution of its full s x s system, from one batched
-    ``np.linalg.solve``, when its previous coefficients are all strictly
-    positive, its new column's gradient exceeds :func:`_nnls_gram`'s
-    tolerance and the solution is strictly positive: from that start
-    Lawson-Hanson inserts the new column, makes exactly this solve on
-    exactly this matrix and stops, so the result is its result bit for bit.
-    The other rows run :func:`_nnls_gram` from the same start; when every
-    row takes the full solve, no row is gathered for it. The residual
-    ``y - sum_j x_j d_{S_j}`` is rebuilt from the step's gathered support
-    columns, one subtraction per column.
-
-    Returns ``(supports, codes, residuals, norm_paths)`` in the layout of
-    :func:`hard_max_pursuit`. Raises MaxIterationsExceeded when a refit
-    passes three times its column count in iterations from its warm start.
+    The refit starts from the row's previous coefficients in ``coeffs``, the
+    new column at 0, and overwrites them. A row takes the solution of its
+    full s x s system, from one batched ``np.linalg.solve``, when its
+    previous coefficients are all strictly positive, its new column's
+    gradient exceeds :func:`_nnls_gram`'s tolerance and the solution is
+    strictly positive: from that start Lawson-Hanson inserts the new column,
+    makes exactly this solve on exactly this matrix and stops, so the result
+    is its result bit for bit. The other rows run :func:`_nnls_gram` from
+    the same start; when every row takes the full solve, no row is gathered
+    for it. The residual ``y - sum_j x_j d_{S_j}`` is rebuilt from the
+    step's gathered support columns, one subtraction per column.
     """
-    signals = check_signals(signals, atoms.shape[0])
-    batch = signals.shape[0]
-    atoms_t = np.ascontiguousarray(atoms.T)  # row j is atom j
-    supports = np.full((batch, budget), -1, dtype=np.int64)
-    coeffs = np.zeros((batch, budget))  # aligned with supports
-    grams = np.zeros((batch, budget, budget))
-    rhs = np.zeros((batch, budget))
-    residuals = signals.copy()
-    norm_paths = np.empty((batch, budget + 1))
-    norm_paths[:, 0] = row_norms(residuals)
-    live = norm_paths[:, 0] >= RESIDUAL_FLOOR
-    steps = 0
-    for k in range(budget):
-        rows = live.nonzero()[0]
-        if not rows.size:
-            break
-        # while every row is live, slices index views in place of gathers
-        at = slice(None) if rows.size == batch else rows
-        scores = residuals[at] @ atoms  # (L, N)
-        ids = np.arange(rows.size)
-        scores[ids[:, None], supports[at, :k]] = -np.inf
-        picked = scores.argmax(axis=1)
-        positive = scores[ids, picked] > 0.0
-        del scores
-        if not positive.all():
-            live[rows[~positive]] = False
-            at, picked = rows[positive], picked[positive]
-        supports[at, k] = picked
-        columns = atoms_t[supports[at, :k + 1]]  # (L, k + 1, M)
-        refit = signals[at]
-        rhs[at, k] = np.einsum("bm,bm->b", refit, columns[:, k])
-        # the new Gram row and column <d_j, d_new>, formed once
-        new = np.einsum("bjm,bm->bj", columns, columns[:, k])
-        grams[at, :k + 1, k] = grams[at, k, :k + 1] = new
-        g, b = grams[at, :k + 1, :k + 1], rhs[at, :k + 1]
-        # warm start: the previous refit, 0 at the new column
-        x = coeffs[at, :k + 1]
-        # _nnls_gram's gradient and tolerance: rows where its run would
-        # be one insertion and one full, positive solve skip it
-        w = b[:, k] - (new * x).sum(axis=1)
-        full = (x[:, :k] > 0.0).all(axis=1) & (w > _gradient_tolerance(b))
-        if full.all():
-            z = np.linalg.solve(g, b[:, :, None])[:, :, 0]
-            full = (z > 0.0).all(axis=1)
-            np.copyto(x, z, where=full[:, None])
-        elif full.any():
-            z = np.linalg.solve(g[full], b[full, :, None])[:, :, 0]
-            taken = (z > 0.0).all(axis=1)
-            full[full] = taken
-            x[full] = z[taken]
-        if not full.all():
-            rest = ~full
-            x[rest] = _nnls_gram(g[rest], b[rest], x[rest], 3 * (k + 1))
-        coeffs[at, :k + 1] = x
-        residual = refit - x[:, 0, None] * columns[:, 0]
-        for j in range(1, k + 1):
-            residual -= x[:, j, None] * columns[:, j]
-        residuals[at] = residual
-        # released before the next step builds its scores
-        del residual, refit, columns
-        norm_paths[:, k + 1] = row_norms(residuals)
-        live &= norm_paths[:, k + 1] >= RESIDUAL_FLOOR
-        steps = k + 1
-    # no row moves after the last step taken
-    norm_paths[:, steps + 1:] = norm_paths[:, steps, None]
-    codes = np.zeros((batch, atoms.shape[1]))
-    picked = supports >= 0
-    codes[np.nonzero(picked)[0], supports[picked]] = coeffs[picked]
-    return supports, codes, residuals, norm_paths
+    columns = atoms_t[supports[at, :k + 1]]  # (L, k + 1, M)
+    refit = signals[at]
+    rhs[at, k] = np.einsum("bm,bm->b", refit, columns[:, k])
+    # the new Gram row and column <d_j, d_new>, formed once
+    new = np.einsum("bjm,bm->bj", columns, columns[:, k])
+    grams[at, :k + 1, k] = grams[at, k, :k + 1] = new
+    g, b = grams[at, :k + 1, :k + 1], rhs[at, :k + 1]
+    # warm start: the previous refit, 0 at the new column
+    x = coeffs[at, :k + 1]
+    # _nnls_gram's gradient and tolerance: rows where its run would
+    # be one insertion and one full, positive solve skip it
+    w = b[:, k] - (new * x).sum(axis=1)
+    full = (x[:, :k] > 0.0).all(axis=1) & (w > _gradient_tolerance(b))
+    if full.all():
+        z = np.linalg.solve(g, b[:, :, None])[:, :, 0]
+        full = (z > 0.0).all(axis=1)
+        np.copyto(x, z, where=full[:, None])
+    elif full.any():
+        z = np.linalg.solve(g[full], b[full, :, None])[:, :, 0]
+        taken = (z > 0.0).all(axis=1)
+        full[full] = taken
+        x[full] = z[taken]
+    if not full.all():
+        rest = ~full
+        x[rest] = _nnls_gram(g[rest], b[rest], x[rest], 3 * (k + 1))
+    coeffs[at, :k + 1] = x
+    residual = refit - x[:, 0, None] * columns[:, 0]
+    for j in range(1, k + 1):
+        residual -= x[:, j, None] * columns[:, j]
+    return residual
+
+
+def _dictionary_solve(dictionary: Dictionary, y, budget: int,
+                      proj: ProjectionMode | None) -> PursuitResult:
+    """One-row :func:`hard_max_pursuit` with the dictionary at every step."""
+    if budget < 1:
+        raise ZeroSparsity("budget must be >= 1")
+    atoms = dictionary.atoms
+    stack = np.broadcast_to(atoms, (budget, *atoms.shape))
+    return _one_row(*hard_max_pursuit(stack, atoms, [y], proj))
+
+
+def nnmp_solve(dictionary: Dictionary, y, budget: int,
+               proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT) -> PursuitResult:
+    """Non-negative matching pursuit.
+
+    Repeats up to ``budget`` times: pick the atom with the largest correlation
+    against the current residual (must be strictly positive to continue),
+    accumulate that correlation as its coefficient, subtract the contribution
+    and project the residual. A one-row call of :func:`hard_max_pursuit`
+    with the MP update.
+    """
+    return _dictionary_solve(dictionary, y, budget, proj)
 
 
 def nnomp_solve(dictionary: Dictionary, y, budget: int) -> PursuitResult:
@@ -408,8 +399,8 @@ def nnomp_solve(dictionary: Dictionary, y, budget: int) -> PursuitResult:
     selected; after each pick all selected coefficients are refit by NNLS
     against the original signal and the residual is recomputed from the refit
     (no projection needed, the refit residual is used directly). A one-row
-    call of :func:`nnomp_pursuit`.
+    call of :func:`hard_max_pursuit` with the refit update (``proj=None``),
+    which accepts any selection stack and with the dictionary at every step,
+    as here, is NNOMP.
     """
-    if budget < 1:
-        raise ZeroSparsity("budget must be >= 1")
-    return _one_row(*nnomp_pursuit(dictionary.atoms, [y], budget))
+    return _dictionary_solve(dictionary, y, budget, None)

@@ -1,0 +1,35 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_outputs.py"
+spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
+same_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_outputs)
+
+
+def write(top, files):
+    for rel, data in files.items():
+        path = top / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+
+def test_differing_names_changed_and_one_sided_files_but_not_manifests(tmp_path):
+    left, right = tmp_path / "left", tmp_path / "right"
+    shared = {"metrics.csv": b"k,nnmp\n3,0.9\n", "models/model_k3.dmp": b"\x00\x01"}
+    write(left, {**shared, "k1/metrics.json": b"{}\n", "only_left.txt": b"a",
+                 "manifest_eval.json": b'{"out_dir": "left"}'})
+    write(right, {**shared, "k1/metrics.json": b"{} \n", "only_right.txt": b"b",
+                  "manifest_eval.json": b'{"out_dir": "right"}',
+                  "manifest_train.json": b"{}"})
+    assert same_outputs.differing(str(left), str(right)) == [
+        "k1/metrics.json", "only_left.txt", "only_right.txt"]
+
+
+def test_identical_trees_do_not_differ(tmp_path):
+    files = {"a.csv": b"1,2\n", "sub/b.bin": bytes(range(256))}
+    write(tmp_path / "left", files)
+    write(tmp_path / "right", files)
+    assert same_outputs.differing(str(tmp_path / "left"),
+                                  str(tmp_path / "right")) == []
+    assert same_outputs.files(str(tmp_path / "left")) == {"a.csv", "sub/b.bin"}

@@ -25,7 +25,6 @@ from deepmp.solvers import (
     hard_max_pursuit,
     nnls_active_set,
     nnmp_solve,
-    nnomp_pursuit,
     nnomp_solve,
     residual_step,
 )
@@ -134,6 +133,15 @@ def masked_pursuit(selection_mats, atoms, signals, proj):
     return supports, codes, residuals, norm_paths
 
 
+def assert_matches_masked_pursuit(weights, atoms, signals, proj):
+    """The kernel's four outputs equal masked_pursuit's byte for byte."""
+    got = hard_max_pursuit(weights, atoms, signals, proj)
+    expected = masked_pursuit(weights, atoms, signals, proj)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+    return got
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5),
        signal_dim=st.integers(3, 8), extra_atoms=st.integers(2, 10),
@@ -163,11 +171,29 @@ def test_hard_max_pursuit_matches_masked_updates_bit_for_bit(
         rng.random((batch_size, 1)) * np.eye(signal_dim)[
             rng.integers(0, signal_dim, batch_size)],
         np.zeros(signal_dim), -(rng.random(signal_dim) + 0.1), e1])
-    got = hard_max_pursuit(weights, atoms, signals, proj)
-    expected = masked_pursuit(weights, atoms, signals, proj)
-    for g, e in zip(got, expected):
-        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+    got = assert_matches_masked_pursuit(weights, atoms, signals, proj)
     assert (got[0][-3:] == -1).all()
+
+
+@pytest.mark.parametrize("proj", list(ProjectionMode))
+def test_hard_max_pursuit_matches_masked_updates_at_surrogate_scale(proj):
+    # the kernel gathers the live rows once a row stops, so its score
+    # products have other row counts than masked_pursuit's whole-stack ones;
+    # at 503x600 OpenBLAS rounds some products differently by row count
+    atoms = surrogate_dictionary().atoms
+    rng = np.random.default_rng(3)
+    weights = np.abs(atoms + 0.05 * rng.standard_normal((5, *atoms.shape)))
+    mixtures = sample_mixture(validate_dictionary(atoms), MixtureConfig(
+        sparsity=5, num_samples=200, seed=3)).signals
+    signals = rng.permutation(np.vstack([
+        mixtures,
+        # exact atom multiples: their residual can reach the floor mid-run
+        3.0 * atoms[:, rng.integers(0, atoms.shape[1], 20)].T,
+        # the floor and a non-positive best score at step 0
+        np.zeros((5, atoms.shape[0])), -(rng.random((5, atoms.shape[0])) + 0.1)]))
+    supports = assert_matches_masked_pursuit(weights, atoms, signals, proj)[0]
+    assert (supports[:, 0] == -1).sum() == 10
+    assert ((supports[:, 0] >= 0) & (supports[:, -1] == -1)).any()
 
 
 # -- nnmp ---------------------------------------------------------------------
@@ -350,6 +376,21 @@ def test_nnls_kkt_on_non_negative_columns(seed):
     assert np.all(np.abs(grad[x > 0.0]) <= 1e-8)
 
 
+@pytest.mark.parametrize("where", ["columns", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nnls_rejects_non_finite_input(where, bad):
+    a = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]])
+    b = np.array([0.5, 0.2])
+    (a if where == "columns" else b)[1] = bad
+    with pytest.raises(NonFiniteSignal):
+        nnls_active_set(a, b)
+
+
+def test_nnls_rejects_zero_columns():
+    with pytest.raises(DimensionMismatch):
+        nnls_active_set(np.zeros((3, 0)), np.ones(3))
+
+
 def test_nnls_iteration_cap_raises():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 3))
@@ -414,6 +455,13 @@ def test_nnomp_is_deterministic(small_dictionary):
 # -- batched nnomp kernel ---------------------------------------------------------
 
 
+def nnomp_kernel(atoms, signals, budget):
+    """NNOMP on a signal stack: the pursuit kernel's refit update with the
+    atoms as every selection matrix."""
+    stack = np.broadcast_to(atoms, (budget, *atoms.shape))
+    return hard_max_pursuit(stack, atoms, signals, None)
+
+
 def lstsq_nnls(a, b):
     """Lawson-Hanson NNLS with one ``lstsq`` per passive set, written out."""
     n = a.shape[1]
@@ -438,15 +486,19 @@ def lstsq_nnls(a, b):
             x[~passive] = 0.0
 
 
-def nnomp_oracle(atoms, y, budget):
-    """Per-signal NNOMP: free-atom argmax, then a full ``lstsq_nnls`` refit."""
+def nnomp_oracle(atoms, y, budget, weights=None):
+    """Per-signal NNOMP: free-atom argmax, then a full ``lstsq_nnls`` refit.
+
+    Step k scores with ``weights[k].T @ r`` when a selection stack is given,
+    and with the atoms otherwise.
+    """
     r = y.copy()
     selected = []
     code = np.zeros(atoms.shape[1])
-    for _ in range(budget):
+    for k in range(budget):
         if np.linalg.norm(r) < 1e-12:
             break
-        scores = atoms.T @ r
+        scores = (atoms if weights is None else weights[k]).T @ r
         scores[selected] = -np.inf
         index = int(np.argmax(scores))
         if scores[index] <= 0.0:
@@ -466,14 +518,26 @@ def surrogate_dictionary():
 @pytest.mark.parametrize("dictionary, k, num", [
     *[("table", k, 300) for k in range(1, 6)],
     ("surrogate", 5, 100),
+    # trained-like selection stacks: the atoms plus Gaussian noise per step
+    *[("table+0.3", k, 300) for k in range(1, 6)],
+    ("surrogate+0.05", 5, 100),
 ])
 def test_nnomp_kernel_matches_per_row_oracle(table_dictionary, dictionary, k, num):
-    d = table_dictionary if dictionary == "table" else surrogate_dictionary()
+    name, _, noise = dictionary.partition("+")
+    d = table_dictionary if name == "table" else surrogate_dictionary()
     samples = sample_mixture(d, MixtureConfig(sparsity=k, num_samples=num, seed=k))
     signals = samples.signals
-    supports, codes, _, _ = nnomp_pursuit(d.atoms, signals, k)
+    supports, codes, _, _ = nnomp_kernel(d.atoms, signals, k)
+    weights = None
+    if noise:
+        rng = np.random.default_rng(k)
+        weights = d.atoms + float(noise) * rng.standard_normal((k, *d.atoms.shape))
+        plain = supports
+        supports, codes, _, _ = hard_max_pursuit(weights, d.atoms, signals, None)
+        # the stack must change some pick, or selection goes untested
+        assert (supports != plain).any()
     for row, code, y in zip(supports, codes, signals):
-        selected, oracle = nnomp_oracle(d.atoms, y, k)
+        selected, oracle = nnomp_oracle(d.atoms, y, k, weights)
         assert row[row >= 0].tolist() == selected
         assert np.max(np.abs(code - oracle)) <= 1e-12
 
@@ -485,7 +549,7 @@ def test_nnomp_kernel_rows_match_one_row_calls(table_dictionary):
     )
     # an atom stops after one step on the residual floor, zeros at once
     signals = np.vstack([samples.signals, atoms[:, 7], np.zeros(30)])
-    supports, codes, residuals, paths = nnomp_pursuit(atoms, signals, 4)
+    supports, codes, residuals, paths = nnomp_kernel(atoms, signals, 4)
     for i, y in enumerate(signals):
         res = nnomp_solve(table_dictionary, y, 4)
         assert supports[i][supports[i] >= 0].tolist() == res.support.tolist()
@@ -510,7 +574,7 @@ def test_nnomp_kernel_properties(seed):
     signals = np.where(rng.random(batch)[:, None] < 0.5,
                        np.einsum("mjb,jb->bm", mixtures, rng.random((3, batch))),
                        np.abs(rng.standard_normal((batch, rows))))
-    supports, codes, residuals, paths = nnomp_pursuit(atoms, signals, budget)
+    supports, codes, residuals, paths = nnomp_kernel(atoms, signals, budget)
     assert np.all(np.diff(paths, axis=1) <= 1e-12)
     assert np.all(codes >= 0.0)
     for support, code, y in zip(supports, codes, signals):
@@ -526,7 +590,7 @@ def test_nnomp_kernel_properties(seed):
 
 
 def gathered_nnomp(atoms, signals, budget):
-    """:func:`nnomp_pursuit` as it read with every live row gathered."""
+    """The NNOMP kernel as it read with every live row gathered."""
     signals = np.array(signals, dtype=np.float64)
     batch = signals.shape[0]
     atoms_t = np.ascontiguousarray(atoms.T)  # row j is atom j
@@ -611,7 +675,7 @@ def test_nnomp_pursuit_matches_gathered_rows_bit_for_bit(
                                                             batch_size)].T,
         np.zeros((1, signal_dim)), -(rng.random((1, signal_dim)) + 0.1)])
     signals = rng.permutation(signals)[:take]
-    got = nnomp_pursuit(atoms, signals, budget)
+    got = nnomp_kernel(atoms, signals, budget)
     expected = gathered_nnomp(atoms, signals, budget)
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and g.shape == e.shape
@@ -655,7 +719,7 @@ def assert_warm_equals_cold(atoms, signals, budget):
     """
     dropped = 0
     for k in range(1, budget + 1):
-        supports, codes, _, _ = nnomp_pursuit(atoms, signals, k)
+        supports, codes, _, _ = nnomp_kernel(atoms, signals, k)
         full = np.flatnonzero(supports[:, -1] >= 0)
         support = supports[full]
         warm = codes[full[:, None], support]
@@ -705,7 +769,7 @@ def test_refits_without_backtracks_make_one_solve_per_step(monkeypatch, budget):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: calls.append(a.shape[0]) or solve(a, b))
-    supports, out, _, _ = nnomp_pursuit(atoms, signals, budget)
+    supports, out, _, _ = nnomp_kernel(atoms, signals, budget)
     assert len(calls) == budget
     picked = supports >= 0
     assert np.all(out[np.arange(20)[:, None], supports][picked] > 0.0)
@@ -748,7 +812,7 @@ def test_positive_refits_never_enter_lawson_hanson(monkeypatch):
     codes = rng.uniform(0.5, 2.0, size=(20, 8))
     codes[rng.random((20, 8)) < 0.3] = 0.0
     calls = spy_nnls_gram(monkeypatch)
-    supports, _, _, _ = nnomp_pursuit(atoms, codes @ atoms.T, 5)
+    supports, _, _, _ = nnomp_kernel(atoms, codes @ atoms.T, 5)
     assert calls == []
     assert np.all(supports[:, 0] >= 0)
 
@@ -764,7 +828,7 @@ def assert_only_failing_rows_enter_lawson_hanson(calls, atoms, signals, k):
     bit. Returns how many rows had each of those, and how many had a zero
     in the warm start but a positive full solve.
     """
-    supports, _, _, _ = nnomp_pursuit(atoms, signals, k)
+    supports, _, _, _ = nnomp_kernel(atoms, signals, k)
     by_columns = {call[1].shape[1]: call for call in calls}
     assert len(by_columns) == len(calls)  # at most one call per step
     seen = dict.fromkeys(["zero", "flat", "non_positive", "zero_positive"], 0)
@@ -817,7 +881,7 @@ def test_lawson_hanson_gets_only_rows_the_full_solve_cannot_take(
                                                         signals, k)
     assert seen["zero"] > 0 and seen["non_positive"] > 0
     refits = sum(call[1].shape[0] for call in calls)
-    assert refits < 0.1 * (nnomp_pursuit(d.atoms, signals, k)[0] >= 0).sum()
+    assert refits < 0.1 * (nnomp_kernel(d.atoms, signals, k)[0] >= 0).sum()
 
 
 def test_lawson_hanson_gets_rows_with_a_flat_gradient(monkeypatch,
