@@ -135,9 +135,10 @@ def hard_max_pursuit(selection_mats, atoms: np.ndarray, signals,
       the dictionary as every selection matrix this is NNOMP.
 
     Steps work on slices while every row is live and on gathers of the live
-    rows after that; rows are independent, so a row's outputs do not depend
-    on which other rows are live. The loop ends once no row is live. Each
-    step's coefficients are kept per row and step, and all are added into
+    rows after that. A row's outputs do not depend on which other rows are
+    live as long as BLAS rounds a row's products alike at every row count,
+    which the tests check byte for byte. The loop ends once no row is live.
+    Each step's coefficients are kept per row and step, and all are added into
     ``codes`` once, at the end, in step order within a row, so an atom
     picked twice sums its coefficients in the order it was picked.
 

@@ -194,6 +194,11 @@ def test_hard_max_pursuit_matches_masked_updates_at_surrogate_scale(proj):
     supports = assert_matches_masked_pursuit(weights, atoms, signals, proj)[0]
     assert (supports[:, 0] == -1).sum() == 10
     assert ((supports[:, 0] >= 0) & (supports[:, -1] == -1)).any()
+    # one live row after step 0: from step 1 on the products have one row
+    stopped = signals[supports[:, 0] == -1]
+    signals = rng.permutation(np.vstack([mixtures[:1], stopped]))
+    supports = assert_matches_masked_pursuit(weights, atoms, signals, proj)[0]
+    assert (supports[:, 0] >= 0).sum() == 1 and (supports[:, 1] >= 0).sum() == 1
 
 
 # -- nnmp ---------------------------------------------------------------------
