@@ -12,7 +12,9 @@ a gain (wins in at least 9 of 10 counted pairs and a gap beyond REF's
 interquartile range), whether the working tree's median is worse than REF's
 by more than the metric's ``BENCHMARK.json`` bound (a share of REF's median),
 each side's share of failed operations per pair and over all pairs, and REF's
-commit and tree hashes.
+commit and tree hashes. Each pair also shows, per workload, the raw
+``op_wall_s_min`` and the median speed-probe sample from each run's record
+file, so a move in ``op_cost_ref`` can be told apart from a move in the probe.
 
 Usage (from anywhere inside the repository):
   python3 scripts/bench_pairs.py --ref HEAD --workload train-synth \\
@@ -48,8 +50,9 @@ def export(commit: str, directory: str) -> None:
 
 
 def run_bench(checkout: str, args) -> dict:
-    """One perfbench run in ``checkout``: its metrics by name, and its
-    ``failed`` and ``attempted`` operation counts."""
+    """One perfbench run in ``checkout``: its metrics by name, its
+    ``failed`` and ``attempted`` operation counts, and per workload the raw
+    numbers of :func:`read_raw`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds)],
@@ -62,7 +65,23 @@ def run_bench(checkout: str, args) -> dict:
                          f"(exit {proc.returncode}):\n{proc.stderr}") from None
     return {"metrics": {name: entry["value"]
                         for name, entry in summary["metrics"].items()},
-            "failed": summary["failed"], "attempted": summary["attempted"]}
+            "failed": summary["failed"], "attempted": summary["attempted"],
+            "raw": read_raw(checkout, lines)}
+
+
+def read_raw(checkout: str, lines: list[str]) -> dict:
+    """Per workload, the raw ``op_wall_s_min`` and the median speed-probe
+    sample (both in seconds) of the record that run.py names on its
+    ``record:`` line, a path relative to ``checkout``. ``op_cost_ref`` is an
+    operation's wall divided by the probes around it, so these two tell
+    whether it moved with the operation or with the probe."""
+    path = next(line.split(":", 1)[1].strip() for line in reversed(lines)
+                if line.startswith("record:"))
+    with open(os.path.join(checkout, path), encoding="utf-8") as fh:
+        record = json.load(fh)
+    return {name: {"op_wall_s_min": part["metrics"]["op_wall_s_min"]["value"],
+                   "probe_s_p50": statistics.median(part["probe_s"])}
+            for name, part in record["workloads"].items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -150,6 +169,11 @@ def main(argv=None) -> int:
             for name in sorted(ref):
                 print(f"  {name:36s} ref {ref[name]!s:>22} "
                       f"work {work.get(name)!s:>22}")
+            for workload, raw in sorted(run["ref"]["raw"].items()):
+                for key, value in raw.items():
+                    print(f"  {workload + ' raw ' + key:36s} ref "
+                          f"{value:>22.6g} work "
+                          f"{run['work']['raw'][workload][key]:>22.6g}")
             print(f"  {'failed operations':36s} ref "
                   f"{failure_share([run['ref']]):>22} work "
                   f"{failure_share([run['work']]):>22}")

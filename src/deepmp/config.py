@@ -133,11 +133,12 @@ _SCHEMA = {
 
 
 def load_config(path) -> RunConfig:
-    """Parse a UTF-8 INI config; unknown sections or keys are rejected."""
+    """Parse a UTF-8 INI config, with or without a byte-order mark; unknown
+    sections or keys are rejected."""
     # no interpolation: a '%' in a value (a path, say) is taken literally
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except configparser.Error as exc:

@@ -17,10 +17,13 @@ with cross entropy against a teacher target. Teacher forcing advances the
 residual with the ground-truth atom (the best remaining true atom by
 dictionary correlation), so layer k trains on the residual distribution it
 would see at inference when the earlier layers are right. A training batch is
-two arrays: the (B, signal_dim) signals and the (B, depth) teacher targets
-that :func:`build_training_batch` computes for them. Because the teacher
-residuals never depend on the weights, the loss gradient is the closed-form
-softmax cross-entropy expression per layer and no backpropagation through the
+two arrays: the (B, signal_dim) signals and the (B, depth) teacher targets.
+One loop, :func:`teacher_walk`, walks the teacher path: it picks the targets
+from the rows' supports or follows given ones, and returns them with the
+residual stack and live mask; :func:`build_training_batch` is its targets,
+:func:`teacher_replay` its stack and mask. Because the teacher residuals
+never depend on the weights, the loss gradient is the closed-form softmax
+cross-entropy expression per layer and no backpropagation through the
 recursion is needed: :func:`loss_and_gradient` is :func:`cross_entropy_head`
 applied to the residual stack of :func:`teacher_replay`. The head shifts the
 scores by their row maxima only when some score lies far enough out that
@@ -141,46 +144,26 @@ def build_training_batch(model: UnfoldedModel, signals,
     """Teacher target order of every mixture, as a (B, depth) int64 array.
 
     ``signals`` (B, signal_dim) are mixtures of the atoms in the rows of
-    ``supports`` (B, depth). At each step the teacher picks, among the row's
-    not-yet-used true atoms, the one with the largest dictionary correlation
-    against the current teacher residual (ties to the earliest support
-    position), then applies the fixed-dictionary update. Every row always
-    receives exactly ``depth`` targets even if its residual dies early.
-    Raises EmptyBatch, SparsityMismatch when the supports do not have
-    ``depth`` columns, DimensionMismatch when signals and supports differ in
-    row count, and OutOfRange for a support that is not an atom index.
+    ``supports`` (B, depth); the targets are those :func:`teacher_walk`
+    picks. Every row always receives exactly ``depth`` targets even if its
+    residual dies early. Raises EmptyBatch, SparsityMismatch when the
+    supports do not have ``depth`` columns, DimensionMismatch when signals
+    and supports differ in row count, and OutOfRange for a support that is
+    not an atom index.
     """
-    candidates = np.asarray(supports, dtype=np.int64)  # (B, depth)
-    if not len(candidates):
+    supports = np.asarray(supports, dtype=np.int64)
+    if not len(supports):
         raise EmptyBatch("no samples")
     depth = model.depth
-    if candidates.ndim != 2 or candidates.shape[1] != depth:
-        raise SparsityMismatch(
-            f"supports of shape {candidates.shape} != model depth {depth}"
-        )
-    _check_atom_indices(candidates, model.num_atoms, "supports")
-    atoms = model.update_dict.atoms
+    if supports.ndim != 2 or supports.shape[1] != depth:
+        raise SparsityMismatch(f"supports of shape {supports.shape} != "
+                               f"model depth {depth}")
+    _check_atom_indices(supports, model.num_atoms, "supports")
     signals = check_signals(signals, model.signal_dim)
-    batch = len(candidates)
-    if len(signals) != batch:
-        raise DimensionMismatch(
-            f"{len(signals)} signals for {batch} supports"
-        )
-    residuals = signals
-    used = np.zeros((batch, depth), dtype=bool)
-    targets = np.zeros((batch, depth), dtype=np.int64)
-    rows = np.arange(batch)
-    cand_atoms = atoms[:, candidates]  # (M, B, depth)
-    for step in range(depth):
-        # correlations of each sample's true atoms with its current residual
-        corr = np.einsum("mbk,bm->bk", cand_atoms, residuals)
-        corr[used] = -np.inf
-        pick = np.argmax(corr, axis=1)
-        chosen = candidates[rows, pick]
-        used[rows, pick] = True
-        targets[:, step] = chosen
-        _, residuals = residual_step(atoms, residuals, chosen, model.proj)
-    return targets
+    if len(signals) != len(supports):
+        raise DimensionMismatch(f"{len(signals)} signals for "
+                                f"{len(supports)} supports")
+    return teacher_walk(model, signals, supports=supports)[0]
 
 
 def _check_atom_indices(indices: np.ndarray, num_atoms: int, what: str) -> None:
@@ -190,20 +173,33 @@ def _check_atom_indices(indices: np.ndarray, num_atoms: int, what: str) -> None:
                          f"[0, {num_atoms})")
 
 
-def teacher_replay(model: UnfoldedModel, signals: np.ndarray,
-                   targets: np.ndarray, dtype=np.float64
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher residuals of every layer, replayed from the targets.
+def teacher_walk(model: UnfoldedModel, signals: np.ndarray, *,
+                 supports: np.ndarray | None = None,
+                 targets: np.ndarray | None = None, dtype=np.float64
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk every row along its teacher path: targets, residuals, live mask.
 
-    Returns the (K, B, M) stack of ``dtype``, layer k after the first k
+    Given ``targets`` (B, depth) the walk follows them. Given ``supports``
+    (B, depth) instead it picks them: at step k, among the row's
+    not-yet-used true atoms, the one with the largest dictionary
+    correlation against the step's residual (ties to the earliest support
+    position), computed one support column at a time. Either way the walk
+    applies the fixed-dictionary update and returns the (B, depth) targets,
+    the (K, B, M) residual stack of ``dtype``, layer k after the first k
     targets, and the (K, B) live mask: a row lives while every residual so
-    far has norm >= ``RESIDUAL_FLOOR``. Dead rows are zeroed in the stack.
-    The running residual and its norms stay float64 whatever ``dtype``, so
-    the teacher path and the live mask do not depend on it.
+    far has norm >= ``RESIDUAL_FLOOR``. Dead rows are zeroed in the stack,
+    but still receive targets. The running residual and its norms stay
+    float64 whatever ``dtype``, so the targets and the live mask do not
+    depend on it.
     """
     atoms = model.update_dict.atoms
     stack = np.empty((model.depth, *signals.shape), dtype=dtype)
     live = np.empty(stack.shape[:2], dtype=bool)
+    if targets is None:
+        targets = np.empty(supports.shape, dtype=np.int64)
+        used = np.zeros(supports.shape, dtype=bool)
+        corr = np.empty(supports.shape)
+        rows = np.arange(len(supports))
     residuals = signals
     for k in range(model.depth):
         if k:
@@ -212,9 +208,24 @@ def teacher_replay(model: UnfoldedModel, signals: np.ndarray,
         stack[k] = residuals
         live[k] = (np.einsum("bm,bm->b", residuals, residuals)
                    >= RESIDUAL_FLOOR ** 2)
+        if supports is not None:
+            for j in range(supports.shape[1]):
+                corr[:, j] = np.einsum("mb,bm->b", atoms[:, supports[:, j]],
+                                       residuals)
+            corr[used] = -np.inf
+            pick = np.argmax(corr, axis=1)
+            targets[:, k] = supports[rows, pick]
+            used[rows, pick] = True
     np.logical_and.accumulate(live, axis=0, out=live)
     stack[~live] = 0.0
-    return stack, live
+    return targets, stack, live
+
+
+def teacher_replay(model: UnfoldedModel, signals: np.ndarray,
+                   targets: np.ndarray, dtype=np.float64
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The stack and live mask of :func:`teacher_walk` along ``targets``."""
+    return teacher_walk(model, signals, targets=targets, dtype=dtype)[1:]
 
 
 def cross_entropy_head(weights: np.ndarray, stack: np.ndarray,

@@ -4,12 +4,14 @@ Training mixtures come from shards seeded from the master seed, so
 identical seeds reproduce identical batches (and therefore bit-identical
 models). Each shard is drawn once per training run. Training keeps each
 mixture's support and coefficients and the (N, k) teacher targets: O(N k)
-numbers for N mixtures at sparsity k, whatever the signal dimension. The
-target pass, every training batch and every validation batch synthesise
-their own signals with :func:`~deepmp.datagen.synthesize`, equal to the
-sampled signals bit for bit. A batch replays its rows along their targets
-(``teacher_replay``) and scores the replay with ``cross_entropy_head``. The
-AdaBound step forms its gradient one group of whole blocks at a time and
+numbers for N mixtures at sparsity k, whatever the signal dimension. Every
+training batch and every validation batch synthesises its own signals with
+:func:`~deepmp.datagen.synthesize`, equal to the sampled signals bit for
+bit. A batch walks its rows along the teacher path (``teacher_walk``) and
+scores the walk's residual stack with ``cross_entropy_head``. No pass runs
+before the first epoch: epoch 0's walks pick each row's targets from its
+support and store them, and later epochs' walks follow the stored targets.
+The AdaBound step forms its gradient one group of whole blocks at a time and
 updates each group before the next is formed, so a step never holds the
 whole gradient stack.
 
@@ -35,11 +37,11 @@ from .metrics import row_recovery
 from .network import (
     UnfoldedModel,
     batched_infer,
-    build_training_batch,
     cross_entropy_head,
     init_from_dictionary,
-    teacher_replay,
+    teacher_walk,
 )
+from .network import build_training_batch  # unused; perfbench/tracing.py wraps it here
 from .network import loss_and_gradient  # unused; perfbench/tracing.py wraps it here
 from .optim import AdaBoundHyper, adabound_step, init_adabound
 from .seeding import SHUFFLE_STREAM, TRAIN_STREAM, child_seed
@@ -130,12 +132,8 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     supports = np.concatenate([shard.supports for shard in shards])
     coeffs = np.concatenate([shard.coeffs for shard in shards])
     del shards
+    # filled by epoch 0, whose walk picks each row's targets
     targets = np.empty((num_train, depth), dtype=np.int64)
-    for lo in range(0, num_train, batch_size):
-        rows = slice(lo, min(lo + batch_size, num_train))
-        targets[rows] = build_training_batch(
-            model, synthesize(atoms, supports[rows], coeffs[rows]),
-            supports[rows])
     val_supports, val_coeffs = supports[num_train:], coeffs[num_train:]
 
     # best candidate so far: -1 is the initialization, which is rebuilt from
@@ -156,13 +154,18 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
             order = base + shuffle.permutation(min(SHARD_SIZE, num_train - base))
             for lo in range(0, len(order), batch_size):
                 idx = order[lo:lo + batch_size]
-                batch = targets[idx]
+                # epoch 0 picks the rows' targets, later epochs follow them;
+                # the signals are released when the walk returns
+                batch, stack, live = teacher_walk(
+                    model, synthesize(atoms, supports[idx], coeffs[idx]),
+                    supports=None if epoch else supports[idx],
+                    targets=targets[idx] if epoch else None, dtype=np.float32)
+                if not epoch:
+                    targets[idx] = batch
                 loss, gradient = cross_entropy_head(
-                    model.selection_weights,
-                    *teacher_replay(
-                        model, synthesize(atoms, supports[idx], coeffs[idx]),
-                        batch, dtype=np.float32),
-                    batch)
+                    model.selection_weights, stack, live, batch)
+                # the head owns the stack now; the next walk allocates its own
+                del stack, live
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
                         f"non-finite loss at epoch {epoch}, shard {i}"

@@ -114,7 +114,9 @@ def read_csv_matrix(path) -> np.ndarray:
     not numeric, rows differ in length, or no numeric row is found.
     """
     rows: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise make
+    # the first row a header
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -82,17 +84,42 @@ def test_summary_claims_a_gain_only_from_nine_of_ten_wins_beyond_ref_iqr():
 
 
 def test_run_bench_keeps_each_runs_failed_and_attempted(tmp_path):
-    # a stand-in perfbench whose last line is the summary run.py prints
+    # a stand-in perfbench whose last line is the summary run.py prints,
+    # after the line naming its record
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         "import json\nprint('progress')\n"
+        "json.dump({'workloads': {'w': {'probe_s': [0.003, 0.001, 0.002],\n"
+        "    'metrics': {'op_wall_s_min': {'value': 0.25}}}}},\n"
+        "    open('perfbench/record.json', 'w'))\n"
+        "print('record: perfbench/record.json')\n"
         "print(json.dumps({'correct': False, 'attempted': 40, 'failed': 3,\n"
         "                  'metrics': {'w/op_cost_ref': {'value': 2.5}}}))\n",
         encoding="utf-8")
     args = bench_pairs.argparse.Namespace(workload="w", seed=1, seconds=1.0)
     run = bench_pairs.run_bench(str(tmp_path), args)
     assert run == {"metrics": {"w/op_cost_ref": 2.5}, "failed": 3,
-                   "attempted": 40}
+                   "attempted": 40,
+                   "raw": {"w": {"op_wall_s_min": 0.25, "probe_s_p50": 0.002}}}
+
+
+def test_read_raw_takes_each_workloads_wall_and_median_probe(tmp_path):
+    # the record of a run over all workloads, named relative to the checkout
+    (tmp_path / "out").mkdir()
+    record = {"workloads": {
+        name: {"probe_s": probes,
+               "metrics": {"op_wall_s_min": {"value": wall},
+                           "op_cost_ref": {"value": 1.0}}}
+        for name, probes, wall in [("a", [0.004, 0.002, 0.003, 0.001], 0.5),
+                                   ("b", [0.01], float("nan"))]}}
+    (tmp_path / "out" / "rec.json").write_text(json.dumps(record),
+                                               encoding="utf-8")
+    lines = ["record: out/old.json", "a op_cost_ref 1.0",
+             "record: out/rec.json", "{}"]
+    raw = bench_pairs.read_raw(str(tmp_path), lines)
+    assert raw["a"] == {"op_wall_s_min": 0.5, "probe_s_p50": 0.0025}
+    assert raw["b"]["probe_s_p50"] == 0.01
+    assert math.isnan(raw["b"]["op_wall_s_min"])
 
 
 def test_failure_share_pools_failed_over_attempted():

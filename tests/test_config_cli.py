@@ -104,6 +104,18 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.lr == 1e-3 and cfg.final_lr == 0.1
 
 
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    # the mark used to hide the first section header: "File contains no
+    # section headers"
+    text = "[training]\nk_range = 1-2\nepochs = 3\n[run]\nseed = 7\n"
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    cfg = load_config(marked)
+    assert cfg == load_config(plain)
+    assert cfg.k_range == (1, 2) and cfg.seed == 7
+
+
 def test_config_naming_every_key_at_its_default_loads_the_defaults(tmp_path):
     # each value is parsed by the type of its field's default
     defaults = RunConfig()
@@ -425,6 +437,35 @@ def test_training_draws_each_shard_once(monkeypatch, small_dictionary):
     train_model(small_dictionary, 2, 300, epochs=3, batch_size=32, seed=9)
     assert sum(count for _, count in drawn) == 300
     assert len(drawn) == len(set(drawn)) == 5
+
+
+def test_training_picks_each_rows_targets_once(monkeypatch, small_dictionary):
+    # epoch 0's walks pick the targets, later epochs follow them, and with
+    # no epochs nothing is walked
+    walks = []
+    walk = training.teacher_walk
+
+    def counting(model, signals, **kwargs):
+        walks.append(kwargs)
+        return walk(model, signals, **kwargs)
+
+    monkeypatch.setattr(training, "teacher_walk", counting)
+    monkeypatch.setattr(training, "SHARD_SIZE", 64)
+    depth, num_samples, seed = 2, 300, 9
+    train_model(small_dictionary, depth, num_samples, epochs=3, batch_size=32,
+                seed=seed, val_fraction=0.25)
+    picked = [w["supports"] for w in walks if w["supports"] is not None]
+    assert sum(w["supports"] is None for w in walks) == 2 * len(picked)
+    shards = stream_shards(small_dictionary, depth, seed, num_samples)
+    # 225 training rows: 300 less the 75 held out
+    train_supports = np.concatenate([s.supports for s in shards])[:225]
+    assert (sorted(map(tuple, np.concatenate(picked).tolist()))
+            == sorted(map(tuple, train_supports.tolist())))
+
+    walks.clear()
+    train_model(small_dictionary, depth, num_samples, epochs=0, seed=seed,
+                val_fraction=0.25)
+    assert walks == []
 
 
 def test_validation_memory_grows_only_by_supports_and_targets(monkeypatch):

@@ -22,6 +22,7 @@ from deepmp.errors import (
     DimensionMismatch,
     EmptyInput,
     EmptyLibrary,
+    NotOvercomplete,
     OutOfRange,
     ParseError,
     ZeroSparsity,
@@ -255,6 +256,23 @@ def test_load_spectra_normalizes_and_clamps(tmp_path, caplog):
     assert d.signal_dim == 2 and d.num_atoms == 3
     assert np.allclose(np.linalg.norm(d.atoms, axis=0), 1.0)
     assert d.atoms[1, 0] == 0.0
+
+
+def test_load_spectra_with_a_byte_order_mark_keeps_every_row(tmp_path):
+    # with the mark read as part of the first cell, a 3x3 library lost its
+    # first row to the header rule and loaded as an overcomplete 2x3 one
+    square = tmp_path / "square.csv"
+    square.write_text("2.0,0.0,1.0\n1.0,4.0,1.0\n0.5,1.0,3.0\n",
+                      encoding="utf-8-sig")
+    with pytest.raises(NotOvercomplete, match="3x3"):
+        load_raman_library(square)
+    text = "2.0,0.0,1.0,1.0\n1.0,4.0,1.0,0.0\n0.5,1.0,3.0,2.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    d = load_raman_library(marked)
+    assert d.signal_dim == 3 and d.num_atoms == 4
+    assert np.array_equal(d.atoms, load_raman_library(plain).atoms)
 
 
 def test_load_spectra_round_trip_surrogate(tmp_path):

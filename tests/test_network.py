@@ -34,6 +34,7 @@ from deepmp.network import (
     loss_and_gradient,
     save_model,
     teacher_replay,
+    teacher_walk,
 )
 from deepmp.optim import adabound_step, init_adabound
 from deepmp.solvers import RESIDUAL_FLOOR, ProjectionMode, nnmp_solve, residual_step
@@ -222,6 +223,125 @@ def test_targets_are_a_permutation_of_support(table_dictionary):
     targets = build_training_batch(model, samples.signals, samples.supports)
     for support, row in zip(samples.supports, targets):
         assert sorted(row.tolist()) == sorted(support.tolist())
+
+
+def reference_targets(model, signals, supports):
+    """The separate target pass that one teacher walk replaced: every step
+    gathers the atoms of all support positions at once."""
+    candidates = np.asarray(supports, dtype=np.int64)  # (B, depth)
+    atoms = model.update_dict.atoms
+    batch, depth = candidates.shape
+    residuals = signals
+    used = np.zeros((batch, depth), dtype=bool)
+    targets = np.zeros((batch, depth), dtype=np.int64)
+    rows = np.arange(batch)
+    cand_atoms = atoms[:, candidates]  # (M, B, depth)
+    for step in range(depth):
+        corr = np.einsum("mbk,bm->bk", cand_atoms, residuals)
+        corr[used] = -np.inf
+        pick = np.argmax(corr, axis=1)
+        chosen = candidates[rows, pick]
+        used[rows, pick] = True
+        targets[:, step] = chosen
+        _, residuals = residual_step(atoms, residuals, chosen, model.proj)
+    return targets
+
+
+def reference_replay(model, signals, targets, dtype):
+    """The separate replay that one teacher walk replaced."""
+    atoms = model.update_dict.atoms
+    stack = np.empty((model.depth, *signals.shape), dtype=dtype)
+    live = np.empty(stack.shape[:2], dtype=bool)
+    residuals = signals
+    for k in range(model.depth):
+        if k:
+            _, residuals = residual_step(atoms, residuals, targets[:, k - 1],
+                                         model.proj)
+        stack[k] = residuals
+        live[k] = (np.einsum("bm,bm->b", residuals, residuals)
+                   >= RESIDUAL_FLOOR ** 2)
+    np.logical_and.accumulate(live, axis=0, out=live)
+    stack[~live] = 0.0
+    return stack, live
+
+
+def walk_inputs(d, depth, num_samples, seed):
+    """Mixtures, plus rows that die: zero signals, and single atoms whose
+    residual falls below the floor after one step."""
+    samples = sample_mixture(
+        d, MixtureConfig(sparsity=depth, num_samples=num_samples, seed=seed))
+    supports = np.vstack([samples.supports, samples.supports[:7]])
+    dying = 0.7 * d.atoms[:, supports[-4:, 0]].T
+    signals = np.vstack([samples.signals, np.zeros((3, d.signal_dim)), dying])
+    return signals, supports
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("proj", list(ProjectionMode))
+@pytest.mark.parametrize("shape,depth", [
+    *[pytest.param((30, 200), k, id=f"30x200-k{k}") for k in range(1, 6)],
+    pytest.param((503, 600), 5, id="503x600-k5"),
+])
+def test_teacher_walk_matches_target_pass_and_replay_bit_for_bit(
+        table_dictionary, shape, depth, proj, dtype):
+    d = (table_dictionary if shape == (30, 200) else
+         generate_raman_surrogate(*shape, peaks_per_atom=5, seed=20240801))
+    model = init_from_dictionary(d, depth, proj)
+    signals, supports = walk_inputs(d, depth, 120, seed=depth)
+    ref_targets = reference_targets(model, signals, supports)
+    ref_stack, ref_live = reference_replay(model, signals, ref_targets, dtype)
+    if depth > 1:
+        # zero rows are dead from the start, single atoms after one step
+        assert not ref_live[:, -7:-4].any()
+        assert ref_live[0, -4:].all() and not ref_live[-1, -4:].any()
+
+    targets, stack, live = teacher_walk(model, signals, supports=supports,
+                                        dtype=dtype)
+    assert targets.dtype == np.int64 and stack.dtype == dtype
+    assert targets.tobytes() == ref_targets.tobytes()
+    assert stack.tobytes() == ref_stack.tobytes()
+    assert live.tobytes() == ref_live.tobytes()
+    assert build_training_batch(model, signals, supports).tobytes() == \
+        ref_targets.tobytes()
+    # following the targets walks the same path
+    followed, stack, live = teacher_walk(model, signals, targets=ref_targets,
+                                         dtype=dtype)
+    assert followed is ref_targets
+    assert stack.tobytes() == ref_stack.tobytes()
+    assert live.tobytes() == ref_live.tobytes()
+
+    # a row's path does not depend on the rest of its batch
+    rows = np.random.default_rng(depth).permutation(len(signals))[:37]
+    sub = teacher_walk(model, signals[rows], supports=supports[rows],
+                       dtype=dtype)
+    assert sub[0].tobytes() == ref_targets[rows].tobytes()
+    assert sub[1].tobytes() == ref_stack[:, rows].tobytes()
+    assert sub[2].tobytes() == ref_live[:, rows].tobytes()
+
+
+def test_picking_walk_holds_only_its_bookkeeping_beyond_following():
+    # the candidate correlations are formed one support column at a time:
+    # an (M, B, k) gather of the support atoms would add 2.5 MB here
+    depth, batch_size = 5, 128
+    d = generate_raman_surrogate(503, 600, peaks_per_atom=5, seed=20240801)
+    model = init_from_dictionary(d, depth)
+    samples = sample_mixture(d, MixtureConfig(sparsity=depth,
+                                              num_samples=batch_size, seed=3))
+    signals, supports = samples.signals, samples.supports
+    targets = build_training_batch(model, signals, supports)
+
+    def peak(**path):
+        tracemalloc.start()
+        try:
+            teacher_walk(model, signals, dtype=np.float32, **path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # int64 targets, float64 correlations and the used mask
+    bookkeeping = batch_size * depth * (8 + 8 + 1)
+    assert peak(supports=supports) <= (peak(targets=targets) + bookkeeping
+                                       + 2**16)
 
 
 # -- loss and gradient ----------------------------------------------------------

@@ -123,6 +123,19 @@ def test_csv_header_line_is_ignored(tmp_path):
     assert matrix.shape == (2, 3)
 
 
+def test_csv_with_a_byte_order_mark_loads_the_same_matrix(tmp_path):
+    # the mark used to make the first numeric row fail to parse, so it was
+    # skipped as a header and the matrix lost a row
+    text = "0.5,0.25,1.0\n0.0,2.0,0.125\n3.0,0.75,0.5\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    matrix = read_csv_matrix(marked)
+    assert matrix.shape == (3, 3)
+    assert np.array_equal(matrix, read_csv_matrix(plain))
+
+
 def test_csv_parse_error_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,4.0\n5.0,oops\n")
