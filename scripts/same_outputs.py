@@ -12,6 +12,15 @@ manifests (``manifest_*``), which hold the run directory and timings. Prints
 each file that differs or that only one side wrote, and exits 1 if there is
 any, else 0.
 
+The check also compares ``train_model`` at library level, in a subprocess
+on each side's package: at train-synth's recipe from
+``perfbench/workloads.py`` for operation seeds ``derive(seed, i)`` with
+i = 3, 17 and 101, and on the 503x600 surrogate of that module's
+dictionary seed at k=5 with 600 mixtures, 2 epochs and ``val_fraction``
+0.25, at the seed itself. Each run's weight hash and ``float.hex`` log rows
+are compared by name, and each that differs or that only one side printed
+is reported like a file.
+
 Usage (from anywhere inside the repository):
   python3 scripts/same_outputs.py --ref HEAD --seed 41 --scale 0.01
 """
@@ -35,20 +44,57 @@ from perfbench.workloads import CliSurrogate  # noqa: E402
 ONE_THREAD = {name: "1" for name in
               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
+#: run as ``python -c`` in a checkout, whose ``perfbench`` and package it
+#: imports, with the seed as its argument; prints ``name: value`` lines
+TRAIN_PROGRAM = """
+import hashlib, sys
+from deepmp import datagen, training
+from perfbench.workloads import DICT_SEED, TrainSynth, acceptance_dictionary, derive
+
+seed, synth = int(sys.argv[1]), acceptance_dictionary()
+runs = {f"train-synth op {i}": (synth, TrainSynth.DEPTH, TrainSynth.MIXTURES,
+                               TrainSynth.EPOCHS, TrainSynth.VAL_FRACTION,
+                               derive(seed, i)) for i in (3, 17, 101)}
+surrogate = datagen.generate_raman_surrogate(503, 600, 5, seed=DICT_SEED)
+runs["surrogate k=5"] = (surrogate, 5, 600, 2, 0.25, seed)
+for name, (dictionary, k, n, epochs, val_fraction, s) in runs.items():
+    model, rows = training.train_model(dictionary, k, n, epochs=epochs, seed=s,
+                                       val_fraction=val_fraction)
+    weights = hashlib.sha1(model.selection_weights.tobytes()).hexdigest()
+    print(f"{name} weights: {weights}")
+    for row in rows:
+        print(f"{name} epoch {row.epoch}: {row.mean_loss.hex()} "
+              f"{row.val_recovery.hex()}")
+"""
+
+
+def run_in(checkout: str, what: str, *args: str) -> str:
+    """``python args`` in ``checkout`` on its package with one BLAS thread;
+    returns its output, or exits naming ``what`` with its stderr if it
+    fails."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.path.join(checkout, "src")}
+    proc = subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"same_outputs: {what} in {checkout} exited "
+                         f"{proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
 
 def run_steps(checkout: str, out: str, config: str, args) -> None:
     """The CLI's four steps with ``checkout``'s package, into ``out``."""
-    env = {**os.environ, **ONE_THREAD, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": os.path.join(checkout, "src")}
     for step in CliSurrogate.STEPS:
-        proc = subprocess.run(
-            [sys.executable, "-m", "deepmp.cli", "--config", config,
-             "--seed", str(args.seed), "--scale", str(args.scale),
-             "--out", out, step],
-            cwd=checkout, env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"same_outputs: {step} in {checkout} exited "
-                             f"{proc.returncode}:\n{proc.stderr}")
+        run_in(checkout, step, "-m", "deepmp.cli", "--config", config,
+               "--seed", str(args.seed), "--scale", str(args.scale),
+               "--out", out, step)
+
+
+def training_outputs(checkout: str, seed: int) -> dict[str, str]:
+    """:data:`TRAIN_PROGRAM`'s lines with ``checkout``'s package, by name."""
+    lines = run_in(checkout, "train_model", "-c", TRAIN_PROGRAM,
+                   str(seed)).splitlines()
+    return dict(line.split(": ", 1) for line in lines)
 
 
 def files(top: str) -> set[str]:
@@ -66,6 +112,12 @@ def differing(left: str, right: str) -> list[str]:
         rel for rel in both
         if not filecmp.cmp(os.path.join(left, rel), os.path.join(right, rel),
                            shallow=False)})
+
+
+def differing_outputs(left: dict[str, str], right: dict[str, str]) -> list[str]:
+    """Sorted names whose values differ or that one side lacks."""
+    return sorted(name for name in left.keys() | right.keys()
+                  if left.get(name) != right.get(name))
 
 
 def main(argv=None) -> int:
@@ -88,11 +140,17 @@ def main(argv=None) -> int:
         run_steps(ROOT, runs["work"], config, args)
         compared = len(files(runs["ref"]) | files(runs["work"]))
         differ = differing(runs["ref"], runs["work"])
+        trained = [training_outputs(path, args.seed) for path in (checkout, ROOT)]
+    differ_trained = differing_outputs(*trained)
     for rel in differ:
         print(f"differs: {rel}")
+    for name in differ_trained:
+        print(f"differs: train_model {name}")
     print(f"ref {args.ref} ({commit}), seed {args.seed}, scale {args.scale:g}: "
-          f"{len(differ)} of {compared} non-manifest files differ")
-    return 1 if differ else 0
+          f"{len(differ)} of {compared} non-manifest files and "
+          f"{len(differ_trained)} of {len(trained[0].keys() | trained[1].keys())} "
+          f"train_model outputs differ")
+    return 1 if differ or differ_trained else 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import datagen, metrics, network, training
 from .config import RunConfig, load_config, parse_k_range
-from .errors import ConfigError, InputError, MissingModel, NumericalError
+from .errors import ConfigError, DimensionMismatch, InputError
+from .errors import MissingModel, NumericalError
 from .seeding import DICT_STREAM, child_seed
 from .solvers import ProjectionMode
 from .types import READ_BYTES, Dictionary, load_dictionary_csv, save_dictionary_csv
@@ -98,6 +99,16 @@ def _model_path(config: RunConfig, k: int) -> str:
     return os.path.join(config.out_dir, "models", f"model_k{k}.dmp")
 
 
+def _load_dictionary(config: RunConfig) -> Dictionary:
+    """The run's ``dictionary.csv``; DimensionMismatch, before any level
+    does work, when the config's deepest sparsity level exceeds its atoms."""
+    dictionary = load_dictionary_csv(_dictionary_path(config))
+    if max(config.k_range) > dictionary.num_atoms:
+        raise DimensionMismatch(f"sparsity {max(config.k_range)} exceeds the "
+                                f"{dictionary.num_atoms} available atoms")
+    return dictionary
+
+
 def _build_dictionary(config: RunConfig) -> tuple[Dictionary, dict]:
     if config.source == "synthetic":
         dictionary = datagen.generate_synthetic_dictionary(
@@ -136,8 +147,7 @@ def cmd_gen_dict(config: RunConfig, args, started: float) -> None:
 
 
 def cmd_gen_data(config: RunConfig, args, started: float) -> None:
-    csv_path = _dictionary_path(config)
-    dictionary = load_dictionary_csv(csv_path)
+    dictionary = _load_dictionary(config)
     outputs = []
     for k in config.k_range:
         directory = os.path.join(config.out_dir, "data", f"k{k}")
@@ -148,13 +158,12 @@ def cmd_gen_data(config: RunConfig, args, started: float) -> None:
             seed=config.seed))
         print(f"wrote {config.num_train_samples} samples at sparsity {k} "
               f"to {directory}")
-    _write_manifest(config.out_dir, "gen-data", config, [csv_path], outputs,
-                    started)
+    _write_manifest(config.out_dir, "gen-data", config,
+                    [_dictionary_path(config)], outputs, started)
 
 
 def cmd_train(config: RunConfig, args, started: float) -> None:
-    csv_path = _dictionary_path(config)
-    dictionary = load_dictionary_csv(csv_path)
+    dictionary = _load_dictionary(config)
     os.makedirs(os.path.join(config.out_dir, "models"), exist_ok=True)
     outputs = []
     for k in config.k_range:
@@ -174,8 +183,8 @@ def cmd_train(config: RunConfig, args, started: float) -> None:
         last = rows[-1].mean_loss if rows else float("nan")
         print(f"trained depth-{k} model ({config.resolved_epochs} epochs, "
               f"final mean loss {last:.6g}) -> {model_path}")
-    _write_manifest(config.out_dir, "train", config, [csv_path], outputs,
-                    started)
+    _write_manifest(config.out_dir, "train", config,
+                    [_dictionary_path(config)], outputs, started)
 
 
 def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
@@ -194,7 +203,7 @@ def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
 
 def cmd_eval(config: RunConfig, args, started: float) -> None:
     csv_path = _dictionary_path(config)
-    dictionary = load_dictionary_csv(csv_path)
+    dictionary = _load_dictionary(config)
     proj = ProjectionMode(config.projection)
     for k in config.k_range:
         path = _model_path(config, k)

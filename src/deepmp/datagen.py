@@ -44,7 +44,7 @@ log = logging.getLogger(__name__)
 
 COEFFICIENT_LAW = "uniform(0,1]"
 REDRAW_CAP = 100
-#: rows per block in which :func:`synthesize` gathers atoms
+#: most rows per block of :func:`row_blocks`, unless a caller gives its own
 SYNTH_BLOCK = 256
 
 
@@ -131,6 +131,19 @@ def sample_mixture(dictionary: Dictionary, config: MixtureConfig) -> Mixtures:
     return Mixtures(dictionary.atoms, supports, coeffs)
 
 
+def row_blocks(n: int, most: int = SYNTH_BLOCK) -> list[slice]:
+    """The fewest near-equal slices of at most ``most`` rows that cover
+    ``range(n)``, in order; none when ``n == 0``.
+
+    Sizes differ by at most one, so no block is a lone row unless ``n == 1``
+    or ``most <= 2``: a one-row product takes numpy's matrix-vector path,
+    which can round differently from the matrix product of a larger block.
+    """
+    blocks = -(-n // most)
+    return [slice(n * i // blocks, n * (i + 1) // blocks)
+            for i in range(blocks)]
+
+
 def synthesize(atoms: np.ndarray, supports: np.ndarray,
                coeffs: np.ndarray) -> np.ndarray:
     """Mixture signals ``atoms[:, supports[b]] @ coeffs[b]`` for every row b.
@@ -142,8 +155,7 @@ def synthesize(atoms: np.ndarray, supports: np.ndarray,
     signals = np.empty((len(supports), atoms.shape[0]))
     # the gathered atoms are k times the size of the signals they make, so
     # they are gathered a block of rows at a time
-    for lo in range(0, len(supports), SYNTH_BLOCK):
-        rows = slice(lo, lo + SYNTH_BLOCK)
+    for rows in row_blocks(len(supports)):
         picked = np.moveaxis(atoms[:, supports[rows]], 0, 1)  # (B, M, k)
         signals[rows] = np.matmul(picked, coeffs[rows, :, None])[..., 0]
     return signals
@@ -207,8 +219,8 @@ def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
     Replaces the ``shard_*.csv`` files of an earlier call, so the shards in
     ``directory`` are exactly the sidecar's; other files stay. Returns the
     paths written: the shards in order, then the sidecar. A shard's signals
-    are synthesised ``SYNTH_BLOCK`` rows at a time, the same bytes as its
-    ``signals``, so its whole signal stack is never held.
+    are synthesised one :func:`row_blocks` block at a time, the same bytes
+    as its ``signals``, so its whole signal stack is never held.
     """
     os.makedirs(directory, exist_ok=True)
     for name in os.listdir(directory):
@@ -222,8 +234,7 @@ def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
             # the signals of one block of rows at a time, in the blocks
             # Mixtures.signals would synthesise, and one row's as Python
             # floats, which take 4 times its array's size
-            for lo in range(0, len(shard), SYNTH_BLOCK):
-                rows = slice(lo, lo + SYNTH_BLOCK)
+            for rows in row_blocks(len(shard)):
                 supports, coeffs = shard.supports[rows], shard.coeffs[rows]
                 for signal, support, weights in zip(
                         synthesize(shard.atoms, supports, coeffs),

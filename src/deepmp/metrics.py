@@ -8,12 +8,15 @@
   coherences on a grid over [0, 1].
 
 ``run_sweep`` draws fresh test mixtures per sparsity level (stream disjoint
-from training by construction), synthesises their signals one block of at
-most ``SWEEP_BLOCK`` rows at a time and hands each block to every solver,
-keeps both metrics per row and averages them per solver and level. Pursuit
-rows are independent, so the blocks give the numbers one whole-stack call
-would, bit for bit, while the signals and the solvers' (rows, atoms) codes
-and scores stay block-sized whatever the number of test mixtures.
+from training by construction), synthesises their signals one
+:func:`~deepmp.datagen.row_blocks` block at a time and hands each block to
+every solver, keeps both metrics per row and averages them per solver and
+level. The signals and the solvers' (rows, atoms) codes and scores stay
+block-sized whatever the number of test mixtures. Pursuit rows are
+independent, but BLAS may round a row's products differently at another
+row count, so blocking is not bit-exact in general: the tests check that
+the sweep's numbers equal one whole-stack call's on their test sets, with
+no block a lone row, whose matrix-vector product rounds apart most often.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .datagen import MixtureConfig, sample_mixture, synthesize
+from .datagen import MixtureConfig, row_blocks, sample_mixture, synthesize
 from .errors import (
     DimensionMismatch,
     MissingModel,
@@ -48,8 +51,6 @@ from .types import Dictionary
 
 #: default ECDF grid resolution over [0, 1]
 ECDF_GRID_POINTS = 200
-#: test rows per solver call in :func:`run_sweep`
-SWEEP_BLOCK = 256
 
 #: (signals (B, M), sparsity k) -> (supports (B, k) padded with -1, codes (B, N))
 SweepSolver = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
@@ -224,10 +225,10 @@ def run_sweep(dictionary: Dictionary, solvers, k_range, num_test: int,
     ``solvers`` maps labels to :data:`SweepSolver` functions, or is a
     function of k that returns that level's mapping; a function is called
     once per level, after the previous level's mapping is released. Each
-    solver runs with budget equal to the mixture sparsity, on one block of
-    at most ``SWEEP_BLOCK`` of the level's test signals at a time; each
-    block is synthesised once and handed to every solver, so all solvers see
-    identical test sets. Recovery and epsilon are means over every test
+    solver runs with budget equal to the mixture sparsity, on one
+    :func:`~deepmp.datagen.row_blocks` block of the level's test signals at
+    a time; each block is synthesised once and handed to every solver, so
+    all solvers see identical test sets. Recovery and epsilon are means over every test
     row, and the wall time of a level's solver calls goes to its report's
     ``seconds``.
     """
@@ -239,18 +240,12 @@ def run_sweep(dictionary: Dictionary, solvers, k_range, num_test: int,
                           seed=child_seed(seed, TEST_STREAM, k)),
         )
         level = solvers(k) if callable(solvers) else solvers
-        # the fewest blocks of at most SWEEP_BLOCK rows, of near-equal size:
-        # a lone trailing row would take numpy's matrix-vector product, which
-        # rounds differently from the matrix product the other rows take
-        blocks = -(-num_test // SWEEP_BLOCK)
-        edges = [num_test * i // blocks for i in range(blocks + 1)]
         # one row per solver
         recovery, epsilon = np.empty((2, len(level), num_test))
         for label in level:
             reports.setdefault(label, MetricsReport(
                 solver=label, num_test=num_test)).seconds[k] = 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            rows = slice(lo, hi)
+        for rows in row_blocks(num_test):
             signals = synthesize(dictionary.atoms, test.supports[rows],
                                  test.coeffs[rows])
             for j, label in enumerate(level):

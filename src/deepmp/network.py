@@ -20,16 +20,16 @@ would see at inference when the earlier layers are right. A training batch is
 two arrays: the (B, signal_dim) signals and the (B, depth) teacher targets.
 One loop, :func:`teacher_walk`, walks the teacher path: it picks the targets
 from the rows' supports or follows given ones, and returns them with the
-residual stack and live mask; :func:`build_training_batch` is its targets,
-:func:`teacher_replay` its stack and mask. Because the teacher residuals
-never depend on the weights, the loss gradient is the closed-form softmax
-cross-entropy expression per layer and no backpropagation through the
-recursion is needed: :func:`loss_and_gradient` is :func:`cross_entropy_head`
-applied to the residual stack of :func:`teacher_replay`. The head shifts the
-scores by their row maxima only when some score lies far enough out that
-``exp`` could overflow or underflow, and it forms the gradient on demand, a
-group of blocks at a time, so training can update each group before the next
-is formed; :func:`loss_and_gradient` forms the whole stack.
+residual stack and live mask; :func:`build_training_batch` is its targets.
+Because the teacher residuals never depend on the weights, the loss gradient
+is the closed-form softmax cross-entropy expression per layer and no
+backpropagation through the recursion is needed: :func:`loss_and_gradient`
+is :func:`cross_entropy_head` applied to the residual stack and live mask of
+the walk along given targets. The head shifts the scores by their row maxima
+only when some score lies far enough out that ``exp`` could overflow or
+underflow, and it forms the gradient on demand, a group of blocks at a time,
+so training can update each group before the next is formed;
+:func:`loss_and_gradient` forms the whole stack.
 """
 
 from __future__ import annotations
@@ -221,17 +221,10 @@ def teacher_walk(model: UnfoldedModel, signals: np.ndarray, *,
     return targets, stack, live
 
 
-def teacher_replay(model: UnfoldedModel, signals: np.ndarray,
-                   targets: np.ndarray, dtype=np.float64
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The stack and live mask of :func:`teacher_walk` along ``targets``."""
-    return teacher_walk(model, signals, targets=targets, dtype=dtype)[1:]
-
-
 def cross_entropy_head(weights: np.ndarray, stack: np.ndarray,
                        live: np.ndarray, targets: np.ndarray
                        ) -> tuple[float, Callable[[int, int], np.ndarray]]:
-    """Loss and weight gradient of :func:`teacher_replay`'s output.
+    """Loss and weight gradient of :func:`teacher_walk`'s stack and mask.
 
     All layers go in one score stack, and dead rows' loss terms are masked.
     The head computes in the stack's dtype, casting each weight block to it
@@ -301,8 +294,8 @@ def loss_and_gradient(model: UnfoldedModel, signals, targets
         )
     _check_atom_indices(targets, model.num_atoms, "targets")
     loss, gradient = cross_entropy_head(
-        model.selection_weights, *teacher_replay(model, signals, targets),
-        targets)
+        model.selection_weights,
+        *teacher_walk(model, signals, targets=targets)[1:], targets)
     return loss, gradient(0, model.depth)
 
 

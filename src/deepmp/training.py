@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import MixtureConfig, sample_mixture, synthesize
+from .datagen import MixtureConfig, row_blocks, sample_mixture, synthesize
 from .errors import EmptyInput, NonFiniteLoss, OutOfRange
 from .metrics import hamming_complement  # unused; perfbench/tracing.py wraps it here
 from .metrics import row_recovery
@@ -77,12 +77,12 @@ def stream_shards(dictionary: Dictionary, depth: int, seed: int, total: int):
 
 def _validation_recovery(model: UnfoldedModel, supports: np.ndarray,
                          coeffs: np.ndarray, batch_size: int) -> float:
-    """Mean support recovery over held-out rows, ``batch_size`` rows at a time."""
+    """Mean support recovery over held-out rows, in the :func:`row_blocks`
+    blocks of at most ``batch_size`` rows."""
     if not len(supports):
         return float("nan")
     recovery = np.empty(len(supports))
-    for lo in range(0, len(supports), batch_size):
-        rows = slice(lo, lo + batch_size)
+    for rows in row_blocks(len(supports), batch_size):
         signals = synthesize(model.update_dict.atoms, supports[rows],
                              coeffs[rows])
         picked, _ = batched_infer(model, signals)

@@ -35,7 +35,7 @@ from deepmp.network import (
     init_from_dictionary,
     load_model,
     save_model,
-    teacher_replay,
+    teacher_walk,
 )
 from deepmp.optim import AdaBoundHyper, adabound_step, init_adabound
 from deepmp.seeding import SHUFFLE_STREAM, child_seed
@@ -373,7 +373,8 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
                                                shard.supports[chunk])
                 loss, gradient = cross_entropy_head(
                     model.selection_weights,
-                    *teacher_replay(model, signals, targets, np.float32),
+                    *teacher_walk(model, signals, targets=targets,
+                                  dtype=np.float32)[1:],
                     targets)
                 adabound_step(state, model.selection_weights,
                               gradient(0, depth))
@@ -466,6 +467,24 @@ def test_training_picks_each_rows_targets_once(monkeypatch, small_dictionary):
     train_model(small_dictionary, depth, num_samples, epochs=0, seed=seed,
                 val_fraction=0.25)
     assert walks == []
+
+
+def test_validation_of_one_row_past_a_batch_takes_two_near_equal_blocks(
+        monkeypatch, small_dictionary):
+    # 129 held-out rows at the default batch of 128 go to the kernel as two
+    # near-equal blocks, not as 128 rows and a lone row, whose matrix-vector
+    # product can round apart from the matrix product of a larger block
+    sizes = []
+    infer = training.batched_infer
+
+    def recording(model, signals):
+        sizes.append(len(signals))
+        return infer(model, signals)
+
+    monkeypatch.setattr(training, "batched_infer", recording)
+    # 516 mixtures at val_fraction 0.25 hold out 129
+    train_model(small_dictionary, 2, 516, epochs=0, seed=3, val_fraction=0.25)
+    assert sizes == [64, 65]
 
 
 def test_validation_memory_grows_only_by_supports_and_targets(monkeypatch):
@@ -935,6 +954,24 @@ def test_cli_sparsity_above_atom_count_exits_2(tmp_path, capsys):
     assert run_cli(base + ["--k-range", "250", "train"]) == 2
     errors = cli_error_lines(capsys)
     assert len(errors) == 1 and "DimensionMismatch" in errors[0]
+
+
+def test_cli_sparsity_above_atom_count_fails_before_any_level(tmp_path,
+                                                               capsys):
+    # 199 and 200 fit the default 200 atoms and 201 does not: each command
+    # exits 2 before it writes a level's data or model, or a manifest
+    out = tmp_path / "run"
+    base = ["--seed", 5, "--out", out, "--scale", 0.001]
+    assert run_cli(base + ["gen-dict"]) == 0
+    for command in ("gen-data", "train", "eval"):
+        assert run_cli(base + ["--k-range", "199-201", command]) == 2
+        errors = cli_error_lines(capsys)
+        assert len(errors) == 1 and "DimensionMismatch" in errors[0]
+        assert "sparsity 201 exceeds the 200 available atoms" in errors[0]
+    assert not (out / "data" / "k199").exists()
+    assert not (out / "models" / "model_k199.dmp").exists()
+    assert sorted(p.name for p in out.glob("manifest_*")) == [
+        "manifest_gen_dict.json"]
 
 
 def test_cli_over_long_k_span_exits_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from deepmp.datagen import (
     generate_raman_surrogate,
     generate_synthetic_dictionary,
     load_raman_library,
+    row_blocks,
     sample_mixture,
     synthesize,
     write_dataset,
@@ -108,6 +109,26 @@ def test_mixture_signals_are_synthesized_from_their_rows(table_dictionary, k,
     rows = np.random.default_rng(seed).permutation(n)[:max(1, n // 3)]
     assert np.array_equal(signals[rows],
                           synthesize(atoms, supports[rows], coeffs[rows]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 600))
+@example(0, 1)
+@example(1, 256)
+@example(257, 256)
+@example(5, 2)
+def test_row_blocks_tile_the_rows_in_near_equal_blocks(n, most):
+    blocks = row_blocks(n, most)
+    sizes = [b.stop - b.start for b in blocks]
+    # in order, end to end, from 0 to n, with unit steps
+    edges = [0, *(b.stop for b in blocks)]
+    assert [b.start for b in blocks] == edges[:-1] and edges[-1] == n
+    assert all(b.step is None for b in blocks)
+    assert len(blocks) == -(-n // most)
+    assert all(0 < size <= most for size in sizes)
+    assert not sizes or max(sizes) - min(sizes) <= 1
+    # a lone row only where nothing else tiles: one row, or blocks of two
+    assert 1 not in sizes or n == 1 or most <= 2
 
 
 def test_mixture_supports_distinct_and_coeffs_positive(table_dictionary):

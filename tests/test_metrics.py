@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepmp.datagen import MixtureConfig, generate_raman_surrogate, sample_mixture
+from deepmp.datagen import (
+    SYNTH_BLOCK,
+    MixtureConfig,
+    generate_raman_surrogate,
+    sample_mixture,
+)
 from deepmp.errors import (
     DimensionMismatch,
     MissingModel,
@@ -17,7 +22,6 @@ from deepmp.errors import (
     ZeroSparsity,
 )
 from deepmp.metrics import (
-    SWEEP_BLOCK,
     coherence,
     coherence_ecdf,
     deepmp_runner,
@@ -316,7 +320,7 @@ def perturbed_models(dictionary, depths, seed):
 
 # three blocks, the last one short; and one row past a block, which must not
 # leave a lone row to numpy's matrix-vector product
-@pytest.mark.parametrize("num_test", [2 * SWEEP_BLOCK + 3, SWEEP_BLOCK + 1])
+@pytest.mark.parametrize("num_test", [2 * SYNTH_BLOCK + 3, SYNTH_BLOCK + 1])
 def test_sweep_blocks_equal_the_whole_stack_oracle(table_dictionary, num_test):
     # every solver's recovery and epsilon equal one whole-stack call scored
     # by row_recovery and epsilon_error; at seed 3 a lone row would change
@@ -346,8 +350,8 @@ def test_sweep_blocks_equal_the_whole_stack_oracle(table_dictionary, num_test):
         return solvers["nnmp"](signals, k)
 
     run_sweep(d, lambda k: {"nnmp": record}, [2], num_test, seed)
-    assert len(calls) == -(-num_test // SWEEP_BLOCK)
-    assert all(len(block) <= SWEEP_BLOCK for block in calls)
+    assert len(calls) == -(-num_test // SYNTH_BLOCK)
+    assert all(len(block) <= SYNTH_BLOCK for block in calls)
     test = make_samples(d, 2, num_test, child_seed(seed, TEST_STREAM, 2))
     assert np.concatenate(calls).tobytes() == test.signals.tobytes()
 
@@ -373,7 +377,7 @@ def test_sweep_memory_grows_only_by_the_test_stack():
         finally:
             tracemalloc.stop()
 
-    small, large = SWEEP_BLOCK, 8 * SWEEP_BLOCK
+    small, large = SYNTH_BLOCK, 8 * SYNTH_BLOCK
     extra = large - small
     assert peak(large) - peak(small) <= 8 * extra * (d.signal_dim + 2 * k + 2) + 2**18
 
@@ -409,7 +413,7 @@ def test_sweep_holds_one_block_of_signals_at_a_time(surrogate_atoms):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = 8 * SWEEP_BLOCK * (m + 2 * n)
+    block = 8 * SYNTH_BLOCK * (m + 2 * n)
     assert peak <= 3 * block < 8 * num_test * m
 
 

@@ -33,7 +33,6 @@ from deepmp.network import (
     load_model,
     loss_and_gradient,
     save_model,
-    teacher_replay,
     teacher_walk,
 )
 from deepmp.optim import adabound_step, init_adabound
@@ -419,7 +418,7 @@ def test_loss_and_gradient_is_the_head_of_the_replay(table_dictionary):
         table_dictionary, MixtureConfig(sparsity=3, num_samples=32, seed=4))
     targets = build_training_batch(model, samples.signals, samples.supports)
     loss, grads = loss_and_gradient(model, samples.signals, targets)
-    stack, live = teacher_replay(model, samples.signals, targets)
+    _, stack, live = teacher_walk(model, samples.signals, targets=targets)
     assert stack.shape == (3, 32, table_dictionary.signal_dim)
     assert live.shape == (3, 32)
     head_loss, gradient = cross_entropy_head(model.selection_weights, stack,
@@ -595,7 +594,7 @@ def test_large_scores_match_per_layer_oracle(seed, depth, signal_dim,
     signals = samples.signals / np.linalg.norm(samples.signals, axis=1,
                                                keepdims=True)
     targets = build_training_batch(model, signals, samples.supports)
-    stack, _ = teacher_replay(model, signals, targets)
+    _, stack, _ = teacher_walk(model, signals, targets=targets)
     limit = -np.log(np.finfo(np.float64).tiny) - np.log(
         d.num_atoms * batch_size)
 
@@ -641,7 +640,8 @@ def test_float32_head_matches_float64_head_on_the_same_values(
     signals = samples.signals / np.linalg.norm(samples.signals, axis=1,
                                                keepdims=True)
     targets = build_training_batch(model, signals, samples.supports)
-    stack, live = teacher_replay(model, signals, targets, np.float32)
+    _, stack, live = teacher_walk(model, signals, targets=targets,
+                                  dtype=np.float32)
     assert stack.dtype == np.float32
     limit = -np.log(np.finfo(np.float32).tiny) - np.log(
         d.num_atoms * batch_size)

@@ -33,3 +33,27 @@ def test_identical_trees_do_not_differ(tmp_path):
     assert same_outputs.differing(str(tmp_path / "left"),
                                   str(tmp_path / "right")) == []
     assert same_outputs.files(str(tmp_path / "left")) == {"a.csv", "sub/b.bin"}
+
+
+def test_differing_outputs_names_changed_and_one_sided_outputs():
+    left = {"op 3 weights": "ab", "op 3 epoch 0": "0x1p+0 0x1p-1",
+            "only left": "x"}
+    right = {"op 3 weights": "ab", "op 3 epoch 0": "0x1p+0 0x1.8p-1",
+             "only right": "y"}
+    assert same_outputs.differing_outputs(left, right) == [
+        "only left", "only right", "op 3 epoch 0"]
+    assert same_outputs.differing_outputs(left, dict(left)) == []
+
+
+def test_training_outputs_name_each_runs_weights_and_log_rows():
+    # the working tree's package at train-synth's recipe and the surrogate's
+    outputs = same_outputs.training_outputs(same_outputs.ROOT, 41)
+    runs = [f"train-synth op {i}" for i in (3, 17, 101)] + ["surrogate k=5"]
+    assert sorted(outputs) == sorted(
+        f"{run} {what}" for run in runs
+        for what in ("weights", "epoch 0", "epoch 1"))
+    for name, value in outputs.items():
+        if name.endswith("weights"):
+            assert len(value) == 40 and int(value, 16) >= 0
+        else:
+            assert all(float.fromhex(v) >= 0 for v in value.split())
