@@ -8,9 +8,10 @@ Exports REF with ``git archive`` into a temporary directory, as
 config of ``perfbench/workloads.py`` (the 503x600 Lorentzian surrogate), the
 config's sparsity levels (k = 1..5) and the same seed and scale. Then every
 file of the two run directories is compared byte for byte, except the
-manifests (``manifest_*``), which hold the run directory and timings. Prints
-each file that differs or that only one side wrote, and exits 1 if there is
-any, else 0.
+manifests (``manifest_*``). Those are compared as parsed JSON without the
+fields that vary from run to run (:data:`VARYING`): timings, peak RSS and the
+run directory. Prints each file or manifest that differs or that only one
+side wrote, and exits 1 if there is any, else 0.
 
 The check also compares ``train_model`` at library level, in a subprocess
 on each side's package: at train-synth's recipe from
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -43,6 +45,9 @@ from perfbench.workloads import CliSurrogate  # noqa: E402
 #: one BLAS thread, whichever library numpy loads
 ONE_THREAD = {name: "1" for name in
               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+#: manifest fields, as dotted paths, that differ between runs of one program
+VARYING = ("wall_seconds", "peak_rss_kib", "solver_seconds", "config.out_dir")
 
 #: run as ``python -c`` in a checkout, whose ``perfbench`` and package it
 #: imports, with the seed as its argument; prints ``name: value`` lines
@@ -97,11 +102,12 @@ def training_outputs(checkout: str, seed: int) -> dict[str, str]:
     return dict(line.split(": ", 1) for line in lines)
 
 
-def files(top: str) -> set[str]:
-    """Paths of the files below ``top``, relative to it, manifests left out."""
+def files(top: str, manifests: bool = False) -> set[str]:
+    """Paths of the files below ``top``, relative to it: the manifests
+    (``manifest_*``) if ``manifests``, else every other file."""
     return {os.path.relpath(os.path.join(path, name), top)
             for path, _, names in os.walk(top) for name in names
-            if not name.startswith("manifest_")}
+            if name.startswith("manifest_") == manifests}
 
 
 def differing(left: str, right: str) -> list[str]:
@@ -112,6 +118,29 @@ def differing(left: str, right: str) -> list[str]:
         rel for rel in both
         if not filecmp.cmp(os.path.join(left, rel), os.path.join(right, rel),
                            shallow=False)})
+
+
+def stable_fields(path: str) -> dict:
+    """A manifest's parsed JSON without its :data:`VARYING` fields."""
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    for field in VARYING:
+        *parents, name = field.split(".")
+        node = manifest
+        for parent in parents:
+            node = node.get(parent, {})
+        node.pop(name, None)
+    return manifest
+
+
+def differing_manifests(left: str, right: str) -> list[str]:
+    """Sorted relative paths of manifests whose :func:`stable_fields` differ
+    or that exist on one side only."""
+    ours, theirs = files(left, manifests=True), files(right, manifests=True)
+    return sorted((ours ^ theirs) | {
+        rel for rel in ours & theirs
+        if stable_fields(os.path.join(left, rel))
+        != stable_fields(os.path.join(right, rel))})
 
 
 def differing_outputs(left: dict[str, str], right: dict[str, str]) -> list[str]:
@@ -140,17 +169,21 @@ def main(argv=None) -> int:
         run_steps(ROOT, runs["work"], config, args)
         compared = len(files(runs["ref"]) | files(runs["work"]))
         differ = differing(runs["ref"], runs["work"])
+        manifests = (files(runs["ref"], manifests=True)
+                     | files(runs["work"], manifests=True))
+        differ_manifests = differing_manifests(runs["ref"], runs["work"])
         trained = [training_outputs(path, args.seed) for path in (checkout, ROOT)]
     differ_trained = differing_outputs(*trained)
-    for rel in differ:
+    for rel in differ + differ_manifests:
         print(f"differs: {rel}")
     for name in differ_trained:
         print(f"differs: train_model {name}")
     print(f"ref {args.ref} ({commit}), seed {args.seed}, scale {args.scale:g}: "
-          f"{len(differ)} of {compared} non-manifest files and "
+          f"{len(differ)} of {compared} non-manifest files, "
+          f"{len(differ_manifests)} of {len(manifests)} manifests and "
           f"{len(differ_trained)} of {len(trained[0].keys() | trained[1].keys())} "
           f"train_model outputs differ")
-    return 1 if differ or differ_trained else 0
+    return 1 if differ or differ_manifests or differ_trained else 0
 
 
 if __name__ == "__main__":

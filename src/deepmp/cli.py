@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
-import json
 import os
 import platform
 import resource
@@ -30,6 +29,7 @@ from .errors import MissingModel, NumericalError
 from .seeding import DICT_STREAM, child_seed
 from .solvers import ProjectionMode
 from .types import READ_BYTES, Dictionary, load_dictionary_csv, save_dictionary_csv
+from .types import write_csv, write_json
 
 
 def blob_hash(path) -> str:
@@ -86,9 +86,7 @@ def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs,
         **extra,
     }
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
 
 
 def _dictionary_path(config: RunConfig) -> str:
@@ -137,9 +135,7 @@ def cmd_gen_dict(config: RunConfig, args, started: float) -> None:
     csv_path = _dictionary_path(config)
     save_dictionary_csv(dictionary, csv_path)
     meta_path = os.path.join(config.out_dir, "dictionary.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, meta)
     inputs = [config.raman_path] if config.source == "raman" else []
     _write_manifest(config.out_dir, "gen-dict", config, inputs,
                     [csv_path, meta_path], started)
@@ -178,7 +174,8 @@ def cmd_train(config: RunConfig, args, started: float) -> None:
         # released before the next depth trains beside it
         del model
         log_path = os.path.join(config.out_dir, f"train_log_k{k}.csv")
-        training.write_train_log(rows, log_path)
+        write_csv(log_path, ([row.epoch, row.mean_loss, row.val_recovery]
+                             for row in rows), "epoch,mean_loss,val_recovery")
         outputs.extend([model_path, log_path])
         last = rows[-1].mean_loss if rows else float("nan")
         print(f"trained depth-{k} model ({config.resolved_epochs} epochs, "
@@ -197,7 +194,7 @@ def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
                  for layer, weights in enumerate(matrices)}
     paths = [os.path.join(config.out_dir, name) for name in named]
     for path, matrix in zip(paths, named.values()):
-        metrics.write_ecdf_csv(metrics.coherence_ecdf(matrix), path)
+        write_csv(path, metrics.coherence_ecdf(matrix), "t,fraction")
     return paths
 
 

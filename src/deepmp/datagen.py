@@ -17,7 +17,6 @@ recording dimensions, sparsity, seed, sample count, and the coefficient law.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass
@@ -38,6 +37,8 @@ from .types import (
     Sample,
     read_csv_matrix,
     validate_dictionary,
+    write_csv,
+    write_json,
 )
 
 log = logging.getLogger(__name__)
@@ -230,31 +231,29 @@ def write_dataset(shards, directory, *, dictionary: Dictionary, sparsity: int,
     count = 0
     for index, shard in enumerate(shards):
         path = os.path.join(directory, f"shard_{index:05d}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            # the signals of one block of rows at a time, in the blocks
-            # Mixtures.signals would synthesise, and one row's as Python
-            # floats, which take 4 times its array's size
-            for rows in row_blocks(len(shard)):
-                supports, coeffs = shard.supports[rows], shard.coeffs[rows]
-                for signal, support, weights in zip(
-                        synthesize(shard.atoms, supports, coeffs),
-                        supports.tolist(), coeffs.tolist()):
-                    cells = [f"{i}:{c!r}" for i, c in zip(support, weights)]
-                    cells.extend(repr(v) for v in signal.tolist())
-                    fh.write(",".join(cells))
-                    fh.write("\n")
+        write_csv(path, _shard_rows(shard))
         paths.append(path)
         count += len(shard)
-    sidecar = {
+    path = os.path.join(directory, "dataset.json")
+    write_json(path, {
         "signal_dim": dictionary.signal_dim,
         "num_atoms": dictionary.num_atoms,
         "k": sparsity,
         "seed": seed,
         "num_samples": count,
         "coefficient_law": COEFFICIENT_LAW,
-    }
-    path = os.path.join(directory, "dataset.json")
-    with open(path, "w", encoding="utf-8") as meta:
-        json.dump(sidecar, meta, indent=2, sort_keys=True)
-        meta.write("\n")
+    })
     return paths + [path]
+
+
+def _shard_rows(shard: Mixtures):
+    """Each mixture's CSV row: its k ``index:coefficient`` cells, then its
+    signal values, synthesised one :func:`row_blocks` block at a time as
+    ``Mixtures.signals`` would. One row at a time is held as Python floats,
+    which take 4 times its array's size."""
+    for rows in row_blocks(len(shard)):
+        supports, coeffs = shard.supports[rows], shard.coeffs[rows]
+        for signal, support, weights in zip(
+                synthesize(shard.atoms, supports, coeffs),
+                supports.tolist(), coeffs.tolist()):
+            yield [f"{i}:{c}" for i, c in zip(support, weights)] + signal.tolist()

@@ -21,7 +21,6 @@ no block a lone row, whose matrix-vector product rounds apart most often.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -47,7 +46,7 @@ from .solvers import (
 )
 from .solvers import nnmp_solve  # unused here; perfbench/tracing.py wraps it here
 from .solvers import nnomp_solve  # unused here; perfbench/tracing.py wraps it here
-from .types import Dictionary
+from .types import Dictionary, write_csv, write_json
 
 #: default ECDF grid resolution over [0, 1]
 ECDF_GRID_POINTS = 200
@@ -270,18 +269,14 @@ def run_sweep(dictionary: Dictionary, solvers, k_range, num_test: int,
 
 
 def write_metrics_csv(reports: Mapping[str, MetricsReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("solver,k,recovery,epsilon\n")
-        for label in sorted(reports):
-            report = reports[label]
-            for k in sorted(report.recovery):
-                fh.write(
-                    f"{label},{k},{report.recovery[k]!r},{report.epsilon[k]!r}\n"
-                )
+    write_csv(path, ([label, k, report.recovery[k], report.epsilon[k]]
+                     for label, report in sorted(reports.items())
+                     for k in sorted(report.recovery)),
+              "solver,k,recovery,epsilon")
 
 
 def write_metrics_json(reports: Mapping[str, MetricsReport], path) -> None:
-    payload = {
+    write_json(path, {
         label: {
             "solver": rep.solver,
             "num_test": rep.num_test,
@@ -289,14 +284,4 @@ def write_metrics_json(reports: Mapping[str, MetricsReport], path) -> None:
             "epsilon": {str(k): v for k, v in sorted(rep.epsilon.items())},
         }
         for label, rep in reports.items()
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_ecdf_csv(points, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,fraction\n")
-        for t, fraction in points:
-            fh.write(f"{t!r},{fraction!r}\n")
+    })

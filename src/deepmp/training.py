@@ -196,9 +196,3 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     return UnfoldedModel(selection_weights=best_weights,
                          update_dict=dictionary, proj=proj), log_rows
 
-
-def write_train_log(rows: list[TrainLogRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_loss,val_recovery\n")
-        for row in rows:
-            fh.write(f"{row.epoch},{row.mean_loss!r},{row.val_recovery!r}\n")

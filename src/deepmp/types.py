@@ -17,6 +17,7 @@ of ``signal_dim`` = M rows and ``num_atoms`` = N atoms.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,16 +96,37 @@ def _own_dictionary(a: np.ndarray) -> Dictionary:
     norms = np.sqrt(np.einsum("mn,mn->n", a, a))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
-        raise NotNormalized(f"column {bad[0]} has norm {norms[bad[0]]!r}")
+        raise NotNormalized(f"column {bad[0]} has norm {float(norms[bad[0]])}")
     a.flags.writeable = False
     return Dictionary(a)
 
 
-# -- CSV serialization --------------------------------------------------------
+# -- CSV and JSON serialization ---------------------------------------------
 #
-# One row per signal dimension, comma-separated columns are atoms. An optional
-# first header line is ignored when it fails numeric parse. Values are written
-# with shortest round-trip formatting, so save/load is bit-exact.
+# Every CSV and JSON artifact is written by write_csv or write_json. A CSV is
+# UTF-8 text, one "\n"-ended line per row, its cells joined by commas as str
+# gives them: a Python float's str is its shortest round-trip text, so a
+# matrix written as floats reads back bit-exact. JSON is UTF-8, indented by 2,
+# with sorted keys and a final newline. A dictionary CSV has one row per
+# signal dimension, comma-separated columns are atoms. An optional first
+# header line is ignored when it fails numeric parse.
+
+
+def write_csv(path, rows, header=None) -> None:
+    """Write each row of ``rows`` as one line of its cells' ``str``, joined
+    by commas, after ``header`` as the first line when it is given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON indented by 2, keys sorted, newline-ended."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -156,10 +178,8 @@ def _is_float(cell: str) -> bool:
 
 
 def save_dictionary_csv(dictionary: Dictionary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in dictionary.atoms:
-            fh.write(",".join(repr(v) for v in row.tolist()))
-            fh.write("\n")
+    # one row's Python floats at a time
+    write_csv(path, (row.tolist() for row in dictionary.atoms))
 
 
 def load_dictionary_csv(path) -> Dictionary:

@@ -885,6 +885,16 @@ def test_cli_ecdf_of_a_model_of_zero_dimensions_exits_2(tmp_path, capsys):
     assert str(model) in errors[0]
 
 
+@pytest.mark.parametrize("cell", ["0.0", "nan"])
+def test_cli_ecdf_of_an_unnormalized_column_names_its_norm(tmp_path, capsys,
+                                                          cell):
+    matrix = tmp_path / "dictionary.csv"
+    matrix.write_text(f"{cell},1.0,0.0\n0.0,0.0,1.0\n")
+    assert run_cli(["--out", tmp_path / "run", "ecdf", matrix]) == 2
+    assert cli_error_lines(capsys) == [
+        f"error: NotNormalized: column 0 has norm {float(cell)}"]
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "ecdf",
                                      "config"])
 def test_cli_input_that_is_not_utf8_exits_2(tmp_path, capsys, command):

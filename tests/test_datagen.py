@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deepmp import datagen
+from deepmp import types
 from deepmp.datagen import (
     SYNTH_BLOCK,
     MixtureConfig,
@@ -221,7 +221,7 @@ def test_mixture_draw_holds_no_signals():
 def test_write_dataset_holds_one_block_of_signals(tmp_path, monkeypatch):
     # one full-size shard at the surrogate width: its signal stack alone is
     # 8192 x 503 floats, 33 MB. The file stops the write at the first row of
-    # the third block, since writing every value's repr would take seconds.
+    # the third block, since writing every value's text would take seconds.
     d = generate_raman_surrogate(503, 600, 5, seed=3)
     shard = sample_mixture(d, MixtureConfig(sparsity=5, num_samples=8192,
                                             seed=5))
@@ -243,7 +243,7 @@ def test_write_dataset_holds_one_block_of_signals(tmp_path, monkeypatch):
             if self.lines > 2 * SYNTH_BLOCK:
                 raise Written
 
-    monkeypatch.setattr(datagen, "open", lambda *args, **kwargs: File(),
+    monkeypatch.setattr(types, "open", lambda *args, **kwargs: File(),
                         raising=False)
     tracemalloc.start()
     try:

@@ -32,13 +32,12 @@ from deepmp.metrics import (
     pairwise_coherences,
     row_recovery,
     run_sweep,
-    write_ecdf_csv,
     write_metrics_csv,
     write_metrics_json,
 )
 from deepmp.network import init_from_dictionary
 from deepmp.seeding import TEST_STREAM, child_seed
-from deepmp.types import validate_dictionary
+from deepmp.types import validate_dictionary, write_csv
 
 from conftest import random_unit_dictionary
 
@@ -446,7 +445,7 @@ def test_report_files_written(tmp_path, small_dictionary):
     ecdf = tmp_path / "ecdf.csv"
     write_metrics_csv(reports, csv)
     write_metrics_json(reports, js)
-    write_ecdf_csv(coherence_ecdf(small_dictionary.atoms), ecdf)
+    write_csv(ecdf, coherence_ecdf(small_dictionary.atoms), "t,fraction")
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "solver,k,recovery,epsilon"
     assert len(lines) == 1 + 2 * 2  # header + |solvers| * |k_range|

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_outputs.py"
@@ -57,3 +58,34 @@ def test_training_outputs_name_each_runs_weights_and_log_rows():
             assert len(value) == 40 and int(value, 16) >= 0
         else:
             assert all(float.fromhex(v) >= 0 for v in value.split())
+
+
+def manifest(out_dir, model_hash="ab12", wall=1.5, rss=40000, solver=0.25):
+    return json.dumps({
+        "command": "eval",
+        "config": {"out_dir": out_dir, "seed": 41},
+        "outputs": {"metrics.csv": "c0ffee", "models/model_k3.dmp": model_hash},
+        "wall_seconds": wall, "peak_rss_kib": rss,
+        "solver_seconds": {"nnmp": {"3": solver}},
+        "versions": {"numpy": "2.4.6"},
+    }).encode()
+
+
+def test_manifests_that_differ_only_in_varying_fields_compare_equal(tmp_path):
+    left, right = tmp_path / "left", tmp_path / "right"
+    write(left, {"manifest_eval.json": manifest("left")})
+    write(right, {"manifest_eval.json": manifest("right", wall=9.0, rss=1,
+                                                 solver=3.0)})
+    assert same_outputs.files(str(left), manifests=True) == {"manifest_eval.json"}
+    assert same_outputs.differing_manifests(str(left), str(right)) == []
+
+
+def test_manifests_that_differ_in_an_output_hash_or_one_sided_are_reported(
+        tmp_path):
+    left, right = tmp_path / "left", tmp_path / "right"
+    write(left, {"manifest_eval.json": manifest("left"),
+                 "manifest_train.json": manifest("left")})
+    write(right, {"manifest_eval.json": manifest("right", model_hash="cd34"),
+                  "metrics.csv": b"solver,k\n"})
+    assert same_outputs.differing_manifests(str(left), str(right)) == [
+        "manifest_eval.json", "manifest_train.json"]

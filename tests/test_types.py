@@ -2,8 +2,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from deepmp.datagen import synthesize
 from deepmp.errors import (
@@ -18,6 +19,7 @@ from deepmp.types import (
     read_csv_matrix,
     save_dictionary_csv,
     validate_dictionary,
+    write_csv,
 )
 
 
@@ -49,6 +51,16 @@ def test_validate_rejects_unnormalized_column():
     atoms[:, 2] *= 1.001
     with pytest.raises(NotNormalized):
         validate_dictionary(atoms)
+
+
+@pytest.mark.parametrize("norm", [0.0, np.nan])
+def test_unnormalized_column_message_reads_the_norm_as_a_float(norm):
+    # numpy 2 reprs its scalars as "np.float64(0.0)"
+    atoms = unit_2x3()
+    atoms[:, 0] = [norm, 0.0]
+    with pytest.raises(NotNormalized) as caught:
+        validate_dictionary(atoms)
+    assert str(caught.value) == f"column 0 has norm {norm}"
 
 
 def test_validated_atoms_are_frozen():
@@ -113,6 +125,23 @@ def test_csv_round_trip_is_exact(tmp_path, small_dictionary):
     save_dictionary_csv(small_dictionary, path)
     loaded = load_dictionary_csv(path)
     assert np.array_equal(loaded.atoms, small_dictionary.atoms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[-0.0, 5e-324, -5e-324, 2.2250738585072009e-308],
+                   [1.7976931348623157e308, -1.7976931348623157e308,
+                    2.2250738585072014e-308, 0.1]]))
+def test_write_csv_round_trips_any_finite_matrix_bit_for_bit(tmp_path_factory,
+                                                             matrix):
+    path = tmp_path_factory.getbasetemp() / "matrix.csv"
+    # rows of Python floats, as the writers pass them, and of numpy scalars
+    for rows in (matrix.tolist(), matrix):
+        write_csv(path, rows)
+        read = read_csv_matrix(path)
+        assert read.shape == matrix.shape
+        assert np.array_equal(read.view(np.uint64), matrix.view(np.uint64))
 
 
 def test_csv_header_line_is_ignored(tmp_path):
