@@ -13,8 +13,10 @@ interquartile range), whether the working tree's median is worse than REF's
 by more than the metric's ``BENCHMARK.json`` bound (a share of REF's median),
 each side's share of failed operations per pair and over all pairs, and REF's
 commit and tree hashes. Each pair also shows, per workload, the raw
-``op_wall_s_min`` and the median speed-probe sample from each run's record
-file, so a move in ``op_cost_ref`` can be told apart from a move in the probe.
+``op_wall_s_min`` and ``op_wall_s_p50`` and the median speed-probe sample
+from each run's record file, so a move in ``op_cost_ref`` can be told apart
+from a move in the probe. The summary takes these raw numbers across pairs
+too, lower counted better.
 
 Usage (from anywhere inside the repository):
   python3 scripts/bench_pairs.py --ref HEAD --workload train-synth \\
@@ -70,16 +72,18 @@ def run_bench(checkout: str, args) -> dict:
 
 
 def read_raw(checkout: str, lines: list[str]) -> dict:
-    """Per workload, the raw ``op_wall_s_min`` and the median speed-probe
-    sample (both in seconds) of the record that run.py names on its
-    ``record:`` line, a path relative to ``checkout``. ``op_cost_ref`` is an
-    operation's wall divided by the probes around it, so these two tell
+    """Per workload, the raw ``op_wall_s_min`` and ``op_wall_s_p50`` and the
+    median speed-probe sample (all in seconds) of the record that run.py
+    names on its ``record:`` line, a path relative to ``checkout``.
+    ``op_cost_ref`` is an operation's wall divided by the probes around it,
+    so the walls and the probe tell
     whether it moved with the operation or with the probe."""
     path = next(line.split(":", 1)[1].strip() for line in reversed(lines)
                 if line.startswith("record:"))
     with open(os.path.join(checkout, path), encoding="utf-8") as fh:
         record = json.load(fh)
-    return {name: {"op_wall_s_min": part["metrics"]["op_wall_s_min"]["value"],
+    return {name: {**{key: part["metrics"][key]["value"]
+                       for key in ("op_wall_s_min", "op_wall_s_p50")},
                    "probe_s_p50": statistics.median(part["probe_s"])}
             for name, part in record["workloads"].items()}
 
@@ -155,6 +159,9 @@ def main(argv=None) -> int:
         end_to_end = json.load(fh)["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bound = {m["name"]: m["bound"] for m in end_to_end}
+    # the raw numbers of read_raw, as "<workload>/raw <key>"; all in seconds
+    better.update({f"raw {key}": "lower"
+                   for key in ("op_wall_s_min", "op_wall_s_p50", "probe_s_p50")})
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -183,7 +190,11 @@ def main(argv=None) -> int:
     print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s, "
           f"{args.pairs} pairs; quartiles are 25% / median / 75%")
     verdicts = {True: "REGRESSED", False: "within bound", None: "no bound"}
-    pairs = [{side: run[side]["metrics"] for side in SIDES} for run in runs]
+    pairs = [{side: {**run[side]["metrics"],
+                     **{f"{workload}/raw {key}": value
+                        for workload, raw in run[side]["raw"].items()
+                        for key, value in raw.items()}}
+              for side in SIDES} for run in runs]
     for name, s in summarise(pairs, better, bound).items():
         ref, work = (" / ".join(f"{v:.6g}" for v in s[side]) for side in SIDES)
         print(f"{name:36s} ref {ref}  work {work}  work wins "

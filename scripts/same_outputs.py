@@ -4,9 +4,11 @@
 Exports REF with ``git archive`` into a temporary directory, as
 ``scripts/bench_pairs.py`` does, and runs ``deepmp gen-dict``, ``gen-data``,
 ``train`` and ``eval`` there and in the working tree, each side on its own
-``src`` with one BLAS thread. Both sides use the cli-surrogate steps and
-config of ``perfbench/workloads.py`` (the 503x600 Lorentzian surrogate), the
-config's sparsity levels (k = 1..5) and the same seed and scale. Then every
+``src`` with one BLAS thread. Both sides run the steps on two configs
+(:func:`run_configs`), at their sparsity levels (k = 1..5) and the same seed
+and scale: the cli-surrogate config of ``perfbench/workloads.py`` (the
+503x600 Lorentzian surrogate) and the CLI's defaults (the synthetic 30x200
+dictionary, whose training walks 6 batches at a time). Then every
 file of the two run directories is compared byte for byte, except the
 manifests (``manifest_*``). Those are compared as parsed JSON without the
 fields that vary from run to run (:data:`VARYING`): timings, peak RSS and the
@@ -87,12 +89,19 @@ def run_in(checkout: str, what: str, *args: str) -> str:
     return proc.stdout
 
 
-def run_steps(checkout: str, out: str, config: str, args) -> None:
-    """The CLI's four steps with ``checkout``'s package, into ``out``."""
-    for step in CliSurrogate.STEPS:
-        run_in(checkout, step, "-m", "deepmp.cli", "--config", config,
-               "--seed", str(args.seed), "--scale", str(args.scale),
-               "--out", out, step)
+def run_configs(checkout: str, out: str, seed: int, scale: float) -> None:
+    """The CLI's four steps with ``checkout``'s package, into ``out/surrogate``
+    on the cli-surrogate config and ``out/synthetic`` on the defaults (an
+    empty config file)."""
+    os.makedirs(out)
+    for name, text in (("surrogate", CliSurrogate.CONFIG), ("synthetic", "")):
+        config = os.path.join(out, f"{name}.ini")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for step in CliSurrogate.STEPS:
+            run_in(checkout, step, "-m", "deepmp.cli", "--config", config,
+                   "--seed", str(seed), "--scale", str(scale),
+                   "--out", os.path.join(out, name), step)
 
 
 def training_outputs(checkout: str, seed: int) -> dict[str, str]:
@@ -161,12 +170,9 @@ def main(argv=None) -> int:
         checkout = os.path.join(tmp, "ref")
         os.makedirs(checkout)
         export(commit, checkout)
-        config = os.path.join(tmp, "surrogate.ini")
-        with open(config, "w", encoding="utf-8") as fh:
-            fh.write(CliSurrogate.CONFIG)
         runs = {side: os.path.join(tmp, f"run_{side}") for side in ("ref", "work")}
-        run_steps(checkout, runs["ref"], config, args)
-        run_steps(ROOT, runs["work"], config, args)
+        run_configs(checkout, runs["ref"], args.seed, args.scale)
+        run_configs(ROOT, runs["work"], args.seed, args.scale)
         compared = len(files(runs["ref"]) | files(runs["work"]))
         differ = differing(runs["ref"], runs["work"])
         manifests = (files(runs["ref"], manifests=True)

@@ -210,6 +210,9 @@ def cmd_eval(config: RunConfig, args, started: float) -> None:
         "nnmp": metrics.nnmp_runner(dictionary, proj),
         "nnomp": metrics.nnomp_runner(dictionary),
     }
+    deepest = max(config.k_range)
+    # the deepest model's stack, kept from its level for its ECDFs
+    deepest_weights: list[np.ndarray] = []
 
     def level_solvers(k: int) -> dict:
         # each model is loaded and checked when its level runs, and the
@@ -226,6 +229,8 @@ def cmd_eval(config: RunConfig, args, started: float) -> None:
                               f"config has {proj.value!r}")
         # bit-equal, so the model shares the one copy
         model.update_dict = dictionary
+        if k == deepest:
+            deepest_weights[:] = [model.selection_weights]
         return {**baselines, "deepmp": metrics.deepmp_runner({k: model})}
 
     reports = metrics.run_sweep(
@@ -238,10 +243,8 @@ def cmd_eval(config: RunConfig, args, started: float) -> None:
     metrics.write_metrics_json(reports, metrics_json)
     outputs.extend([metrics_csv, metrics_json])
     outputs.extend(_write_ecdfs(config, "dictionary", dictionary.atoms))
-    deepest = max(config.k_range)
-    outputs.extend(_write_ecdfs(
-        config, f"model_k{deepest}",
-        network.load_model(_model_path(config, deepest)).selection_weights))
+    outputs.extend(_write_ecdfs(config, f"model_k{deepest}",
+                                *deepest_weights))
     inputs = [csv_path] + [_model_path(config, k) for k in config.k_range]
     # timings vary between runs, so they go here and not in the metrics files
     solver_seconds = {

@@ -200,7 +200,9 @@ def teacher_walk(model: UnfoldedModel, signals: np.ndarray, *,
         used = np.zeros(supports.shape, dtype=bool)
         corr = np.empty(supports.shape)
         rows = np.arange(len(supports))
+    # a caller's temporary signals go with the first update
     residuals = signals
+    del signals
     for k in range(model.depth):
         if k:
             _, residuals = residual_step(atoms, residuals, targets[:, k - 1],

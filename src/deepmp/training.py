@@ -4,13 +4,18 @@ Training mixtures come from shards seeded from the master seed, so
 identical seeds reproduce identical batches (and therefore bit-identical
 models). Each shard is drawn once per training run. Training keeps each
 mixture's support and coefficients and the (N, k) teacher targets: O(N k)
-numbers for N mixtures at sparsity k, whatever the signal dimension. Every
-training batch and every validation batch synthesises its own signals with
-:func:`~deepmp.datagen.synthesize`, equal to the sampled signals bit for
-bit. A batch walks its rows along the teacher path (``teacher_walk``) and
-scores the walk's residual stack with ``cross_entropy_head``. No pass runs
-before the first epoch: epoch 0's walks pick each row's targets from its
-support and store them, and later epochs' walks follow the stored targets.
+numbers for N mixtures at sparsity k, whatever the signal dimension.
+Training synthesises its signals and walks the teacher path
+(``teacher_walk``) one walk block at a time: ``num_atoms // signal_dim``
+whole batches (at least one) of a shard's shuffled order, so every batch
+holds the rows it would alone. Each batch scores its slice of the block's
+residual stack with ``cross_entropy_head``. Neither the signals, equal to
+the sampled ones bit for bit (:func:`~deepmp.datagen.synthesize`), nor the
+walk depends on the weights, and rows are independent in both, so a block
+gives every batch the bits its own walk would. No pass runs before the
+first epoch: epoch 0's walks pick each row's targets from its support and
+store them, and later epochs' walks follow the stored targets. Every
+validation batch synthesises its own signals.
 The AdaBound step forms its gradient one group of whole blocks at a time and
 updates each group before the next is formed, so a step never holds the
 whole gradient stack.
@@ -100,7 +105,11 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
 
     The first ``1 - val_fraction`` of the sample stream is training data,
     the rest validation; the stream is drawn, and each epoch shuffled, one
-    ``SHARD_SIZE`` shard at a time. The returned model is the validation-best
+    ``SHARD_SIZE`` shard at a time. A shard's shuffled order is cut into
+    walk blocks of ``num_atoms // signal_dim`` batches (at least one), the
+    last of them ragged; a block's signals are synthesised and its rows
+    walked once, and each of its batches then takes one gradient step on
+    its slice of the walk. The returned model is the validation-best
     of the dictionary initialization and the weights after each epoch; ties
     go to the earlier candidate, so a trained model never scores below its
     NNMP start on the held-out split. With no validation samples the last
@@ -144,6 +153,9 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
                                          batch_size)
     best_weights: np.ndarray | None = None
 
+    # a walk block of N // M whole batches holds a float32 (K, rows, M)
+    # stack no larger than one batch's (K, N, B) score stack
+    walk_rows = batch_size * max(1, dictionary.num_atoms // dictionary.signal_dim)
     state = init_adabound(model.selection_weights, hyper, dtype=np.float32)
     log_rows: list[TrainLogRow] = []
     for epoch in range(epochs):
@@ -152,29 +164,32 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
             shuffle = np.random.default_rng(
                 child_seed(seed, SHUFFLE_STREAM, depth, epoch, i))
             order = base + shuffle.permutation(min(SHARD_SIZE, num_train - base))
-            for lo in range(0, len(order), batch_size):
-                idx = order[lo:lo + batch_size]
-                # epoch 0 picks the rows' targets, later epochs follow them;
-                # the signals are released when the walk returns
-                batch, stack, live = teacher_walk(
-                    model, synthesize(atoms, supports[idx], coeffs[idx]),
-                    supports=None if epoch else supports[idx],
-                    targets=targets[idx] if epoch else None, dtype=np.float32)
+            for lo in range(0, len(order), walk_rows):
+                block = order[lo:lo + walk_rows]
+                # epoch 0 picks the block's targets, later epochs follow
+                # them; the walk's first update releases the signals
+                block_targets, stack, live = teacher_walk(
+                    model, synthesize(atoms, supports[block], coeffs[block]),
+                    supports=None if epoch else supports[block],
+                    targets=targets[block] if epoch else None, dtype=np.float32)
                 if not epoch:
-                    targets[idx] = batch
-                loss, gradient = cross_entropy_head(
-                    model.selection_weights, stack, live, batch)
-                # the head owns the stack now; the next walk allocates its own
+                    targets[block] = block_targets
+                for b in range(0, len(block), batch_size):
+                    s = slice(b, b + batch_size)
+                    batch = block_targets[s]
+                    loss, gradient = cross_entropy_head(
+                        model.selection_weights, stack[:, s], live[:, s], batch)
+                    if not np.isfinite(loss):
+                        raise NonFiniteLoss(
+                            f"non-finite loss at epoch {epoch}, shard {i}"
+                        )
+                    adabound_step(state, model.selection_weights, gradient)
+                    # the scores it holds are released before the next batch
+                    # builds its own
+                    del gradient
+                    loss_total += loss * len(batch)
+                # released before the next block walks
                 del stack, live
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(
-                        f"non-finite loss at epoch {epoch}, shard {i}"
-                    )
-                adabound_step(state, model.selection_weights, gradient)
-                # the scores and residuals it holds are released before the
-                # next batch builds its own
-                del gradient
-                loss_total += loss * len(idx)
         val_recovery = _validation_recovery(model, val_supports, val_coeffs,
                                             batch_size)
         log_rows.append(TrainLogRow(

@@ -90,7 +90,8 @@ def test_run_bench_keeps_each_runs_failed_and_attempted(tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text(
         "import json\nprint('progress')\n"
         "json.dump({'workloads': {'w': {'probe_s': [0.003, 0.001, 0.002],\n"
-        "    'metrics': {'op_wall_s_min': {'value': 0.25}}}}},\n"
+        "    'metrics': {'op_wall_s_min': {'value': 0.25},\n"
+        "                'op_wall_s_p50': {'value': 0.5}}}}},\n"
         "    open('perfbench/record.json', 'w'))\n"
         "print('record: perfbench/record.json')\n"
         "print(json.dumps({'correct': False, 'attempted': 40, 'failed': 3,\n"
@@ -100,7 +101,8 @@ def test_run_bench_keeps_each_runs_failed_and_attempted(tmp_path):
     run = bench_pairs.run_bench(str(tmp_path), args)
     assert run == {"metrics": {"w/op_cost_ref": 2.5}, "failed": 3,
                    "attempted": 40,
-                   "raw": {"w": {"op_wall_s_min": 0.25, "probe_s_p50": 0.002}}}
+                   "raw": {"w": {"op_wall_s_min": 0.25, "op_wall_s_p50": 0.5,
+                                 "probe_s_p50": 0.002}}}
 
 
 def test_read_raw_takes_each_workloads_wall_and_median_probe(tmp_path):
@@ -109,6 +111,7 @@ def test_read_raw_takes_each_workloads_wall_and_median_probe(tmp_path):
     record = {"workloads": {
         name: {"probe_s": probes,
                "metrics": {"op_wall_s_min": {"value": wall},
+                           "op_wall_s_p50": {"value": 2 * wall},
                            "op_cost_ref": {"value": 1.0}}}
         for name, probes, wall in [("a", [0.004, 0.002, 0.003, 0.001], 0.5),
                                    ("b", [0.01], float("nan"))]}}
@@ -117,7 +120,8 @@ def test_read_raw_takes_each_workloads_wall_and_median_probe(tmp_path):
     lines = ["record: out/old.json", "a op_cost_ref 1.0",
              "record: out/rec.json", "{}"]
     raw = bench_pairs.read_raw(str(tmp_path), lines)
-    assert raw["a"] == {"op_wall_s_min": 0.5, "probe_s_p50": 0.0025}
+    assert raw["a"] == {"op_wall_s_min": 0.5, "op_wall_s_p50": 1.0,
+                        "probe_s_p50": 0.0025}
     assert raw["b"]["probe_s_p50"] == 0.01
     assert math.isnan(raw["b"]["op_wall_s_min"])
 

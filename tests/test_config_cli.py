@@ -395,25 +395,29 @@ def per_epoch_oracle(dictionary, depth, num_samples, *, epochs, batch_size,
                          proj=model.proj), rows
 
 
-@pytest.mark.parametrize("depth,batch_size,val_fraction,epochs,chunk", [
+@pytest.mark.parametrize("depth,batch_size,val_fraction,epochs,chunk,shard", [
     # validation starts inside shard 2 of 5
-    pytest.param(2, 32, 0.37, 3, optim.CHUNK, id="2-32-0.37-3"),
+    pytest.param(2, 32, 0.37, 3, optim.CHUNK, 64, id="2-32-0.37-3"),
     # 24 does not divide the 64-sample shard
-    pytest.param(3, 24, 0.37, 3, optim.CHUNK, id="3-24-0.37-3"),
+    pytest.param(3, 24, 0.37, 3, optim.CHUNK, 64, id="3-24-0.37-3"),
     # no held-out split: the last epoch is returned
-    pytest.param(3, 24, 0.0, 2, optim.CHUNK, id="3-24-0.0-2"),
+    pytest.param(3, 24, 0.0, 2, optim.CHUNK, 64, id="3-24-0.0-2"),
     # no training: the initialization is returned
-    pytest.param(2, 32, 0.37, 0, optim.CHUNK, id="2-32-0.37-0"),
+    pytest.param(2, 32, 0.37, 0, optim.CHUNK, 64, id="2-32-0.37-0"),
     # the step forms the gradient of one 10x50 block at a time, then two
     # blocks and one: more than one group, as on blocks larger than CHUNK
-    pytest.param(3, 24, 0.37, 3, 500, id="3-24-0.37-3-groups-of-1"),
-    pytest.param(3, 24, 0.37, 3, 1000, id="3-24-0.37-3-groups-of-2"),
+    pytest.param(3, 24, 0.37, 3, 500, 64, id="3-24-0.37-3-groups-of-1"),
+    pytest.param(3, 24, 0.37, 3, 1000, 64, id="3-24-0.37-3-groups-of-2"),
+    # a 10x50 walk block spans 5 batches, 120 rows: the 160 training rows
+    # of shard 0 walk as 120 and a ragged 40 that 24 does not divide, and
+    # shard 1's 80 rows as one ragged block
+    pytest.param(3, 24, 0.2, 3, optim.CHUNK, 160, id="3-24-0.2-3-walk-blocks"),
 ])
 def test_training_matches_per_epoch_oracle(monkeypatch, tmp_path,
                                            small_dictionary, depth,
                                            batch_size, val_fraction, epochs,
-                                           chunk):
-    monkeypatch.setattr(training, "SHARD_SIZE", 64)
+                                           chunk, shard):
+    monkeypatch.setattr(training, "SHARD_SIZE", shard)
     kwargs = dict(epochs=epochs, batch_size=batch_size, seed=13,
                   val_fraction=val_fraction)
     with mock.patch.object(optim, "CHUNK", chunk):
@@ -552,6 +556,30 @@ def test_training_keeps_float32_moments_beside_float64_weights():
     blocks = 2 * 4 * m * n
     head = 4 * depth * batch_size * (m + n)
     assert peak <= weights + moments + blocks + head + 2**20
+
+
+def test_training_walk_block_holds_no_more_than_one_score_stack():
+    # 20x200 walks 10 batches at a time: the 2700 training rows take two
+    # blocks of 1280 and a ragged 140. A block's float32 residual stack is
+    # no larger than one batch's score stack, so the peak is the recipe
+    # above with the head's two stacks the size of the score stack, beside
+    # every mixture's support and coefficients and the training targets
+    d = generate_synthetic_dictionary(20, 200, seed=8)
+    depth, batch_size, num_samples, num_train = 4, 128, 3000, 2700
+    m, n = d.atoms.shape
+    tracemalloc.start()
+    try:
+        train_model(d, depth, num_samples, epochs=1, batch_size=batch_size,
+                    seed=3, val_fraction=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = 8 * depth * m * n
+    moments = 2 * 4 * depth * m * n
+    blocks = 2 * 4 * m * n
+    head = 2 * 4 * depth * batch_size * n
+    truth = 8 * depth * (2 * num_samples + num_train)
+    assert peak <= weights + moments + blocks + head + truth + 2**20
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -814,6 +842,31 @@ def test_cli_eval_model_of_another_dictionary_at_the_last_level_exits_2(
     assert len(errors) == 1 and "ConfigError" in errors[0]
     assert str(out / "models" / "model_k2.dmp") in errors[0]
     assert not list(out.glob("metrics.*")) and not list(out.glob("ecdf_*"))
+
+
+def test_cli_eval_loads_each_model_once(monkeypatch, tmp_path):
+    # the deepest model's ECDFs come from the copy its level loaded, the
+    # same bytes as the ecdf command writes from the file
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    for cmd in ("gen-dict", "train"):
+        assert run_cli(base + [cmd]) == 0
+    loaded = []
+    load = cli.network.load_model
+
+    def counting(path):
+        loaded.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(cli.network, "load_model", counting)
+    assert run_cli(base + ["eval"]) == 0
+    assert loaded == ["model_k1.dmp", "model_k2.dmp"]
+    alone = tmp_path / "alone"
+    assert run_cli(["--out", alone, "ecdf", out / "models" / "model_k2.dmp"]) == 0
+    names = sorted(p.name for p in alone.glob("ecdf_*.csv"))
+    assert names == ["ecdf_model_k2_layer0.csv", "ecdf_model_k2_layer1.csv"]
+    for name in names:
+        assert (out / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_cli_eval_holds_one_model_at_a_time(tmp_path):

@@ -89,3 +89,21 @@ def test_manifests_that_differ_in_an_output_hash_or_one_sided_are_reported(
                   "metrics.csv": b"solver,k\n"})
     assert same_outputs.differing_manifests(str(left), str(right)) == [
         "manifest_eval.json", "manifest_train.json"]
+
+
+def test_run_configs_runs_the_cli_on_the_surrogate_and_the_defaults(tmp_path):
+    # the working tree's package; the defaults' 30x200 dictionary walks
+    # 6 batches of training rows at a time
+    out = tmp_path / "run"
+    same_outputs.run_configs(same_outputs.ROOT, str(out), 41, 0.001)
+    ran = same_outputs.files(str(out))
+    for name, shape in (("surrogate", "503,600"), ("synthetic", "30,200")):
+        assert f"{name}.ini" in ran
+        assert f"{name}/models/model_k5.dmp" in ran
+        assert f"{name}/ecdf_model_k5_layer4.csv" in ran
+        assert f"{name}/metrics.csv" in ran
+        meta = json.loads((out / name / "dictionary.json").read_text())
+        assert f"{meta['signal_dim']},{meta['num_atoms']}" == shape
+    assert {f"{name}/manifest_{step}.json" for name in ("surrogate", "synthetic")
+            for step in ("gen_dict", "gen_data", "train", "eval")} == (
+        same_outputs.files(str(out), manifests=True))
