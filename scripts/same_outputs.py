@@ -4,7 +4,9 @@
 Exports REF with ``git archive`` into a temporary directory, as
 ``scripts/bench_pairs.py`` does, and runs ``deepmp gen-dict``, ``gen-data``,
 ``train`` and ``eval`` there and in the working tree, each side on its own
-``src`` with one BLAS thread. Both sides run the steps on two configs
+``src`` with one BLAS thread, then ``deepmp ecdf`` of the run's
+``dictionary.csv`` and of its deepest model, each into its own directory
+``ecdf/<name>``. Both sides run the steps on two configs
 (:func:`run_configs`), at their sparsity levels (k = 1..5) and the same seed
 and scale: the cli-surrogate config of ``perfbench/workloads.py`` (the
 503x600 Lorentzian surrogate) and the CLI's defaults (the synthetic 30x200
@@ -42,6 +44,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_pairs import ROOT, export, git  # noqa: E402
 
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+from deepmp.config import RunConfig  # noqa: E402
 from perfbench.workloads import CliSurrogate  # noqa: E402
 
 #: one BLAS thread, whichever library numpy loads
@@ -92,16 +95,25 @@ def run_in(checkout: str, what: str, *args: str) -> str:
 def run_configs(checkout: str, out: str, seed: int, scale: float) -> None:
     """The CLI's four steps with ``checkout``'s package, into ``out/surrogate``
     on the cli-surrogate config and ``out/synthetic`` on the defaults (an
-    empty config file)."""
+    empty config file), then ``ecdf`` of each run's dictionary and deepest
+    model into ``ecdf/dictionary`` and ``ecdf/model_k<k>`` below it. Neither
+    config sets ``k_range``, so both run the CLI's default levels."""
     os.makedirs(out)
+    deepest = f"model_k{max(RunConfig.k_range)}"
     for name, text in (("surrogate", CliSurrogate.CONFIG), ("synthetic", "")):
         config = os.path.join(out, f"{name}.ini")
         with open(config, "w", encoding="utf-8") as fh:
             fh.write(text)
+        run = os.path.join(out, name)
+        cli = ["-m", "deepmp.cli", "--config", config, "--seed", str(seed),
+               "--scale", str(scale)]
         for step in CliSurrogate.STEPS:
-            run_in(checkout, step, "-m", "deepmp.cli", "--config", config,
-                   "--seed", str(seed), "--scale", str(scale),
-                   "--out", os.path.join(out, name), step)
+            run_in(checkout, step, *cli, "--out", run, step)
+        for base, source in (("dictionary", "dictionary.csv"),
+                             (deepest, os.path.join("models", f"{deepest}.dmp"))):
+            run_in(checkout, "ecdf", *cli, "--out",
+                   os.path.join(run, "ecdf", base), "ecdf",
+                   os.path.join(run, source))
 
 
 def training_outputs(checkout: str, seed: int) -> dict[str, str]:

@@ -2,10 +2,13 @@
 
 Subcommands: gen-dict, gen-data, train, eval, ecdf. Every command reads an
 optional INI config (defaults reproduce the full-scale reference setting),
-applies --seed / --scale / --out overrides, writes its outputs under the run
-directory, and records a manifest with content hashes of everything it read
-and wrote, its wall seconds and peak RSS, and the Python, numpy and BLAS
-versions. Exit codes: 0 success, 1 numerical failure, 2 bad input or config.
+applies --seed / --scale / --out overrides and writes its outputs under the
+run directory. Each ``cmd_*`` returns the paths it read and wrote (``eval``
+also its solver timings), and ``main`` then writes the command's manifest:
+content hashes of everything it read and wrote, its wall seconds and peak
+RSS, and the Python, numpy and BLAS versions. A command that fails writes
+no manifest. Exit codes: 0 success, 1 numerical failure, 2 bad input or
+config.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ def _blas() -> dict:
             "threads": int(getters[0]()) if getters else None}
 
 
-def _write_manifest(out_dir, command, config: RunConfig, inputs, outputs,
-                    started: float, **extra) -> None:
+def _write_manifest(out_dir, command, config: RunConfig, started: float,
+                    inputs, outputs, **extra) -> None:
     """Hashes of what ``command`` read and wrote, plus its wall seconds since
     ``started`` (a ``perf_counter`` reading), the process's peak RSS, the
     Python and numpy versions and numpy's BLAS with its thread count."""
@@ -107,42 +110,30 @@ def _load_dictionary(config: RunConfig) -> Dictionary:
     return dictionary
 
 
-def _build_dictionary(config: RunConfig) -> tuple[Dictionary, dict]:
+def cmd_gen_dict(config: RunConfig, args) -> dict:
+    seed = child_seed(config.seed, DICT_STREAM)
     if config.source == "synthetic":
         dictionary = datagen.generate_synthetic_dictionary(
-            config.signal_dim, config.num_atoms,
-            child_seed(config.seed, DICT_STREAM),
-        )
+            config.signal_dim, config.num_atoms, seed)
     elif config.source == "surrogate":
         dictionary = datagen.generate_raman_surrogate(
-            config.signal_dim, config.num_atoms, config.peaks_per_atom,
-            child_seed(config.seed, DICT_STREAM),
-        )
+            config.signal_dim, config.num_atoms, config.peaks_per_atom, seed)
     else:
         dictionary = datagen.load_raman_library(config.raman_path)
-    meta = {
-        "source": config.source,
-        "signal_dim": dictionary.signal_dim,
-        "num_atoms": dictionary.num_atoms,
-        "seed": config.seed,
-    }
-    return dictionary, meta
-
-
-def cmd_gen_dict(config: RunConfig, args, started: float) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
-    dictionary, meta = _build_dictionary(config)
     csv_path = _dictionary_path(config)
     save_dictionary_csv(dictionary, csv_path)
     meta_path = os.path.join(config.out_dir, "dictionary.json")
-    write_json(meta_path, meta)
-    inputs = [config.raman_path] if config.source == "raman" else []
-    _write_manifest(config.out_dir, "gen-dict", config, inputs,
-                    [csv_path, meta_path], started)
-    print(f"wrote {csv_path} ({meta['signal_dim']}x{meta['num_atoms']})")
+    write_json(meta_path, {"source": config.source,
+                           "signal_dim": dictionary.signal_dim,
+                           "num_atoms": dictionary.num_atoms,
+                           "seed": config.seed})
+    print(f"wrote {csv_path} ({dictionary.signal_dim}x{dictionary.num_atoms})")
+    return {"inputs": [config.raman_path] if config.source == "raman" else [],
+            "outputs": [csv_path, meta_path]}
 
 
-def cmd_gen_data(config: RunConfig, args, started: float) -> None:
+def cmd_gen_data(config: RunConfig, args) -> dict:
     dictionary = _load_dictionary(config)
     outputs = []
     for k in config.k_range:
@@ -154,13 +145,11 @@ def cmd_gen_data(config: RunConfig, args, started: float) -> None:
             seed=config.seed))
         print(f"wrote {config.num_train_samples} samples at sparsity {k} "
               f"to {directory}")
-    _write_manifest(config.out_dir, "gen-data", config,
-                    [_dictionary_path(config)], outputs, started)
+    return {"inputs": [_dictionary_path(config)], "outputs": outputs}
 
 
-def cmd_train(config: RunConfig, args, started: float) -> None:
+def cmd_train(config: RunConfig, args) -> dict:
     dictionary = _load_dictionary(config)
-    os.makedirs(os.path.join(config.out_dir, "models"), exist_ok=True)
     outputs = []
     for k in config.k_range:
         model, rows = training.train_model(
@@ -170,6 +159,8 @@ def cmd_train(config: RunConfig, args, started: float) -> None:
             seed=config.seed, val_fraction=config.val_fraction,
         )
         model_path = _model_path(config, k)
+        # made only once a model is trained, so a failed run leaves none
+        os.makedirs(os.path.dirname(model_path), exist_ok=True)
         network.save_model(model, model_path)
         # released before the next depth trains beside it
         del model
@@ -180,8 +171,7 @@ def cmd_train(config: RunConfig, args, started: float) -> None:
         last = rows[-1].mean_loss if rows else float("nan")
         print(f"trained depth-{k} model ({config.resolved_epochs} epochs, "
               f"final mean loss {last:.6g}) -> {model_path}")
-    _write_manifest(config.out_dir, "train", config,
-                    [_dictionary_path(config)], outputs, started)
+    return {"inputs": [_dictionary_path(config)], "outputs": outputs}
 
 
 def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
@@ -198,7 +188,7 @@ def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
     return paths
 
 
-def cmd_eval(config: RunConfig, args, started: float) -> None:
+def cmd_eval(config: RunConfig, args) -> dict:
     csv_path = _dictionary_path(config)
     dictionary = _load_dictionary(config)
     proj = ProjectionMode(config.projection)
@@ -245,14 +235,6 @@ def cmd_eval(config: RunConfig, args, started: float) -> None:
     outputs.extend(_write_ecdfs(config, "dictionary", dictionary.atoms))
     outputs.extend(_write_ecdfs(config, f"model_k{deepest}",
                                 *deepest_weights))
-    inputs = [csv_path] + [_model_path(config, k) for k in config.k_range]
-    # timings vary between runs, so they go here and not in the metrics files
-    solver_seconds = {
-        label: {str(k): t for k, t in sorted(rep.seconds.items())}
-        for label, rep in reports.items()
-    }
-    _write_manifest(config.out_dir, "eval", config, inputs, outputs, started,
-                    solver_seconds=solver_seconds)
     for label in sorted(reports):
         rep = reports[label]
         summary = ", ".join(
@@ -260,20 +242,29 @@ def cmd_eval(config: RunConfig, args, started: float) -> None:
         )
         print(f"{label} recovery  {summary}")
     print(f"wrote {metrics_csv}")
+    return {
+        "inputs": [csv_path] + [_model_path(config, k) for k in config.k_range],
+        "outputs": outputs,
+        # timings vary between runs, so they go in the manifest and not in
+        # the metrics files
+        "solver_seconds": {
+            label: {str(k): t for k, t in sorted(rep.seconds.items())}
+            for label, rep in reports.items()
+        },
+    }
 
 
-def cmd_ecdf(config: RunConfig, args, started: float) -> None:
-    os.makedirs(config.out_dir, exist_ok=True)
+def cmd_ecdf(config: RunConfig, args) -> dict:
     base = os.path.splitext(os.path.basename(args.source))[0]
     if args.source.endswith(".dmp"):
         matrices = network.load_model(args.source).selection_weights
     else:
         matrices = load_dictionary_csv(args.source).atoms
+    os.makedirs(config.out_dir, exist_ok=True)
     outputs = _write_ecdfs(config, base, matrices)
-    _write_manifest(config.out_dir, "ecdf", config, [args.source], outputs,
-                    started)
     for path in outputs:
         print(f"wrote {path}")
+    return {"inputs": [args.source], "outputs": outputs}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +326,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
-        args.run(resolve_config(args), args, started)
+        config = resolve_config(args)
+        _write_manifest(config.out_dir, args.command, config, started,
+                        **args.run(config, args))
     except (InputError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -79,8 +79,9 @@ class RunConfig:
                 f"need 1 <= signal_dim < num_atoms, got "
                 f"{self.signal_dim}/{self.num_atoms}"
             )
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(
+                f"seed must be an integer in [0, 2**64 - 1], got {self.seed}")
         if self.epochs < -1:
             raise ConfigError(f"epochs must be >= -1, got {self.epochs}")
         for name in ("num_train_samples", "batch_size", "z_test"):

@@ -39,11 +39,7 @@ from .errors import (
 from .network import UnfoldedModel, batched_infer
 from .network import forward_infer  # unused here; perfbench/tracing.py wraps it here
 from .seeding import TEST_STREAM, child_seed
-from .solvers import (
-    ProjectionMode,
-    hard_max_pursuit,
-    row_norms,
-)
+from .solvers import ProjectionMode, dictionary_pursuit, row_norms
 from .solvers import nnmp_solve  # unused here; perfbench/tracing.py wraps it here
 from .solvers import nnomp_solve  # unused here; perfbench/tracing.py wraps it here
 from .types import Dictionary, write_csv, write_json
@@ -108,23 +104,20 @@ def epsilon_error(dictionary: Dictionary, signals, codes) -> float:
     return float(np.mean(row_epsilon(dictionary, signals, codes)))
 
 
-def _normalized_columns(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] < 2:
-        raise DimensionMismatch("coherence needs a 2-D matrix with >= 2 columns")
-    norms = np.linalg.norm(m, axis=0)
-    if np.any(norms == 0.0):
-        raise ZeroColumn(f"column {int(np.flatnonzero(norms == 0.0)[0])} is zero")
-    return m / norms
-
-
 def pairwise_coherences(matrix) -> np.ndarray:
     """Normalized absolute inner products of all unordered column pairs.
 
     Clipped into [0, 1], in the row-major order of the Gram matrix's strict
     upper triangle; the input is normalized internally, never modified.
     """
-    normed = _normalized_columns(matrix)
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[1] < 2:
+        raise DimensionMismatch("coherence needs a 2-D matrix with >= 2 columns")
+    norms = np.linalg.norm(m, axis=0)
+    if np.any(norms == 0.0):
+        raise ZeroColumn(f"column {int(np.flatnonzero(norms == 0.0)[0])} is zero")
+    normed = m / norms
+    del m
     gram = normed.T @ normed
     del normed
     upper = np.tri(len(gram), dtype=bool)
@@ -169,32 +162,17 @@ class MetricsReport:
     seconds: dict[int, float] = field(default_factory=dict)
 
 
-def _dictionary_runner(dictionary: Dictionary,
-                       proj: ProjectionMode | None) -> SweepSolver:
-    """One :func:`hard_max_pursuit` call per block, the atoms at every step."""
-    atoms = dictionary.atoms
-
-    def run(signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        stack = np.broadcast_to(atoms, (k, *atoms.shape))
-        supports, codes, _, _ = hard_max_pursuit(stack, atoms, signals, proj)
-        return supports, codes
-
-    return run
-
-
 def nnmp_runner(dictionary: Dictionary,
                 proj: ProjectionMode = ProjectionMode.POSITIVE_ORTHANT) -> SweepSolver:
-    """NNMP on every signal: the pursuit kernel with the MP update."""
-    return _dictionary_runner(dictionary, proj)
+    """NNMP on every signal: :func:`~deepmp.solvers.dictionary_pursuit`
+    with the MP update."""
+    return lambda signals, k: dictionary_pursuit(dictionary, signals, k, proj)[:2]
 
 
 def nnomp_runner(dictionary: Dictionary) -> SweepSolver:
-    """NNOMP on every signal: the pursuit kernel with the refit update.
-
-    The refit update accepts any selection stack; with the atoms at every
-    step, as here, it is NNOMP.
-    """
-    return _dictionary_runner(dictionary, None)
+    """NNOMP on every signal: :func:`~deepmp.solvers.dictionary_pursuit`
+    with the refit update."""
+    return lambda signals, k: dictionary_pursuit(dictionary, signals, k, None)[:2]
 
 
 def deepmp_runner(models: Mapping[int, UnfoldedModel]) -> SweepSolver:

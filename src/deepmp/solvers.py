@@ -19,8 +19,9 @@ small Gram system: by one batched full-support solve where Lawson-Hanson
 would make exactly that solve, and by the Lawson-Hanson solver
 :func:`_nnls_gram` for the few rows that lose positivity. Either rule takes
 any selection stack; with the dictionary at every step they are NNMP and
-NNOMP, of which ``nnmp_solve`` and ``nnomp_solve`` are one-row calls.
-``nnls_active_set`` is a one-row call of the Lawson-Hanson solver.
+NNOMP. :func:`dictionary_pursuit` makes that call: the sweep's NNMP and
+NNOMP runners on a block of signals, ``nnmp_solve`` and ``nnomp_solve`` on
+one row. ``nnls_active_set`` is a one-row call of the Lawson-Hanson solver.
 """
 
 from __future__ import annotations
@@ -92,12 +93,13 @@ def residual_step(atoms: np.ndarray, residuals: np.ndarray, index: np.ndarray,
     Row b takes the dictionary correlation ``coeff[b] = <d_i, r_b>`` of its
     atom ``i = index[b]`` and becomes ``P(r_b - coeff[b] * d_i)``. Returns
     ``(coeff, new_residuals)``; the input stack is not modified. The update
-    is built in one buffer: multiply, subtract, then clamp for
-    ``POSITIVE_ORTHANT``.
+    is built in the gathered atoms' buffer, as its (B, M) transpose:
+    multiply, subtract, then clamp for ``POSITIVE_ORTHANT``.
     """
     picked = atoms[:, index]  # (M, B)
     coeff = np.einsum("mb,bm->b", picked, residuals)
-    update = np.multiply(coeff[:, None], picked.T)
+    update = picked.T
+    np.multiply(coeff[:, None], update, out=update)
     np.subtract(residuals, update, out=update)
     if proj is ProjectionMode.POSITIVE_ORTHANT:
         np.maximum(update, 0.0, out=update)
@@ -370,14 +372,17 @@ def _refit(atoms_t: np.ndarray, grams: np.ndarray, rhs: np.ndarray,
     return residual
 
 
-def _dictionary_solve(dictionary: Dictionary, y, budget: int,
-                      proj: ProjectionMode | None) -> PursuitResult:
-    """One-row :func:`hard_max_pursuit` with the dictionary at every step."""
+def dictionary_pursuit(dictionary: Dictionary, signals, budget: int,
+                       proj: ProjectionMode | None):
+    """:func:`hard_max_pursuit` of ``budget`` steps on a signal stack, with
+    the dictionary as every selection matrix: NNMP with a ProjectionMode,
+    NNOMP with ``proj=None``. Returns the kernel's four arrays; raises
+    ZeroSparsity for a budget below 1."""
     if budget < 1:
         raise ZeroSparsity("budget must be >= 1")
     atoms = dictionary.atoms
     stack = np.broadcast_to(atoms, (budget, *atoms.shape))
-    return _one_row(*hard_max_pursuit(stack, atoms, [y], proj))
+    return hard_max_pursuit(stack, atoms, signals, proj)
 
 
 def nnmp_solve(dictionary: Dictionary, y, budget: int,
@@ -387,10 +392,10 @@ def nnmp_solve(dictionary: Dictionary, y, budget: int,
     Repeats up to ``budget`` times: pick the atom with the largest correlation
     against the current residual (must be strictly positive to continue),
     accumulate that correlation as its coefficient, subtract the contribution
-    and project the residual. A one-row call of :func:`hard_max_pursuit`
+    and project the residual. A one-row call of :func:`dictionary_pursuit`
     with the MP update.
     """
-    return _dictionary_solve(dictionary, y, budget, proj)
+    return _one_row(*dictionary_pursuit(dictionary, [y], budget, proj))
 
 
 def nnomp_solve(dictionary: Dictionary, y, budget: int) -> PursuitResult:
@@ -400,8 +405,6 @@ def nnomp_solve(dictionary: Dictionary, y, budget: int) -> PursuitResult:
     selected; after each pick all selected coefficients are refit by NNLS
     against the original signal and the residual is recomputed from the refit
     (no projection needed, the refit residual is used directly). A one-row
-    call of :func:`hard_max_pursuit` with the refit update (``proj=None``),
-    which accepts any selection stack and with the dictionary at every step,
-    as here, is NNOMP.
+    call of :func:`dictionary_pursuit` with the refit update (``proj=None``).
     """
-    return _dictionary_solve(dictionary, y, budget, None)
+    return _one_row(*dictionary_pursuit(dictionary, [y], budget, None))

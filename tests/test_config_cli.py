@@ -617,14 +617,15 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert (out / "ecdf_model_k2_layer0.csv").exists()
     assert (out / "ecdf_model_k2_layer1.csv").exists()
 
-    manifest = json.loads((out / "manifest_eval.json").read_text())
-    assert manifest["command"] == "eval"
-    assert manifest["config"]["seed"] == 5
-    for rel, digest in manifest["outputs"].items():
-        assert blob_hash(out / rel) == digest
     built = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    for name in ("gen_dict", "gen_data", "train", "eval", "ecdf"):
+    for command in ("gen-dict", "gen-data", "train", "eval", "ecdf"):
+        name = command.replace("-", "_")
         manifest = json.loads((out / f"manifest_{name}.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["config"]["seed"] == 5
+        assert manifest["outputs"], name
+        for rel, digest in manifest["outputs"].items():
+            assert blob_hash(out / rel) == digest, rel
         assert manifest["versions"] == {"python": platform.python_version(),
                                         "numpy": np.__version__}, name
         blas = manifest["blas"]
@@ -733,6 +734,7 @@ def test_cli_missing_raman_path_exits_2(tmp_path, capsys):
     code = run_cli(["--config", cfg, "--out", tmp_path / "r", "gen-dict"])
     assert code == 2
     assert "ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_eval_without_models_exits_2(tmp_path, capsys):
@@ -936,6 +938,7 @@ def test_cli_ecdf_of_a_model_of_zero_dimensions_exits_2(tmp_path, capsys):
     errors = cli_error_lines(capsys)
     assert len(errors) == 1 and "ParseError" in errors[0]
     assert str(model) in errors[0]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("cell", ["0.0", "nan"])
@@ -1072,16 +1075,40 @@ def test_cli_bad_surrogate_peaks_exits_2(tmp_path, capsys):
     assert len(errors) == 1 and "OutOfRange" in errors[0]
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_cli_seed_above_u64_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                       where):
+    out = tmp_path / "run"
+    args = ["--out", out]
+    if where == "flag":
+        args += ["--seed", 2**64]
+    else:
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(f"[run]\nseed = {2**64}\n")
+        args += ["--config", cfg]
+    listing = sorted(tmp_path.iterdir())
+    assert run_cli(args + ["gen-dict"]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert str(2**64) in errors[0]
+    assert sorted(tmp_path.iterdir()) == listing
+    assert RunConfig(seed=2**64 - 1).validate().seed == 2**64 - 1
+
+
 def test_cli_empty_training_split_exits_2(tmp_path, capsys):
     # --scale 1e-6 leaves one mixture per level, which val_fraction 0.9 holds out
     cfg = tmp_path / "split.ini"
     cfg.write_text("[training]\nval_fraction = 0.9\n")
-    base = ["--config", cfg, "--seed", 5, "--out", tmp_path / "run",
-            "--k-range", "1", "--scale", 1e-6]
+    out = tmp_path / "run"
+    base = ["--config", cfg, "--seed", 5, "--out", out, "--k-range", "1",
+            "--scale", 1e-6]
     assert run_cli(base + ["gen-dict"]) == 0
+    listing = sorted(out.iterdir())
     assert run_cli(base + ["train"]) == 2
     errors = cli_error_lines(capsys)
     assert len(errors) == 1 and "EmptyInput" in errors[0]
+    # no models/ directory is left behind
+    assert sorted(out.iterdir()) == listing
 
 
 def test_gen_data_shards_match_training_stream(monkeypatch, tmp_path,

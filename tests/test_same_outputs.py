@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_outputs.py"
@@ -104,6 +105,17 @@ def test_run_configs_runs_the_cli_on_the_surrogate_and_the_defaults(tmp_path):
         assert f"{name}/metrics.csv" in ran
         meta = json.loads((out / name / "dictionary.json").read_text())
         assert f"{meta['signal_dim']},{meta['num_atoms']}" == shape
+        # the ecdf command's CSVs, each equal to eval's of the same matrix
+        ecdf = {f"{name}/ecdf/dictionary/ecdf_dictionary.csv"} | {
+            f"{name}/ecdf/model_k5/ecdf_model_k5_layer{layer}.csv"
+            for layer in range(5)}
+        assert {rel for rel in ran if rel.startswith(f"{name}/ecdf/")} == ecdf
+        for rel in ecdf:
+            assert (out / rel).read_bytes() == (
+                out / name / os.path.basename(rel)).read_bytes(), rel
     assert {f"{name}/manifest_{step}.json" for name in ("surrogate", "synthetic")
-            for step in ("gen_dict", "gen_data", "train", "eval")} == (
+            for step in ("gen_dict", "gen_data", "train", "eval")} | {
+        f"{name}/ecdf/{base}/manifest_ecdf.json"
+        for name in ("surrogate", "synthetic")
+        for base in ("dictionary", "model_k5")} == (
         same_outputs.files(str(out), manifests=True))

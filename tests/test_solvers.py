@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from deepmp.solvers import (
     ProjectionMode,
     _gradient_tolerance,
     _nnls_gram,
+    dictionary_pursuit,
     hard_max_pursuit,
     nnls_active_set,
     nnmp_solve,
@@ -54,6 +57,26 @@ def test_residual_step_is_the_plain_expression_bit_for_bit(table_dictionary,
     assert np.array_equal(residuals, before)
     if proj is ProjectionMode.POSITIVE_ORTHANT:
         assert (updated == 0.0).any()
+
+
+@pytest.mark.parametrize("proj", list(ProjectionMode))
+def test_residual_step_builds_its_update_in_the_gathered_atoms(
+        table_dictionary, proj):
+    # one (B, M) float64 buffer and the coefficients; the slack covers
+    # numpy's 64 KiB buffer for the broadcast multiply. A separate update
+    # array beside the gathered atoms exceeds it
+    rng = np.random.default_rng(8)
+    atoms = table_dictionary.atoms
+    batch, m = 512, atoms.shape[0]
+    residuals = rng.standard_normal((batch, m))
+    index = rng.integers(0, atoms.shape[1], batch)
+    tracemalloc.start()
+    try:
+        residual_step(atoms, residuals, index, proj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * batch * m + 8 * batch + 2**17
 
 
 # -- hard-max selection ---------------------------------------------------------
@@ -264,6 +287,30 @@ def test_solvers_reject_zero_budget(small_dictionary, solve):
     with pytest.raises(ZeroSparsity):
         solve(small_dictionary, np.ones(10), 0)
     assert issubclass(ZeroSparsity, InputError)
+
+
+@pytest.mark.parametrize("proj", [*ProjectionMode, None])
+def test_dictionary_pursuit_rows_equal_one_row_solves(table_dictionary, proj):
+    # mixtures, random signals of either sign, an atom that stops on the
+    # residual floor after one step and a zero row that never starts
+    rng = np.random.default_rng(21)
+    samples = sample_mixture(
+        table_dictionary, MixtureConfig(sparsity=4, num_samples=20, seed=3))
+    signals = np.vstack([samples.signals, np.abs(rng.standard_normal((10, 30))),
+                         rng.standard_normal((10, 30)),
+                         table_dictionary.atoms[:, 5], np.zeros(30)])
+    supports, codes, residuals, paths = dictionary_pursuit(
+        table_dictionary, signals, 4, proj)
+    for i, y in enumerate(signals):
+        res = (nnomp_solve(table_dictionary, y, 4) if proj is None
+               else nnmp_solve(table_dictionary, y, 4, proj))
+        assert supports[i][supports[i] >= 0].tolist() == res.support.tolist()
+        assert codes[i].tobytes() == res.code.tobytes()
+        assert residuals[i].tobytes() == res.residual.tobytes()
+        assert paths[i, :res.steps_taken + 1].tobytes() == \
+            res.residual_norm_path.tobytes()
+    with pytest.raises(ZeroSparsity):
+        dictionary_pursuit(table_dictionary, signals, 0, proj)
 
 
 def test_nnmp_is_deterministic(small_dictionary):
