@@ -9,7 +9,8 @@ and per side, then each side's median and quartiles, the number of pairs the
 working tree wins (by the direction ``BENCHMARK.json`` gives), whether the
 gap between the medians exceeds REF's interquartile range, whether that makes
 a gain (wins in at least 9 of 10 counted pairs and a gap beyond REF's
-interquartile range), whether the working tree's median is worse than REF's
+interquartile range; for ``op_cost_ref`` only where the raw ``op_wall_s_p50``
+gains too), whether the working tree's median is worse than REF's
 by more than the metric's ``BENCHMARK.json`` bound (a share of REF's median),
 each side's share of failed operations per pair and over all pairs, and REF's
 commit and tree hashes. Each pair also shows, per workload, the raw
@@ -104,8 +105,10 @@ def summarise(pairs: list[dict], better: dict, bound: dict) -> dict:
     to the share of REF's median by which it may worsen. A pair with a null
     value on either side neither wins nor counts. ``gain`` holds when the
     working tree wins at least 9 of 10 counted pairs and the median gap
-    exceeds REF's interquartile range. ``regressed`` is None for a metric
-    without a bound.
+    exceeds REF's interquartile range; for ``<workload>/op_cost_ref`` it
+    also needs ``<workload>/raw op_wall_s_p50`` to gain, since the speed
+    probe it divides by can move on its own. ``regressed`` is None for a
+    metric without a bound.
     """
     out = {}
     for name in pairs[0]["ref"]:
@@ -131,6 +134,10 @@ def summarise(pairs: list[dict], better: dict, bound: dict) -> dict:
             "regressed": (-gap > bound[bare] * abs(ref_q[1])
                           if bare in bound else None),
         }
+    for name, entry in out.items():
+        if name.endswith("/op_cost_ref"):
+            raw = out.get(f"{name.rsplit('/', 1)[0]}/raw op_wall_s_p50")
+            entry["gain"] = entry["gain"] and raw is not None and raw["gain"]
     return out
 
 

@@ -7,8 +7,11 @@ run directory. Each ``cmd_*`` returns the paths it read and wrote (``eval``
 also its solver timings), and ``main`` then writes the command's manifest:
 content hashes of everything it read and wrote, its wall seconds and peak
 RSS, and the Python, numpy and BLAS versions. A command that fails writes
-no manifest. Exit codes: 0 success, 1 numerical failure, 2 bad input or
-config.
+no manifest. ``train`` and ``eval`` set OpenBLAS to one thread first, so
+their bytes do not depend on the thread count. ``gen-data``, ``train`` and
+``eval`` exit 2 before drawing anything when their per-row arrays would
+exceed physical memory. Exit codes: 0 success, 1 numerical failure, 2 bad
+input or config.
 """
 
 from __future__ import annotations
@@ -48,14 +51,17 @@ def blob_hash(path) -> str:
     return digest.hexdigest()
 
 
-#: OpenBLAS's thread-count getter, as plain and numpy's wheel builds name it
-_OPENBLAS_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads64_")
+#: OpenBLAS's thread-count functions as plain and numpy's wheel builds name
+#: them, with ``{}`` for ``get`` or ``set``
+_OPENBLAS_THREADS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads64_")
 
 
-def _blas() -> dict:
-    """numpy's BLAS as built, and the thread count its loaded OpenBLAS reports
-    (None when ``/proc/self/maps`` is unreadable or maps no such getter)."""
+def _blas(threads: int | None = None) -> dict:
+    """numpy's BLAS as built, and the thread count its loaded OpenBLAS
+    reports. Given ``threads``, OpenBLAS is set to that many first, and the
+    count is None where no setter is found. It is None too when
+    ``/proc/self/maps`` is unreadable or maps no getter."""
     built = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -64,17 +70,25 @@ def _blas() -> dict:
         libraries = [ctypes.CDLL(path) for path in sorted(paths)]
     except OSError:
         libraries = []
-    getters = [getattr(library, name) for library in libraries
-               for name in _OPENBLAS_THREADS if hasattr(library, name)]
+    getter, setter = (next((getattr(library, name.format(verb))
+                            for library in libraries
+                            for name in _OPENBLAS_THREADS
+                            if hasattr(library, name.format(verb))), None)
+                      for verb in ("get", "set"))
+    if threads is not None:
+        if setter is None:
+            getter = None
+        else:
+            setter(threads)
     return {"name": built.get("name"), "version": built.get("version"),
-            "threads": int(getters[0]()) if getters else None}
+            "threads": int(getter()) if getter else None}
 
 
 def _write_manifest(out_dir, command, config: RunConfig, started: float,
-                    inputs, outputs, **extra) -> None:
+                    blas: dict, inputs, outputs, **extra) -> None:
     """Hashes of what ``command`` read and wrote, plus its wall seconds since
     ``started`` (a ``perf_counter`` reading), the process's peak RSS, the
-    Python and numpy versions and numpy's BLAS with its thread count."""
+    Python and numpy versions and ``blas``, a :func:`_blas` record."""
     manifest = {
         "command": command,
         "config": asdict(config),
@@ -85,7 +99,7 @@ def _write_manifest(out_dir, command, config: RunConfig, started: float,
         "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__},
-        "blas": _blas(),
+        "blas": blas,
         **extra,
     }
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
@@ -98,6 +112,20 @@ def _dictionary_path(config: RunConfig) -> str:
 
 def _model_path(config: RunConfig, k: int) -> str:
     return os.path.join(config.out_dir, "models", f"model_k{k}.dmp")
+
+
+def _check_fits(config: RunConfig, count: str, bytes_per_k: int) -> None:
+    """ConfigError when ``count`` mixtures (a config field) need more than
+    the machine's physical memory at ``bytes_per_k`` bytes a row per
+    sparsity level of the deepest level: the per-row arrays a command holds,
+    so an impossible count fails before anything is drawn."""
+    rows, k = getattr(config, count), max(config.k_range)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # integers throughout: a count can be too large for a float
+    if rows * bytes_per_k * k > memory:
+        raise ConfigError(f"{count} = {rows} at k={k}, {bytes_per_k * k} "
+                          f"bytes a row, needs more than the {memory >> 20} "
+                          f"MiB of physical memory")
 
 
 def _load_dictionary(config: RunConfig) -> Dictionary:
@@ -134,6 +162,8 @@ def cmd_gen_dict(config: RunConfig, args) -> dict:
 
 
 def cmd_gen_data(config: RunConfig, args) -> dict:
+    # the stream train holds: each row's support and coefficients
+    _check_fits(config, "num_train_samples", 16)
     dictionary = _load_dictionary(config)
     outputs = []
     for k in config.k_range:
@@ -149,6 +179,8 @@ def cmd_gen_data(config: RunConfig, args) -> dict:
 
 
 def cmd_train(config: RunConfig, args) -> dict:
+    # each row's support, coefficients and teacher targets
+    _check_fits(config, "num_train_samples", 24)
     dictionary = _load_dictionary(config)
     outputs = []
     for k in config.k_range:
@@ -189,6 +221,8 @@ def _write_ecdfs(config: RunConfig, base: str, matrices) -> list[str]:
 
 
 def cmd_eval(config: RunConfig, args) -> dict:
+    # each test row's support and coefficients
+    _check_fits(config, "z_test", 16)
     csv_path = _dictionary_path(config)
     dictionary = _load_dictionary(config)
     proj = ProjectionMode(config.projection)
@@ -327,7 +361,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        _write_manifest(config.out_dir, args.command, config, started,
+        # set before the command runs: BLAS's thread count can change the
+        # bytes train and eval write
+        blas = _blas(1 if args.command in ("train", "eval") else None)
+        _write_manifest(config.out_dir, args.command, config, started, blas,
                         **args.run(config, args))
     except (InputError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -55,9 +55,13 @@ class RunConfig:
 
     def scaled(self, factor: float) -> "RunConfig":
         """Shrink (or grow) sample counts by ``factor``, floored at 1."""
-        counts = {name: getattr(self, name) * factor
-                  for name in ("num_train_samples", "z_test")}
-        if not (factor > 0 and all(map(math.isfinite, counts.values()))):
+        try:
+            counts = {name: getattr(self, name) * factor
+                      for name in ("num_train_samples", "z_test")}
+            finite = all(map(math.isfinite, counts.values()))
+        except OverflowError:  # a count beyond every float
+            finite = False
+        if not (factor > 0 and finite):
             raise ConfigError(
                 f"scale must be positive and give finite sample counts, "
                 f"got {factor}"

@@ -241,8 +241,9 @@ def _nnls_gram(grams: np.ndarray, rhs: np.ndarray, x: np.ndarray,
 
     :func:`_refit` itself solves the rows for which this would be one
     insertion and one unpadded, strictly positive solve (first n - 1 columns
-    positive, the last at 0 with a gradient above the tolerance), with the
-    same expressions, and passes only the other rows here.
+    positive, the last at 0 with a gradient above the tolerance) by one
+    batched solve of those rows' unpadded systems, and passes only the
+    other rows here.
 
     Raises MaxIterationsExceeded once any row passes ``max_iter`` iterations
     from its start, counting both insertions and backtracks.
@@ -335,10 +336,10 @@ def _refit(atoms_t: np.ndarray, grams: np.ndarray, rhs: np.ndarray,
     gradient exceeds :func:`_nnls_gram`'s tolerance and the solution is
     strictly positive: from that start Lawson-Hanson inserts the new column,
     makes exactly this solve on exactly this matrix and stops, so the result
-    is its result bit for bit. The other rows run :func:`_nnls_gram` from
-    the same start; when every row takes the full solve, no row is gathered
-    for it. The residual ``y - sum_j x_j d_{S_j}`` is rebuilt from the
-    step's gathered support columns, one subtraction per column.
+    is its result bit for bit. The qualifying rows are gathered for that
+    solve, and the other rows run :func:`_nnls_gram` from the same start.
+    The residual ``y - sum_j x_j d_{S_j}`` is rebuilt from the step's
+    gathered support columns, one subtraction per column.
     """
     columns = atoms_t[supports[at, :k + 1]]  # (L, k + 1, M)
     refit = signals[at]
@@ -353,11 +354,7 @@ def _refit(atoms_t: np.ndarray, grams: np.ndarray, rhs: np.ndarray,
     # be one insertion and one full, positive solve skip it
     w = b[:, k] - (new * x).sum(axis=1)
     full = (x[:, :k] > 0.0).all(axis=1) & (w > _gradient_tolerance(b))
-    if full.all():
-        z = np.linalg.solve(g, b[:, :, None])[:, :, 0]
-        full = (z > 0.0).all(axis=1)
-        np.copyto(x, z, where=full[:, None])
-    elif full.any():
+    if full.any():
         z = np.linalg.solve(g[full], b[full, :, None])[:, :, 0]
         taken = (z > 0.0).all(axis=1)
         full[full] = taken

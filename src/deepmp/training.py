@@ -14,8 +14,9 @@ the sampled ones bit for bit (:func:`~deepmp.datagen.synthesize`), nor the
 walk depends on the weights, and rows are independent in both, so a block
 gives every batch the bits its own walk would. No pass runs before the
 first epoch: epoch 0's walks pick each row's targets from its support and
-store them, and later epochs' walks follow the stored targets. Every
-validation batch synthesises its own signals.
+store them, and later epochs' walks follow the stored targets. Validation
+synthesises and scores the held-out rows one ``row_blocks`` block at a time,
+as the sweep does.
 The AdaBound step forms its gradient one group of whole blocks at a time and
 updates each group before the next is formed, so a step never holds the
 whole gradient stack.
@@ -81,13 +82,13 @@ def stream_shards(dictionary: Dictionary, depth: int, seed: int, total: int):
 
 
 def _validation_recovery(model: UnfoldedModel, supports: np.ndarray,
-                         coeffs: np.ndarray, batch_size: int) -> float:
-    """Mean support recovery over held-out rows, in the :func:`row_blocks`
-    blocks of at most ``batch_size`` rows."""
+                         coeffs: np.ndarray) -> float:
+    """Mean support recovery over held-out rows, one :func:`row_blocks`
+    block at a time."""
     if not len(supports):
         return float("nan")
     recovery = np.empty(len(supports))
-    for rows in row_blocks(len(supports), batch_size):
+    for rows in row_blocks(len(supports)):
         signals = synthesize(model.update_dict.atoms, supports[rows],
                              coeffs[rows])
         picked, _ = batched_infer(model, signals)
@@ -149,8 +150,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     # the dictionary rather than held; trained weights are copied only while
     # they lead and later epochs could overwrite them
     best_epoch = -1
-    best_recovery = _validation_recovery(model, val_supports, val_coeffs,
-                                         batch_size)
+    best_recovery = _validation_recovery(model, val_supports, val_coeffs)
     best_weights: np.ndarray | None = None
 
     # a walk block of N // M whole batches holds a float32 (K, rows, M)
@@ -190,8 +190,7 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
                     loss_total += loss * len(batch)
                 # released before the next block walks
                 del stack, live
-        val_recovery = _validation_recovery(model, val_supports, val_coeffs,
-                                            batch_size)
+        val_recovery = _validation_recovery(model, val_supports, val_coeffs)
         log_rows.append(TrainLogRow(
             epoch=epoch,
             mean_loss=loss_total / num_train,

@@ -83,6 +83,31 @@ def test_summary_claims_a_gain_only_from_nine_of_ten_wins_beyond_ref_iqr():
         (10, False, False)
 
 
+def test_summary_claims_an_op_cost_ref_gain_only_with_the_raw_p50s():
+    # op_cost_ref wins every pair by a clear gap in both workloads; in "a"
+    # the raw median wall does too, in "b" it does not move, so only the
+    # probe it is divided by made b's op_cost_ref fall
+    ref = [10.0, 10.5, 11.0, 11.5, 12.0, 10.0, 10.5, 11.0, 11.5, 12.0]
+    pairs = [{"ref": {"a/op_cost_ref": r, "a/raw op_wall_s_p50": r,
+                      "b/op_cost_ref": r, "b/raw op_wall_s_p50": r},
+              "work": {"a/op_cost_ref": r - 2, "a/raw op_wall_s_p50": r - 2,
+                       "b/op_cost_ref": r - 2, "b/raw op_wall_s_p50": r}}
+             for r in ref]
+    better = {"op_cost_ref": "lower", "raw op_wall_s_p50": "lower"}
+    summary = bench_pairs.summarise(pairs, better, {"op_cost_ref": 0.25})
+    assert summary["a/op_cost_ref"]["gain"] is True
+    assert summary["a/raw op_wall_s_p50"]["gain"] is True
+    b = summary["b/op_cost_ref"]
+    assert (b["wins"], b["gap_exceeds_ref_iqr"], b["gain"]) == \
+        (10, True, False)
+    assert summary["b/raw op_wall_s_p50"]["gain"] is False
+    # without a raw p50 to agree, op_cost_ref claims no gain either
+    alone = [{side: {"a/op_cost_ref": p[side]["a/op_cost_ref"]}
+              for side in ("ref", "work")} for p in pairs]
+    assert bench_pairs.summarise(alone, better, {})["a/op_cost_ref"]["gain"] \
+        is False
+
+
 def test_run_bench_keeps_each_runs_failed_and_attempted(tmp_path):
     # a stand-in perfbench whose last line is the summary run.py prints,
     # after the line naming its record

@@ -5,6 +5,7 @@ import platform
 import re
 import shutil
 import struct
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -475,8 +476,8 @@ def test_training_picks_each_rows_targets_once(monkeypatch, small_dictionary):
 
 def test_validation_of_one_row_past_a_batch_takes_two_near_equal_blocks(
         monkeypatch, small_dictionary):
-    # 129 held-out rows at the default batch of 128 go to the kernel as two
-    # near-equal blocks, not as 128 rows and a lone row, whose matrix-vector
+    # 257 held-out rows, one past a 256-row block, go to the kernel as two
+    # near-equal blocks, not as 256 rows and a lone row, whose matrix-vector
     # product can round apart from the matrix product of a larger block
     sizes = []
     infer = training.batched_infer
@@ -486,14 +487,15 @@ def test_validation_of_one_row_past_a_batch_takes_two_near_equal_blocks(
         return infer(model, signals)
 
     monkeypatch.setattr(training, "batched_infer", recording)
-    # 516 mixtures at val_fraction 0.25 hold out 129
-    train_model(small_dictionary, 2, 516, epochs=0, seed=3, val_fraction=0.25)
-    assert sizes == [64, 65]
+    # 1028 mixtures at val_fraction 0.25 hold out 257
+    train_model(small_dictionary, 2, 1028, epochs=0, seed=3, val_fraction=0.25)
+    assert sizes == [128, 129]
 
 
 def test_validation_memory_grows_only_by_supports_and_targets(monkeypatch):
-    # the held-out half is scored a batch at a time: ten times the mixtures
-    # may add their supports, coefficients and targets, but no signals
+    # the held-out half is scored a row block at a time: ten times the
+    # mixtures may add their supports, coefficients and targets, but no
+    # signals
     monkeypatch.setattr(training, "SHARD_SIZE", 2000)
     d = generate_synthetic_dictionary(200, 400, seed=8)
     depth = 3
@@ -648,6 +650,8 @@ def test_manifest_blas_threads_is_null_when_it_cannot_be_asked(
         monkeypatch, name, value):
     monkeypatch.setattr(cli, name, value, raising=False)
     assert cli._blas()["threads"] is None
+    # nor can it be set, as train and eval ask
+    assert cli._blas(1)["threads"] is None
 
 
 def test_cli_eval_manifest_records_solver_seconds(tmp_path):
@@ -777,6 +781,16 @@ def test_cli_non_finite_scale_exits_2(tmp_path, capsys, scale):
     assert run_cli(["--scale", scale, "--out", tmp_path / "r", "gen-dict"]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and "ConfigError" in errors[0]
+
+
+def test_cli_scale_of_a_count_beyond_every_float_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[evaluation]\nz_test = {10**400}\n")
+    assert run_cli(["--config", cfg, "--scale", 0.5, "--out", tmp_path / "r",
+                    "gen-dict"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and "ConfigError" in errors[0]
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_percent_in_a_config_value_is_literal(tmp_path):
@@ -1109,6 +1123,79 @@ def test_cli_empty_training_split_exits_2(tmp_path, capsys):
     assert len(errors) == 1 and "EmptyInput" in errors[0]
     # no models/ directory is left behind
     assert sorted(out.iterdir()) == listing
+
+
+def run_tree(top):
+    """Every file below ``top`` by relative path, with its bytes."""
+    return {path.relative_to(top): path.read_bytes()
+            for path in Path(top).rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("command,section,name,count", [
+    ("eval", "evaluation", "z_test", 10**23),
+    ("eval", "evaluation", "z_test", 10**13),
+    ("train", "training", "num_train_samples", 10**23),
+    ("gen-data", "training", "num_train_samples", 10**23),
+    # too large for a float
+    ("train", "training", "num_train_samples", 10**400),
+], ids=["eval-1e23", "eval-1e13", "train-1e23", "gen-data-1e23",
+        "train-1e400"])
+def test_cli_sample_count_beyond_memory_exits_2_before_drawing(
+        monkeypatch, tmp_path, capsys, command, section, name, count):
+    # 16 bytes a row per level for supports and coefficients (24 with
+    # train's targets) at k=2: 320 TB or more, beyond any machine's memory
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    assert run_cli(base + ["gen-dict"]) == 0
+    assert run_cli(base + ["train"]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("mixtures drawn for an impossible count")
+
+    # the two sites that draw: training's stream and the sweep's test sets
+    monkeypatch.setattr(training, "sample_mixture", never)
+    monkeypatch.setattr(cli.metrics, "sample_mixture", never)
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[{section}]\n{name} = {count}\n")
+    before = run_tree(out)
+    capsys.readouterr()
+    args = ["--config", cfg, "--seed", 5, "--out", out, "--k-range", "1-2"]
+    assert run_cli(args + [command]) == 2
+    errors = cli_error_lines(capsys)
+    assert len(errors) == 1 and "ConfigError" in errors[0], errors
+    assert f"{name} = {count}" in errors[0]
+    assert run_tree(out) == before
+
+
+def test_cli_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # At 503x600 and k=1, OpenBLAS at two threads rounds training's products
+    # apart from one thread, so the model bytes differ unless train sets
+    # OpenBLAS to one thread. The difference can show only on a machine with
+    # two or more CPUs; on one CPU this test passes either way.
+    cfg = tmp_path / "surrogate.ini"
+    cfg.write_text("[dictionary]\nsource = surrogate\nsignal_dim = 503\n"
+                   "num_atoms = 600\n[training]\nk_range = 1\n"
+                   "num_train_samples = 200\nepochs = 1\nval_fraction = 0\n")
+    src = Path(cli.__file__).resolve().parent.parent
+
+    def deepmp(out, command, threads):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-m", "deepmp.cli", "--config", cfg,
+                        "--seed", "1", "--out", out, command],
+                       env=env, check=True, capture_output=True)
+
+    deepmp(tmp_path / "one", "gen-dict", 1)
+    shutil.copytree(tmp_path / "one", tmp_path / "two")
+    for threads, name in ((1, "one"), (2, "two")):
+        deepmp(tmp_path / name, "train", threads)
+    model, manifest = "models/model_k1.dmp", "manifest_train.json"
+    assert ((tmp_path / "one" / model).read_bytes()
+            == (tmp_path / "two" / model).read_bytes())
+    for name in ("one", "two"):
+        blas = json.loads((tmp_path / name / manifest).read_text())["blas"]
+        # one thread where the loaded OpenBLAS has a setter, else null
+        assert blas["threads"] in (1, None)
 
 
 def test_gen_data_shards_match_training_stream(monkeypatch, tmp_path,
