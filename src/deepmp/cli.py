@@ -7,8 +7,8 @@ run directory. Each ``cmd_*`` returns the paths it read and wrote (``eval``
 also its solver timings), and ``main`` then writes the command's manifest:
 content hashes of everything it read and wrote, its wall seconds and peak
 RSS, and the Python, numpy and BLAS versions. A command that fails writes
-no manifest. ``train`` and ``eval`` set OpenBLAS to one thread first, so
-their bytes do not depend on the thread count. ``gen-data``, ``train`` and
+no manifest. Every command sets OpenBLAS to one thread first, so its bytes
+do not depend on the thread count. ``gen-data``, ``train`` and
 ``eval`` exit 2 before drawing anything when their per-row arrays would
 exceed physical memory. Exit codes: 0 success, 1 numerical failure, 2 bad
 input or config.
@@ -57,11 +57,10 @@ _OPENBLAS_THREADS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
                      "scipy_openblas_{}_num_threads64_")
 
 
-def _blas(threads: int | None = None) -> dict:
+def _blas() -> dict:
     """numpy's BLAS as built, and the thread count its loaded OpenBLAS
-    reports. Given ``threads``, OpenBLAS is set to that many first, and the
-    count is None where no setter is found. It is None too when
-    ``/proc/self/maps`` is unreadable or maps no getter."""
+    reports once set to one thread. The count is None where no setter or
+    getter is found, or ``/proc/self/maps`` is unreadable."""
     built = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -75,13 +74,10 @@ def _blas(threads: int | None = None) -> dict:
                             for name in _OPENBLAS_THREADS
                             if hasattr(library, name.format(verb))), None)
                       for verb in ("get", "set"))
-    if threads is not None:
-        if setter is None:
-            getter = None
-        else:
-            setter(threads)
+    if setter:
+        setter(1)
     return {"name": built.get("name"), "version": built.get("version"),
-            "threads": int(getter()) if getter else None}
+            "threads": int(getter()) if getter and setter else None}
 
 
 def _write_manifest(out_dir, command, config: RunConfig, started: float,
@@ -270,11 +266,10 @@ def cmd_eval(config: RunConfig, args) -> dict:
     outputs.extend(_write_ecdfs(config, f"model_k{deepest}",
                                 *deepest_weights))
     for label in sorted(reports):
-        rep = reports[label]
-        summary = ", ".join(
-            f"k={k}: {rep.recovery[k]:.3f}" for k in sorted(rep.recovery)
-        )
-        print(f"{label} recovery  {summary}")
+        for name in ("recovery", "epsilon"):
+            values = getattr(reports[label], name)
+            summary = ", ".join(f"k={k}: {values[k]:.3f}" for k in sorted(values))
+            print(f"{label} {name}  {summary}")
     print(f"wrote {metrics_csv}")
     return {
         "inputs": [csv_path] + [_model_path(config, k) for k in config.k_range],
@@ -362,8 +357,8 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         # set before the command runs: BLAS's thread count can change the
-        # bytes train and eval write
-        blas = _blas(1 if args.command in ("train", "eval") else None)
+        # bytes a command writes
+        blas = _blas()
         _write_manifest(config.out_dir, args.command, config, started, blas,
                         **args.run(config, args))
     except (InputError, OSError) as exc:

@@ -82,14 +82,14 @@ def group_blocks(params: np.ndarray) -> int:
     return max(1, CHUNK // max(1, math.prod(params.shape[1:])))
 
 
-def adabound_step(state: AdaBoundState, params: np.ndarray, grads):
+def adabound_step(state: AdaBoundState, params: np.ndarray, grads) -> None:
     """Advance a (K, ...) parameter stack in place by one bounded adaptive step.
 
     ``grads`` is the gradient stack, or a function ``grads(lo, hi)`` that
     forms the gradient of blocks ``lo:hi``. A function is called once per
     group of :func:`group_blocks` whole blocks, and each group is updated and
     dropped before the next is formed. ``t`` advances once per step either
-    way. Returns ``(params, state)`` for chaining; both are mutated. Raises
+    way. Both ``params`` and ``state`` are mutated. Raises
     ShapeMismatch when params/grads/state disagree in shape or params and
     moments differ in memory layout, and NonFiniteGradient when a gradient
     entry is NaN or infinite. A gradient stack is checked whole before any
@@ -121,7 +121,6 @@ def adabound_step(state: AdaBoundState, params: np.ndarray, grads):
     else:
         _update(h, scalars, params, grads, state.m, state.v)
     state.t = t
-    return params, state
 
 
 def _update(h: AdaBoundHyper, scalars, params, grads, m, v) -> None:

@@ -138,20 +138,24 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
     model = init_from_dictionary(dictionary, depth, proj)
     atoms = dictionary.atoms
 
-    shards = list(stream_shards(dictionary, depth, seed, num_samples))
-    supports = np.concatenate([shard.supports for shard in shards])
-    coeffs = np.concatenate([shard.coeffs for shard in shards])
-    del shards
+    # each shard is copied into place as it is drawn, so no two copies of
+    # the stream are held
+    supports = np.empty((num_samples, depth), dtype=np.int64)
+    coeffs = np.empty((num_samples, depth))
+    for i, shard in enumerate(stream_shards(dictionary, depth, seed, num_samples)):
+        rows = slice(i * SHARD_SIZE, i * SHARD_SIZE + len(shard))
+        supports[rows], coeffs[rows] = shard.supports, shard.coeffs
+    # the last shard is released before training starts
+    del shard
     # filled by epoch 0, whose walk picks each row's targets
     targets = np.empty((num_train, depth), dtype=np.int64)
     val_supports, val_coeffs = supports[num_train:], coeffs[num_train:]
 
-    # best candidate so far: -1 is the initialization, which is rebuilt from
-    # the dictionary rather than held; trained weights are copied only while
-    # they lead and later epochs could overwrite them
-    best_epoch = -1
+    # the validation-best weights: None is the initialization, which is
+    # rebuilt from the dictionary rather than held; trained weights are
+    # copied only while later epochs could overwrite them
+    best: np.ndarray | None = None
     best_recovery = _validation_recovery(model, val_supports, val_coeffs)
-    best_weights: np.ndarray | None = None
 
     # a walk block of N // M whole batches holds a float32 (K, rows, M)
     # stack no larger than one batch's (K, N, B) score stack
@@ -197,16 +201,16 @@ def train_model(dictionary: Dictionary, depth: int, num_samples: int, *,
             val_recovery=val_recovery,
         ))
         if num_val and val_recovery > best_recovery:
-            best_epoch, best_recovery, best_weights = epoch, val_recovery, None
-            if epoch + 1 < epochs:
-                best_weights = model.selection_weights.copy(order="K")
+            # the earlier copy is released before the new one is made
+            best_recovery, best = val_recovery, None
+            best = (model.selection_weights.copy(order="K")
+                    if epoch + 1 < epochs else model.selection_weights)
     # the moments are released before a model is rebuilt or returned
     del state
 
-    if not num_val or best_epoch == epochs - 1:
-        return model, log_rows
-    if best_weights is None:
-        return init_from_dictionary(dictionary, depth, proj), log_rows
-    return UnfoldedModel(selection_weights=best_weights,
-                         update_dict=dictionary, proj=proj), log_rows
+    if best is not None:
+        model.selection_weights = best
+    elif num_val:
+        model = init_from_dictionary(dictionary, depth, proj)
+    return model, log_rows
 

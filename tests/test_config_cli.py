@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -517,6 +519,21 @@ def test_validation_memory_grows_only_by_supports_and_targets(monkeypatch):
     assert peak(large) - peak(small) <= support_bytes + 2**20
 
 
+def test_train_model_holds_the_24_bytes_a_row_per_level_train_is_charged():
+    # each shard is copied into the stream's supports and coefficients as it
+    # is drawn, so beside the targets training holds one shard more, not a
+    # second copy of every row: the 24·k bytes a row of train's memory check
+    d = generate_synthetic_dictionary(30, 200, seed=8)
+    depth, num_samples = 3, 200_000
+    tracemalloc.start()
+    try:
+        train_model(d, depth, num_samples, epochs=0, seed=2, val_fraction=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * depth * num_samples + 2**21
+
+
 def test_training_holds_one_gradient_block_not_the_stack():
     # 200x300 blocks exceed CHUNK, so each step forms and applies the
     # gradient one block at a time: the peak is the weights and both
@@ -642,16 +659,54 @@ def _unreadable(*args, **kwargs):
     raise PermissionError("no /proc here")
 
 
+def _hiding(verb):
+    """A stand-in for ctypes whose libraries hide their thread-count
+    ``verb`` functions."""
+    class Library:
+        def __init__(self, path):
+            self._library = ctypes.CDLL(path)
+
+        def __getattr__(self, name):
+            if f"_{verb}_" in name:
+                raise AttributeError(name)
+            return getattr(self._library, name)
+
+    return SimpleNamespace(CDLL=Library)
+
+
 @pytest.mark.parametrize("name,value", [
-    ("_OPENBLAS_THREADS", ("no_such_symbol",)),
+    ("ctypes", _hiding("get")),
+    ("ctypes", _hiding("set")),
     ("open", _unreadable),
-], ids=["no-getter", "no-proc"])
+], ids=["no-getter", "no-setter", "no-proc"])
 def test_manifest_blas_threads_is_null_when_it_cannot_be_asked(
         monkeypatch, name, value):
+    # a count read without setting one thread first would not be the
+    # count the command ran at
     monkeypatch.setattr(cli, name, value, raising=False)
     assert cli._blas()["threads"] is None
-    # nor can it be set, as train and eval ask
-    assert cli._blas(1)["threads"] is None
+
+
+def test_cli_eval_prints_recovery_and_epsilon_per_solver(tmp_path, capsys):
+    # the whole table of metrics.json, to 3 decimals
+    out = tmp_path / "run"
+    base = pipeline_args(out)
+    for cmd in ("gen-dict", "train"):
+        assert run_cli(base + [cmd]) == 0
+    capsys.readouterr()
+    assert run_cli(base + ["eval"]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        if match := re.fullmatch(r"(\w+) (recovery|epsilon)  (.*)", line):
+            assert match.group(1, 2) not in printed, line
+            printed[match.group(1, 2)] = dict(
+                item.split(": ") for item in match.group(3).split(", "))
+    reports = json.loads((out / "metrics.json").read_text())
+    assert printed == {
+        (label, name): {f"k={k}": f"{value:.3f}"
+                        for k, value in report[name].items()}
+        for label, report in reports.items()
+        for name in ("recovery", "epsilon")}
 
 
 def test_cli_eval_manifest_records_solver_seconds(tmp_path):
@@ -1167,6 +1222,15 @@ def test_cli_sample_count_beyond_memory_exits_2_before_drawing(
     assert run_tree(out) == before
 
 
+def deepmp_at_threads(threads, *args):
+    """``python -m deepmp.cli args`` in a process started with OpenBLAS at
+    ``threads`` threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    subprocess.run([sys.executable, "-m", "deepmp.cli", *map(str, args)],
+                   env=env, check=True, capture_output=True)
+
+
 def test_cli_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     # At 503x600 and k=1, OpenBLAS at two threads rounds training's products
     # apart from one thread, so the model bytes differ unless train sets
@@ -1176,14 +1240,10 @@ def test_cli_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     cfg.write_text("[dictionary]\nsource = surrogate\nsignal_dim = 503\n"
                    "num_atoms = 600\n[training]\nk_range = 1\n"
                    "num_train_samples = 200\nepochs = 1\nval_fraction = 0\n")
-    src = Path(cli.__file__).resolve().parent.parent
 
     def deepmp(out, command, threads):
-        env = {**os.environ, "PYTHONPATH": str(src),
-               "OPENBLAS_NUM_THREADS": str(threads)}
-        subprocess.run([sys.executable, "-m", "deepmp.cli", "--config", cfg,
-                        "--seed", "1", "--out", out, command],
-                       env=env, check=True, capture_output=True)
+        deepmp_at_threads(threads, "--config", cfg, "--seed", 1, "--out", out,
+                          command)
 
     deepmp(tmp_path / "one", "gen-dict", 1)
     shutil.copytree(tmp_path / "one", tmp_path / "two")
@@ -1196,6 +1256,22 @@ def test_cli_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
         blas = json.loads((tmp_path / name / manifest).read_text())["blas"]
         # one thread where the loaded OpenBLAS has a setter, else null
         assert blas["threads"] in (1, None)
+
+
+def test_cli_every_command_runs_blas_at_one_thread(tmp_path):
+    # gen-dict, gen-data and ecdf set OpenBLAS as train and eval do, so
+    # their manifests read what a process set to one thread reads, not
+    # the two threads the environment asks for
+    cfg = tmp_path / "small.ini"
+    cfg.write_text("[training]\nk_range = 1\nnum_train_samples = 20\n")
+    out = tmp_path / "run"
+    for command in (["gen-dict"], ["gen-data"],
+                    ["ecdf", out / "dictionary.csv"]):
+        deepmp_at_threads(2, "--config", cfg, "--out", out, *command)
+    pinned = cli._blas()["threads"]
+    for name in ("gen_dict", "gen_data", "ecdf"):
+        manifest = json.loads((out / f"manifest_{name}.json").read_text())
+        assert manifest["blas"]["threads"] == pinned, name
 
 
 def test_gen_data_shards_match_training_stream(monkeypatch, tmp_path,

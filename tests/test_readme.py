@@ -1,8 +1,10 @@
 import configparser
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
+from deepmp.cli import main
 from deepmp.config import _SCHEMA, RunConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -15,6 +17,18 @@ def test_readme_python_blocks_run_as_written(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_demo_block_runs_as_written(tmp_path):
+    # the documented run, one CLI call a line, with its run directory moved
+    # under tmp_path
+    (block,) = re.findall(r"```bash\n(deepmp --out runs/demo .*?)```",
+                          README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    for line in block.splitlines():
+        program, *argv = (word.replace("runs/demo", str(tmp_path / "demo"))
+                          for word in shlex.split(line, comments=True))
+        assert program == "deepmp"
+        assert main(argv) == 0, line
 
 
 def test_readme_config_block_loads_as_the_defaults(tmp_path):
